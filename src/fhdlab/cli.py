@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import mmap
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -138,6 +139,27 @@ def _lookup(document: dict, path: tuple) -> object:
     return node
 
 
+# JSON types accepted for each kind of RunConfig field; JSON booleans
+# decode to bool, which therefore counts as no number
+_KINDS = {
+    "float": ("a number", (int, float)),
+    "int": ("an integer", (int,)),
+    "bool": ("true or false", (bool,)),
+    "str": ("a string", (str,)),
+}
+
+
+def _file_value(document: dict, field: str, path: tuple) -> object:
+    """The config file's value for ``field`` (None if absent), type-checked."""
+    value = _lookup(document, path)
+    expected, types = _KINDS[RunConfig.__annotations__[field].split(" |")[0]]
+    if value is not None and type(value) not in types:
+        raise ValueError(
+            f"config value {'.'.join(path)} must be {expected}, got {value!r}"
+        )
+    return value
+
+
 def build_parser(command: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"fhdlab {command}")
     add = parser.add_argument
@@ -164,10 +186,18 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file and flags into one RunConfig."""
     document: dict = {}
     if args.config is not None:
-        document = json.loads(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ValueError(
+                f"cannot read config file {args.config}: {exc.strerror or exc}"
+            ) from exc
+        document = json.loads(text)
+        if not isinstance(document, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
     config = RunConfig(command=command)
     for field, path in _FLAG_PATHS.items():
-        file_value = _lookup(document, path)
+        file_value = _file_value(document, field, path)
         if file_value is not None:
             setattr(config, field, file_value)
         flag_value = getattr(args, field, None)
@@ -289,6 +319,21 @@ def run_profile(config: RunConfig) -> dict:
     }
 
 
+def _mapped_empty(size: int) -> np.ndarray:
+    """An uninitialised float array in its own anonymous memory mapping.
+
+    The trajectory CSV columns are megabytes that live only while the file
+    is written. Taken from the malloc heap, such a buffer leaves a hole
+    there when a small allocation made meanwhile lands above it, and the
+    process then keeps a varying amount of freed memory resident from one
+    run to the next. A mapping is returned to the operating system as soon
+    as the array is freed.
+    """
+    if size == 0:
+        return np.empty(0)
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
+
+
 def run_evolve(config: RunConfig) -> dict:
     _require_existence(config)
     params = config.params
@@ -312,9 +357,11 @@ def run_evolve(config: RunConfig) -> dict:
                 meta=config.meta(),
             )
     else:
-        t_col = np.repeat(trajectory.times, grid.n)
-        x_col = np.tile(grid.x, len(trajectory.frames))
-        v_col = trajectory.values.ravel()
+        shape = (len(trajectory.frames), grid.n)
+        t_col, x_col, v_col = (_mapped_empty(shape[0] * shape[1]) for _ in range(3))
+        t_col.reshape(shape)[...] = trajectory.times[:, None]
+        x_col.reshape(shape)[...] = grid.x
+        np.stack([f.values for f in trajectory.frames], out=v_col.reshape(shape))
         write_csv(
             out / "trajectory.csv", ["t", "x", "v"], [t_col, x_col, v_col],
             meta=config.meta(),

@@ -90,7 +90,7 @@ class LaxResidualReport:
     def passed(self) -> bool:
         off = [self.entry_norms[i, j] for i, j in ((0, 0), (0, 1), (1, 1))]
         off += [self.entry_norms_coarse[i, j] for i, j in ((0, 0), (0, 1), (1, 1))]
-        return (
+        return bool(
             max(off) < OFF_SHELL_TOL
             and np.isfinite(self.convergence_order)
             and self.convergence_order >= MIN_ORDER
@@ -228,5 +228,5 @@ def reduction_check(
     rhs = d3_periodic(v, dx) - v_x
     disc = float(np.max(np.abs(lhs - rhs)))
     return ReductionReport(
-        passed=disc < OFF_SHELL_TOL, max_discrepancy=disc, lambda_spec=lam
+        passed=bool(disc < OFF_SHELL_TOL), max_discrepancy=disc, lambda_spec=lam
     )

@@ -15,6 +15,9 @@ from typing import Sequence
 import numpy as np
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def format_float(x: float) -> str:
     return f"{x:.17g}"
 
@@ -39,10 +42,17 @@ def write_csv(
     lengths = {c.size for c in columns}
     if len(lengths) != 1:
         raise ValueError("all columns must have equal length")
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(format_float(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    # one %-format per block of rows writes the same text as format_float
+    # applied value by value, without holding every line in memory
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = lengths.pop()
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            block = np.column_stack(
+                [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
+            )
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
     _write_meta(path, meta)
     return path
 

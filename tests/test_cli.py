@@ -28,6 +28,22 @@ class TestOutputHelpers:
     def test_format_float_17_digits(self):
         assert format_float(1.0 / 3.0) == "0.33333333333333331"
 
+    @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097])
+    def test_csv_text_matches_format_float(self, tmp_path, rows):
+        # block formatting must give the bytes of per-value format_float
+        special = [-0.0, 5e-324, 1e300, 1.0 / 3.0, 5.0]
+        rng = np.random.default_rng(rows)
+        columns = [
+            np.resize(special, rows),
+            rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, size=rows),
+            np.resize(special[::-1], rows),
+        ]
+        path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], columns)
+        expected = "a,b,c\n" + "".join(
+            ",".join(format_float(x) for x in row) + "\n" for row in zip(*columns)
+        )
+        assert path.read_text() == expected
+
     def test_column_validation(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a"], [np.ones(3), np.ones(3)])
@@ -69,6 +85,21 @@ class TestUsageAndExitCodes:
         code = main(["evolve", "--config", str(cfg)])
         assert code == 3
         assert "positivity" in capsys.readouterr().err
+
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        code = main(["profile", "--config", str(tmp_path / "absent.json"),
+                     "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+    def test_non_numeric_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"params": {"lambda": "abc", "v0": 1.0}}))
+        code = main(["profile", "--config", str(cfg), "--output-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config value params.lambda must be a number")
 
 
 class TestScanExistence:
@@ -199,6 +230,20 @@ class TestVerifyLaxCommand:
         assert report["pass"] is True
         assert report["lambda_spec"] == 2.0
         assert summary["convergence_order"] >= 2.0
+
+
+    def test_failed_check_is_reported_not_raised(self, tmp_path, capsys):
+        # an odd n cannot be coarsened, so the order is undefined and the
+        # check fails; the report must still serialize
+        code, summary = run_cli(
+            ["verify-lax", "--lambda", "0.5", "--v0", "1", "--n", "513",
+             "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert summary["pass"] is False
+        report = json.loads((tmp_path / "lax_report.json").read_text())
+        assert report["pass"] is False
 
 
 class TestReduceCheckCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fhdlab import evolution
 from fhdlab.core import Field, SolitonParams, Trajectory, d1_periodic, make_grid
 from fhdlab.evolution import (
     EvolutionAborted,
@@ -118,6 +119,96 @@ class TestEvolve:
         values[0] = 0.0
         with pytest.raises(ValueError):
             evolve(Field(grid, values), EvolveConfig(t_final=0.1))
+
+
+def allocating_rk4(field, config):
+    """Oracle: the allocating RK4 loop with the sum-form fused stencil.
+
+    Returns the recorded times and the stacked frames.
+    """
+
+    def rhs(values, dx):
+        n = values.shape[-1]
+        c3 = 1.0 / (8.0 * dx**3)
+        c2 = 8.0 / (8.0 * dx**3) + 1.0 / (12.0 * dx)
+        c1 = 13.0 / (8.0 * dx**3) + 8.0 / (12.0 * dx)
+        p = np.concatenate((values[-3:], values, values[:3]))
+        acc = c3 * p[0:n]
+        acc -= c2 * p[1 : n + 1]
+        acc += c1 * p[2 : n + 2]
+        acc -= c1 * p[4 : n + 4]
+        acc += c2 * p[5 : n + 5]
+        acc -= c3 * p[6 : n + 6]
+        return values**3 * acc
+
+    v = field.values.copy()
+    dx = field.grid.dx
+    times, frames = [0.0], [v]
+    t, steps = 0.0, 0
+    while t < config.t_final:
+        dt = config.cfl_constant * dx**3 / v.max() ** 3
+        if t + dt >= config.t_final:
+            dt = config.t_final - t
+        k1 = rhs(v, dx)
+        k2 = rhs(v + (0.5 * dt) * k1, dx)
+        k3 = rhs(v + (0.5 * dt) * k2, dx)
+        k4 = rhs(v + dt * k3, dx)
+        v = v + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        t += dt
+        steps += 1
+        if steps % config.output_stride == 0 or t >= config.t_final:
+            times.append(t)
+            frames.append(v)
+    return np.array(times), np.stack(frames)
+
+
+class TestInPlaceStepper:
+    def test_matches_allocating_oracle(self):
+        f = soliton_field(n=256)
+        config = EvolveConfig(t_final=0.2, cfl_constant=0.4, output_stride=5)
+        traj = evolve(f, config)
+        times, frames = allocating_rk4(f, config)
+        assert len(traj.frames) == len(times)
+        assert np.max(np.abs(traj.times - times)) <= 1e-13
+        assert np.max(np.abs(traj.values - frames) / np.abs(frames)) <= 1e-12
+
+    def test_constant_field_is_a_bit_exact_fixed_point(self):
+        # the difference-form stencil cancels exactly (the sum form left
+        # ~4e-13 here), so the state never moves
+        grid = make_grid(-5.0, 5.0, 128)
+        f = Field(grid, np.full(128, 1.3))
+        assert np.all(rhs_fhd(f).values == 0.0)
+        traj = evolve(f, EvolveConfig(t_final=1.0, cfl_constant=0.4, output_stride=7))
+        assert np.all(traj.values == 1.3)
+
+    def test_four_rhs_calls_per_step(self, monkeypatch):
+        calls = []
+        kernel = evolution._rhs
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(evolution, "_rhs", counting)
+        traj = evolve(
+            soliton_field(n=128), EvolveConfig(t_final=0.5, output_stride=1)
+        )
+        steps = len(traj.frames) - 1
+        assert steps > 10
+        assert len(calls) == 4 * steps
+
+    def test_frames_are_independent_copies(self):
+        f = soliton_field(n=128)
+        config = EvolveConfig(t_final=0.5, cfl_constant=0.4, output_stride=1)
+        traj = evolve(f, config)
+        _, frames = allocating_rk4(f, config)
+        values = [frame.values for frame in traj.frames]
+        assert len(values) > 3
+        for i, a in enumerate(values):
+            assert not any(np.shares_memory(a, b) for b in values[i + 1 :])
+        # every earlier frame still holds its own step, not the final state
+        assert np.allclose(np.stack(values), frames, rtol=1e-12, atol=0.0)
+        assert not np.array_equal(values[1], values[-1])
 
 
 class TestConservedFunctional:
