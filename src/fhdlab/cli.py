@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import mmap
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -32,7 +31,7 @@ from .evolution import (
     shape_error,
 )
 from .lax import reduction_check, zc_residual
-from .output import write_csv, write_json
+from .output import write_csv, write_frames_csv, write_json
 from .profiles import (
     MIN_DECAY_LENGTHS,
     decay_rate,
@@ -130,6 +129,25 @@ _FLAG_PATHS = {
 }
 
 
+# key paths a config file may hold: the flag paths with their sections, and
+# the command name (the command itself is always taken from the arguments)
+_CONFIG_KEYS = {
+    path[:i]
+    for path in (*_FLAG_PATHS.values(), ("command",))
+    for i in range(1, len(path) + 1)
+}
+
+
+def _check_keys(node: dict, prefix: tuple = ()) -> None:
+    """Reject a config key that no flag reads, at any depth, by dotted name."""
+    for key, value in node.items():
+        path = prefix + (key,)
+        if path not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {'.'.join(path)}")
+        if isinstance(value, dict):
+            _check_keys(value, path)
+
+
 def _lookup(document: dict, path: tuple) -> object:
     node = document
     for key in path:
@@ -192,9 +210,16 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
             raise ValueError(
                 f"cannot read config file {args.config}: {exc.strerror or exc}"
             ) from exc
-        document = json.loads(text)
+        try:
+            document = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"config file {args.config} is not valid JSON: {exc.msg} "
+                f"(line {exc.lineno} column {exc.colno})"
+            ) from exc
         if not isinstance(document, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
+        _check_keys(document)
     config = RunConfig(command=command)
     for field, path in _FLAG_PATHS.items():
         file_value = _file_value(document, field, path)
@@ -319,21 +344,6 @@ def run_profile(config: RunConfig) -> dict:
     }
 
 
-def _mapped_empty(size: int) -> np.ndarray:
-    """An uninitialised float array in its own anonymous memory mapping.
-
-    The trajectory CSV columns are megabytes that live only while the file
-    is written. Taken from the malloc heap, such a buffer leaves a hole
-    there when a small allocation made meanwhile lands above it, and the
-    process then keeps a varying amount of freed memory resident from one
-    run to the next. A mapping is returned to the operating system as soon
-    as the array is freed.
-    """
-    if size == 0:
-        return np.empty(0)
-    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
-
-
 def run_evolve(config: RunConfig) -> dict:
     _require_existence(config)
     params = config.params
@@ -350,21 +360,14 @@ def run_evolve(config: RunConfig) -> dict:
     out = _out_dir(config)
     if config.per_frame:
         for k, (t, frame) in enumerate(zip(trajectory.times, trajectory.frames)):
-            write_csv(
-                out / f"frame_{k:05d}.csv",
-                ["t", "x", "v"],
-                [np.full(grid.n, t), grid.x, frame.values],
+            write_frames_csv(
+                out / f"frame_{k:05d}.csv", [t], grid.x, [frame.values],
                 meta=config.meta(),
             )
     else:
-        shape = (len(trajectory.frames), grid.n)
-        t_col, x_col, v_col = (_mapped_empty(shape[0] * shape[1]) for _ in range(3))
-        t_col.reshape(shape)[...] = trajectory.times[:, None]
-        x_col.reshape(shape)[...] = grid.x
-        np.stack([f.values for f in trajectory.frames], out=v_col.reshape(shape))
-        write_csv(
-            out / "trajectory.csv", ["t", "x", "v"], [t_col, x_col, v_col],
-            meta=config.meta(),
+        write_frames_csv(
+            out / "trajectory.csv", trajectory.times, grid.x,
+            (f.values for f in trajectory.frames), meta=config.meta(),
         )
 
     stride_dt = float(np.median(np.diff(trajectory.times)))
@@ -398,7 +401,7 @@ def run_verify_lax(config: RunConfig) -> dict:
         "max_off_entry": float(
             max(report.entry_norms[i, j] for i, j in ((0, 0), (0, 1), (1, 1)))
         ),
-        "convergence_order": report.convergence_order,
+        "convergence_order": payload["convergence_order"],
         "pass": report.passed,
     }
 
@@ -458,6 +461,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
+        return 3
+    if summary.get("pass") is False:
+        # the verification ran and wrote its report, but it failed
+        sys.stderr.write(
+            f"numerical failure: {command} check failed (report in "
+            f"{config.output_dir}): {json.dumps(summary, sort_keys=True)}\n"
+        )
         return 3
     line = {"command": command, "status": "ok", "output_dir": config.output_dir}
     line.update(summary)

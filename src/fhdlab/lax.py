@@ -76,7 +76,7 @@ class LaxResidualReport:
     ``entry_norms`` belongs to the patch at (dx, dt); ``entry_norms_coarse``
     to the same data subsampled to (2dx, 2dt). The convergence order is
     fitted from the (2,1) entry, the one carrying the evolution equation;
-    it is NaN when the patch is too small to coarsen.
+    it is NaN when the patch is too small to coarsen (None in ``to_dict``).
     """
 
     lambda_spec: float
@@ -97,17 +97,24 @@ class LaxResidualReport:
         )
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; an undefined (NaN) order or norm becomes None."""
         return {
             "lambda_spec": self.lambda_spec,
-            "entry_norms": [float(x) for x in self.entry_norms.ravel()],
+            "entry_norms": [_finite_or_none(x) for x in self.entry_norms.ravel()],
             "entry_norms_coarse": [
-                float(x) for x in self.entry_norms_coarse.ravel()
+                _finite_or_none(x) for x in self.entry_norms_coarse.ravel()
             ],
             "dx": self.dx,
             "dt": self.dt,
-            "convergence_order": self.convergence_order,
+            "convergence_order": _finite_or_none(self.convergence_order),
             "pass": self.passed,
         }
+
+
+def _finite_or_none(x: float) -> float | None:
+    """``x`` as a float, or None where standard JSON has no number for it."""
+    x = float(x)
+    return x if np.isfinite(x) else None
 
 
 def _matmul2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -215,6 +222,8 @@ def reduction_check(
     """
     if not v_samples.grid.periodic:
         raise ValueError("reduction check requires a periodic grid")
+    if not (np.isfinite(lambda_spec) and lambda_spec != 0.0):
+        raise ValueError(f"lambda_spec must be finite and nonzero, got {lambda_spec}")
     v = v_samples.values
     if np.any(v <= 0.0):
         raise ValueError("field must be strictly positive")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,6 +53,32 @@ def write_csv(
                 [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
             )
             fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+    _write_meta(path, meta)
+    return path
+
+
+def write_frames_csv(
+    path: Path,
+    times: Sequence[float],
+    x: np.ndarray,
+    frames: Iterable[np.ndarray],
+    meta: dict | None = None,
+) -> Path:
+    """Write frames of v(x, t) as ``t,x,v`` rows plus the metadata side-car.
+
+    The bytes are those of ``write_csv`` on the expanded columns, but x is
+    formatted once per file and t once per frame, so only v is formatted
+    value by value and no expanded column is held in memory.
+    """
+    # "\0" marks the t field; no formatted float contains it or a "%", and a
+    # frame whose length differs from x's fails the %-format
+    x = np.asarray(x, dtype=float).tolist()
+    template = "".join("\0,%.17g,%%.17g\n" % xi for xi in x)
+    with open(path, "w") as fh:
+        fh.write("t,x,v\n")
+        for t, v in zip(times, frames, strict=True):
+            v = np.asarray(v, dtype=float).tolist()
+            fh.write(template.replace("\0", "%.17g" % t) % tuple(v))
     _write_meta(path, meta)
     return path
 
