@@ -25,7 +25,6 @@ from .evolution import (
     shift_field,
 )
 from .lax import (
-    LaxPair,
     LaxResidualReport,
     ReductionReport,
     build_M,
@@ -68,7 +67,6 @@ __all__ = [
     "rhs_fhd",
     "shape_error",
     "shift_field",
-    "LaxPair",
     "LaxResidualReport",
     "ReductionReport",
     "build_M",

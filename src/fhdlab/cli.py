@@ -38,6 +38,7 @@ from .profiles import (
     profile_by_quadrature,
     profile_by_shooting,
     profile_metrics,
+    require_admissible,
     translated_trajectory,
 )
 from .pseudopotential import existence_check, phase_samples, potential_samples
@@ -50,25 +51,6 @@ COMMANDS = (
     "verify-lax",
     "reduce-check",
 )
-
-USAGE = """usage: fhdlab <command> [flags]
-
-commands:
-  scan-existence   flag admissible wave speeds over a lambda range
-  potential        tabulate the pseudopotential and phase portrait
-  profile          construct the travelling-wave profile (both methods)
-  evolve           evolve a soliton with the full PDE and measure it
-  verify-lax       zero-curvature residuals on an exact travelling wave
-  reduce-check     algebraic reduction of the matrix flow to the PDE
-
-flags:
-  --config <path>  JSON run configuration (flags override file values)
-  --lambda <f> --v0 <f> --lambda-spec <f>
-  --xmin <f> --xmax <f> --n <int>
-  --t-final <f> --cfl <f> --output-stride <int> --per-frame
-  --lambda-min <f> --lambda-max <f> --steps <int>
-  --output-dir <path> (or env FHD_OUTPUT_DIR) --emit-plots
-"""
 
 
 @dataclass
@@ -105,72 +87,106 @@ class RunConfig:
         return {"config": asdict(self)}
 
 
-_FLAG_PATHS = {
-    "lambda_speed": ("params", "lambda"),
-    "v0": ("params", "v0"),
-    "lambda_spec": ("lambda_spec",),
-    "x_min": ("grid", "x_min"),
-    "x_max": ("grid", "x_max"),
-    "n": ("grid", "n"),
-    "t_final": ("evolve", "t_final"),
-    "cfl_constant": ("evolve", "cfl_constant"),
-    "output_stride": ("evolve", "output_stride"),
-    "positivity_floor": ("evolve", "positivity_floor"),
-    "lambda_min": ("scan", "lambda_min"),
-    "lambda_max": ("scan", "lambda_max"),
-    "steps": ("scan", "steps"),
-    "n_points": ("profile", "n_points"),
-    "tail_cut": ("profile", "tail_cut"),
-    "lax_frames": ("lax", "frames"),
-    "lax_frame_dt": ("lax", "frame_dt"),
-    "per_frame": ("per_frame",),
-    "output_dir": ("output_dir",),
-    "emit_plots": ("emit_plots",),
+# RunConfig field -> (config-file key path, command-line flag or None);
+# the flags, their types, USAGE and the allowed config keys derive from it
+_OPTIONS = {
+    "lambda_speed": (("params", "lambda"), "--lambda"),
+    "v0": (("params", "v0"), "--v0"),
+    "lambda_spec": (("lambda_spec",), "--lambda-spec"),
+    "x_min": (("grid", "x_min"), "--xmin"),
+    "x_max": (("grid", "x_max"), "--xmax"),
+    "n": (("grid", "n"), "--n"),
+    "t_final": (("evolve", "t_final"), "--t-final"),
+    "cfl_constant": (("evolve", "cfl_constant"), "--cfl"),
+    "output_stride": (("evolve", "output_stride"), "--output-stride"),
+    "positivity_floor": (("evolve", "positivity_floor"), None),
+    "lambda_min": (("scan", "lambda_min"), "--lambda-min"),
+    "lambda_max": (("scan", "lambda_max"), "--lambda-max"),
+    "steps": (("scan", "steps"), "--steps"),
+    "n_points": (("profile", "n_points"), None),
+    "tail_cut": (("profile", "tail_cut"), None),
+    "lax_frames": (("lax", "frames"), None),
+    "lax_frame_dt": (("lax", "frame_dt"), None),
+    "per_frame": (("per_frame",), "--per-frame"),
+    "output_dir": (("output_dir",), "--output-dir"),
+    "emit_plots": (("emit_plots",), "--emit-plots"),
 }
 
 
-# key paths a config file may hold: the flag paths with their sections, and
-# the command name (the command itself is always taken from the arguments)
-_CONFIG_KEYS = {
-    path[:i]
-    for path in (*_FLAG_PATHS.values(), ("command",))
-    for i in range(1, len(path) + 1)
+# per RunConfig type: its name in errors, the JSON types a config file may
+# give (JSON booleans decode to bool, which therefore counts as no number),
+# the flag's argument type (None: a switch) and the flag's placeholder
+_KINDS = {
+    "float": ("a number", (int, float), float, " <f>"),
+    "int": ("an integer", (int,), int, " <int>"),
+    "bool": ("true or false", (bool,), None, ""),
+    "str": ("a string", (str,), str, " <path>"),
 }
+
+
+def _kind(field: str) -> tuple:
+    """The ``_KINDS`` entry of a RunConfig field's type, ``| None`` dropped."""
+    return _KINDS[RunConfig.__annotations__[field].split(" |")[0]]
+
+
+# config paths that hold sub-keys, and every key path a config file may
+# hold (the command itself is always taken from the arguments)
+_SECTIONS = {path[:i] for path, _ in _OPTIONS.values() for i in range(1, len(path))}
+_CONFIG_KEYS = _SECTIONS | {path for path, _ in _OPTIONS.values()} | {("command",)}
+
+
+def _usage() -> str:
+    flags = "".join(
+        f"  {flag + _kind(field)[-1]:<22}{'.'.join(path)}\n"
+        for field, (path, flag) in _OPTIONS.items()
+        if flag is not None
+    )
+    return f"""usage: fhdlab <command> [flags]
+
+commands:
+  scan-existence   flag admissible wave speeds over a lambda range
+  potential        tabulate the pseudopotential and phase portrait
+  profile          construct the travelling-wave profile (both methods)
+  evolve           evolve a soliton with the full PDE and measure it
+  verify-lax       zero-curvature residuals on an exact travelling wave
+  reduce-check     algebraic reduction of the matrix flow to the PDE
+
+flags, each with its config-file key (flags override file values):
+  --config <path>       JSON run configuration
+{flags}  env FHD_OUTPUT_DIR is the fallback for --output-dir
+"""
+
+
+USAGE = _usage()
 
 
 def _check_keys(node: dict, prefix: tuple = ()) -> None:
-    """Reject a config key that no flag reads, at any depth, by dotted name."""
+    """Reject, by dotted name, a config key that no option reads or a
+    section that is not an object, at any depth."""
     for key, value in node.items():
         path = prefix + (key,)
         if path not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {'.'.join(path)}")
-        if isinstance(value, dict):
+        if path in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ValueError(
+                    f"config section {'.'.join(path)} must be an object, "
+                    f"got {value!r}"
+                )
             _check_keys(value, path)
 
 
 def _lookup(document: dict, path: tuple) -> object:
-    node = document
-    for key in path:
-        if not isinstance(node, dict) or key not in node:
-            return None
-        node = node[key]
-    return node
-
-
-# JSON types accepted for each kind of RunConfig field; JSON booleans
-# decode to bool, which therefore counts as no number
-_KINDS = {
-    "float": ("a number", (int, float)),
-    "int": ("an integer", (int,)),
-    "bool": ("true or false", (bool,)),
-    "str": ("a string", (str,)),
-}
+    """The value at ``path`` (None if absent) of a document ``_check_keys`` passed."""
+    for section in path[:-1]:
+        document = document.get(section, {})
+    return document.get(path[-1])
 
 
 def _file_value(document: dict, field: str, path: tuple) -> object:
     """The config file's value for ``field`` (None if absent), type-checked."""
     value = _lookup(document, path)
-    expected, types = _KINDS[RunConfig.__annotations__[field].split(" |")[0]]
+    expected, types, _, _ = _kind(field)
     if value is not None and type(value) not in types:
         raise ValueError(
             f"config value {'.'.join(path)} must be {expected}, got {value!r}"
@@ -180,23 +196,15 @@ def _file_value(document: dict, field: str, path: tuple) -> object:
 
 def build_parser(command: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"fhdlab {command}")
-    add = parser.add_argument
-    add("--config", type=Path, default=None)
-    add("--lambda", dest="lambda_speed", type=float, default=None)
-    add("--v0", type=float, default=None)
-    add("--lambda-spec", dest="lambda_spec", type=float, default=None)
-    add("--xmin", dest="x_min", type=float, default=None)
-    add("--xmax", dest="x_max", type=float, default=None)
-    add("--n", type=int, default=None)
-    add("--t-final", dest="t_final", type=float, default=None)
-    add("--cfl", dest="cfl_constant", type=float, default=None)
-    add("--output-stride", dest="output_stride", type=int, default=None)
-    add("--lambda-min", dest="lambda_min", type=float, default=None)
-    add("--lambda-max", dest="lambda_max", type=float, default=None)
-    add("--steps", type=int, default=None)
-    add("--per-frame", dest="per_frame", action="store_true", default=None)
-    add("--output-dir", dest="output_dir", type=str, default=None)
-    add("--emit-plots", dest="emit_plots", action="store_true", default=None)
+    parser.add_argument("--config", type=Path, default=None)
+    for field, (_, flag) in _OPTIONS.items():
+        if flag is None:
+            continue
+        _, _, parse, _ = _kind(field)
+        if parse is None:
+            parser.add_argument(flag, dest=field, action="store_true", default=None)
+        else:
+            parser.add_argument(flag, dest=field, type=parse, default=None)
     return parser
 
 
@@ -221,7 +229,7 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"config file {args.config} must hold a JSON object")
         _check_keys(document)
     config = RunConfig(command=command)
-    for field, path in _FLAG_PATHS.items():
+    for field, (path, _) in _OPTIONS.items():
         file_value = _file_value(document, field, path)
         if file_value is not None:
             setattr(config, field, file_value)
@@ -241,16 +249,6 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
         config.x_min = -half if config.x_min is None else config.x_min
         config.x_max = half if config.x_max is None else config.x_max
     return config
-
-
-def _require_existence(config: RunConfig) -> None:
-    report = existence_check(config.params)
-    if not report.admissible:
-        raise ValueError(
-            f"soliton existence violated: lambda={config.lambda_speed}, "
-            f"v0={config.v0} needs 0 < lambda < v0^3 = {config.v0**3:.6g} "
-            f"(S''(v0) = {report.s_second_at_v0:.6g}, must be negative)"
-        )
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -284,7 +282,7 @@ def run_scan_existence(config: RunConfig) -> dict:
 
 
 def run_potential(config: RunConfig) -> dict:
-    _require_existence(config)
+    require_admissible(config.params)
     params = config.params
     v_pot, s_pot = potential_samples(params, n=1000)
     v_orb, vp_plus, vp_minus = phase_samples(params, n=1000)
@@ -297,7 +295,7 @@ def run_potential(config: RunConfig) -> dict:
         meta=config.meta(),
     )
     if config.emit_plots:
-        _emit_plot_script(out / "plot_potential.py", _POTENTIAL_PLOT)
+        (out / "plot_potential.py").write_text(_POTENTIAL_PLOT)
     return {
         "v_turn": float(v_orb[0]),
         "s_min": float(s_pot.min()),
@@ -306,7 +304,7 @@ def run_potential(config: RunConfig) -> dict:
 
 
 def run_profile(config: RunConfig) -> dict:
-    _require_existence(config)
+    require_admissible(config.params)
     params = config.params
     quad = profile_by_quadrature(
         params, n_points=config.n_points, tail_cut=config.tail_cut
@@ -335,7 +333,7 @@ def run_profile(config: RunConfig) -> dict:
     ]
     write_json(out / "metrics.json", records, meta=config.meta())
     if config.emit_plots:
-        _emit_plot_script(out / "plot_profile.py", _PROFILE_PLOT)
+        (out / "plot_profile.py").write_text(_PROFILE_PLOT)
     return {
         "min_v": float(quad.v.min()),
         "depth": mq.depth,
@@ -345,7 +343,7 @@ def run_profile(config: RunConfig) -> dict:
 
 
 def run_evolve(config: RunConfig) -> dict:
-    _require_existence(config)
+    require_admissible(config.params)
     params = config.params
     grid = make_grid(config.x_min, config.x_max, config.n, periodic=True)
     initial = Field(grid, profile_by_shooting(params, grid).v)
@@ -359,15 +357,14 @@ def run_evolve(config: RunConfig) -> dict:
 
     out = _out_dir(config)
     if config.per_frame:
-        for k, (t, frame) in enumerate(zip(trajectory.times, trajectory.frames)):
+        for k, (t, row) in enumerate(zip(trajectory.times, trajectory.values)):
             write_frames_csv(
-                out / f"frame_{k:05d}.csv", [t], grid.x, [frame.values],
-                meta=config.meta(),
+                out / f"frame_{k:05d}.csv", [t], grid.x, [row], meta=config.meta()
             )
     else:
         write_frames_csv(
-            out / "trajectory.csv", trajectory.times, grid.x,
-            (f.values for f in trajectory.frames), meta=config.meta(),
+            out / "trajectory.csv", trajectory.times, grid.x, trajectory.values,
+            meta=config.meta(),
         )
 
     stride_dt = float(np.median(np.diff(trajectory.times)))
@@ -382,12 +379,12 @@ def run_evolve(config: RunConfig) -> dict:
     }
     write_json(out / "summary.json", summary, meta=config.meta())
     if config.emit_plots:
-        _emit_plot_script(out / "plot_trajectory.py", _TRAJECTORY_PLOT)
+        (out / "plot_trajectory.py").write_text(_TRAJECTORY_PLOT)
     return summary
 
 
 def run_verify_lax(config: RunConfig) -> dict:
-    _require_existence(config)
+    require_admissible(config.params)
     grid = make_grid(config.x_min, config.x_max, config.n, periodic=True)
     times = config.lax_frame_dt * np.arange(config.lax_frames)
     trajectory = translated_trajectory(config.params, grid, times)
@@ -473,10 +470,6 @@ def main(argv: list[str] | None = None) -> int:
     line.update(summary)
     print(json.dumps(line, sort_keys=True))
     return 0
-
-
-def _emit_plot_script(path: Path, body: str) -> None:
-    path.write_text(body)
 
 
 _POTENTIAL_PLOT = """\

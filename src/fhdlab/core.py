@@ -100,35 +100,36 @@ class Field:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered sequence of fields on one shared grid."""
+    """Frames of v(x, t) on one grid: row k of ``values`` samples v(x, times[k]).
 
+    ``values`` is a read-only (n_times, n_nodes) float array. It is a view
+    of the array passed in, not a copy: a float array given by the caller
+    is kept, so the caller must not write to it afterwards.
+    """
+
+    grid: Grid1D
     times: np.ndarray
-    frames: tuple[Field, ...] = dc_field(repr=False)
+    values: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float).copy()
-        frames = tuple(self.frames)
-        if times.ndim != 1 or len(frames) != times.size:
-            raise ValueError("one frame is required per timestamp")
-        if times.size == 0:
-            raise ValueError("trajectory must contain at least one frame")
+        values = np.asarray(self.values, dtype=float).view()
+        if times.ndim != 1 or times.size == 0:
+            raise ValueError("trajectory needs a 1D array of at least one time")
+        if values.shape != (times.size, self.grid.n):
+            raise ValueError(
+                f"values shape {values.shape} does not match {times.size} times "
+                f"on a grid with n={self.grid.n}"
+            )
         if times.size > 1 and not np.all(np.diff(times) > 0.0):
             raise ValueError("times must be strictly increasing")
-        grid = frames[0].grid
-        if any(f.grid != grid for f in frames[1:]):
-            raise ValueError("all frames must share one grid")
+        # min and max propagate NaN and inf without a (T, n) temporary
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            raise ValueError("trajectory values must be finite")
         times.setflags(write=False)
+        values.setflags(write=False)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def grid(self) -> Grid1D:
-        return self.frames[0].grid
-
-    @property
-    def values(self) -> np.ndarray:
-        """Frame values stacked into a (n_times, n_nodes) array."""
-        return np.stack([f.values for f in self.frames])
+        object.__setattr__(self, "values", values)
 
 
 def _pad_periodic(values: np.ndarray, k: int) -> np.ndarray:

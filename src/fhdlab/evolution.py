@@ -17,7 +17,9 @@ per run, every stage and the final combination are formed in place, and
 only the 3+3 ghost cells are refreshed before each right-hand-side call.
 The fused 7-point stencil is evaluated in the difference form
 c3(p0-p6) - c2(p1-p5) + c1(p2-p4), and max(v) and min(v) are reduced once
-per step, after the update; that max sets the next step's dt.
+per step, after the update; that max sets the next step's dt. Recorded
+steps are copied straight into one (frames, n) buffer, sized up front from
+the first step's dt and doubled only if max(v) rises enough to need more.
 
 The semi-discrete system conserves sum(1/v) exactly (the stencils are
 antisymmetric), so the integral of 1/v is a sharp accuracy diagnostic for
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, NumericalError, Trajectory
+from .core import Field, Grid1D, NumericalError, Trajectory
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,8 @@ class EvolveConfig:
 class EvolutionAborted(NumericalError):
     """Raised when the run hits the positivity floor or loses finiteness.
 
-    Carries the trajectory recorded up to the last good frame.
+    Carries the trajectory recorded up to the last good frame, a view of
+    the run's frame buffer.
     """
 
     def __init__(self, message: str, trajectory: Trajectory):
@@ -135,16 +138,17 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
     general initial data stay inside the stability region even if max(v)
     drifts. Aborts (with the partial trajectory attached) on any value
     dropping below the positivity floor or turning non-finite. The state
-    and all RK4 stage arrays are allocated once; recorded frames are
-    copies of the state.
+    and all RK4 stage arrays are allocated once; recorded steps are copied
+    into rows of one frame buffer, of which the trajectory keeps a view.
     """
     if not field.grid.periodic:
         raise ValueError("evolve requires a periodic grid")
     v = field.values.copy()
     if np.any(v <= 0.0):
         raise ValueError("initial field must be strictly positive")
-    n = field.grid.n
-    dx = field.grid.dx
+    grid = field.grid
+    n = grid.n
+    dx = grid.dx
     floor = config.positivity_floor
     if floor is None:
         floor = 0.01 * float(v.max())
@@ -154,11 +158,15 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
     k1, k2, k3, k4, work = np.empty((5, n))
     dt_scale = config.cfl_constant * dx**3
 
-    times = [0.0]
-    frames = [field]
     t = 0.0
     steps = 0
     vmax = v.max()
+    # enough rows for every recorded step unless max(v) rises during the run;
+    # at most 2**24 values up front, however many steps a tiny dx implies
+    rows = int(config.t_final / (dt_scale / vmax**3)) // config.output_stride + 2
+    frames = np.empty((min(rows, max(2, 2**24 // n)), n))
+    frames[0] = v
+    times = [t]
     while t < config.t_final:
         dt = dt_scale / vmax**3
         if t + dt >= config.t_final:
@@ -189,42 +197,46 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
         if not (np.isfinite(vmin) and np.isfinite(vmax)):
             raise EvolutionAborted(
                 f"non-finite values at t={t:.6g} (step {steps})",
-                Trajectory(np.asarray(times), tuple(frames)),
+                Trajectory(grid, times, frames[: len(times)]),
             )
         if vmin < floor:
             raise EvolutionAborted(
                 f"positivity floor {floor:.6g} crossed at t={t:.6g} "
                 f"(min v = {vmin:.6g}, step {steps})",
-                Trajectory(np.asarray(times), tuple(frames)),
+                Trajectory(grid, times, frames[: len(times)]),
             )
         if steps % config.output_stride == 0 or t >= config.t_final:
+            if len(times) == len(frames):
+                frames = np.concatenate((frames, np.empty_like(frames)))
+            frames[len(times)] = v
             times.append(t)
-            frames.append(Field(field.grid, v))
 
-    return Trajectory(np.asarray(times), tuple(frames))
-
-
-def _parabolic_minimum(field: Field) -> float:
-    """Sub-grid minimum location from a parabola through the 3 lowest nodes."""
-    v = field.values
-    scale = float(np.abs(v).max())
-    if float(v.max() - v.min()) <= 1e-12 * max(scale, 1.0):
-        raise ValueError("frame is flat: no localized structure to track")
-    n = field.grid.n
-    i = int(np.argmin(v))
-    fm, f0, fp = v[(i - 1) % n], v[i], v[(i + 1) % n]
-    denom = fm - 2.0 * f0 + fp
-    if denom <= 0.0:
-        raise ValueError("minimum neighborhood is not convex; cannot interpolate")
-    offset = 0.5 * (fm - fp) / denom
-    return float(field.grid.x[i] + offset * field.grid.dx)
+    return Trajectory(grid, times, frames[: len(times)])
 
 
 def minimum_positions(trajectory: Trajectory) -> np.ndarray:
-    """Per-frame minimum locations, unwrapped across the periodic seam."""
-    length = trajectory.grid.length
-    raw = np.array([_parabolic_minimum(f) for f in trajectory.frames])
+    """Per-frame minimum locations, unwrapped across the periodic seam.
+
+    Each frame's minimum sits at the vertex of the parabola through its
+    lowest node and that node's two neighbours, to sub-grid accuracy.
+    """
+    grid = trajectory.grid
+    values = trajectory.values
+    rows = np.arange(len(values))
+    # row by row: argmin along axis 1 copies a read-only (T, n) array
+    i = np.array([row.argmin() for row in values])
+    f0 = values[rows, i]
+    top = values.max(axis=1)
+    if np.any(top - f0 <= 1e-12 * np.maximum(np.maximum(top, -f0), 1.0)):
+        raise ValueError("frame is flat: no localized structure to track")
+    fm = values[rows, (i - 1) % grid.n]
+    fp = values[rows, (i + 1) % grid.n]
+    denom = fm - 2.0 * f0 + fp
+    if np.any(denom <= 0.0):
+        raise ValueError("minimum neighborhood is not convex; cannot interpolate")
+    raw = grid.x[i] + 0.5 * (fm - fp) / denom * grid.dx
     out = raw.copy()
+    length = grid.length
     for k in range(1, out.size):
         jump = raw[k] - out[k - 1]
         out[k] = out[k - 1] + jump - length * np.round(jump / length)
@@ -233,25 +245,30 @@ def minimum_positions(trajectory: Trajectory) -> np.ndarray:
 
 def measure_speed(trajectory: Trajectory) -> float:
     """Least-squares propagation speed of the tracked minimum."""
-    if len(trajectory.frames) < 2:
+    if trajectory.times.size < 2:
         raise ValueError("need at least two frames to measure a speed")
     pos = minimum_positions(trajectory)
     slope = np.polyfit(trajectory.times, pos, 1)[0]
     return float(slope)
 
 
+def _inverse_integrals(grid: Grid1D, values: np.ndarray) -> np.ndarray:
+    """Trapezoidal integrals of 1/v over the periodic cell, one per row."""
+    if not grid.periodic:
+        raise ValueError("the conserved functional is defined on periodic grids")
+    if values.min() <= 0.0:
+        raise ValueError("field must be strictly positive")
+    return grid.dx * np.array([np.sum(1.0 / row) for row in np.atleast_2d(values)])
+
+
 def conserved_functional(field: Field) -> float:
     """Trapezoidal integral of 1/v over the periodic cell."""
-    if not field.grid.periodic:
-        raise ValueError("the conserved functional is defined on periodic grids")
-    if np.any(field.values <= 0.0):
-        raise ValueError("field must be strictly positive")
-    return float(field.grid.dx * np.sum(1.0 / field.values))
+    return float(_inverse_integrals(field.grid, field.values)[0])
 
 
 def conservation_drift(trajectory: Trajectory) -> float:
     """Max relative drift of the 1/v integral across the trajectory."""
-    values = np.array([conserved_functional(f) for f in trajectory.frames])
+    values = _inverse_integrals(trajectory.grid, trajectory.values)
     return float(np.max(np.abs(values - values[0])) / abs(values[0]))
 
 
@@ -279,10 +296,10 @@ def shape_error(trajectory: Trajectory, background: float) -> float:
     """
     pos = minimum_positions(trajectory)
     displacement = pos[-1] - pos[0]
-    first = trajectory.frames[0]
-    realigned = shift_field(trajectory.frames[-1], -displacement)
-    num = float(np.linalg.norm(realigned.values - first.values))
-    den = float(np.linalg.norm(first.values - background))
+    first, last = trajectory.values[0], trajectory.values[-1]
+    realigned = shift_field(Field(trajectory.grid, last), -displacement)
+    num = float(np.linalg.norm(realigned.values - first))
+    den = float(np.linalg.norm(first - background))
     if den == 0.0:
         raise ValueError("initial frame has no depression relative to background")
     return num / den

@@ -57,19 +57,6 @@ def build_N(v, v_x, v_xx, lambda_spec: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LaxPair:
-    """The matrix pair at a fixed spectral parameter."""
-
-    lambda_spec: float
-
-    def M(self, v) -> np.ndarray:
-        return build_M(v, self.lambda_spec)
-
-    def N(self, v, v_x, v_xx) -> np.ndarray:
-        return build_N(v, v_x, v_xx, self.lambda_spec)
-
-
-@dataclass(frozen=True)
 class LaxResidualReport:
     """Entrywise max-norms of M_t + [M, N] - N_x over a space-time patch.
 
@@ -167,7 +154,7 @@ def zc_residual(trajectory: Trajectory, lambda_spec: float) -> LaxResidualReport
     companion patch at (2dx, 2dt) from which the convergence order of the
     (2,1) entry is fitted.
     """
-    if len(trajectory.frames) < 3:
+    if trajectory.times.size < 3:
         raise ValueError("need at least 3 frames for the time derivative")
     if not trajectory.grid.periodic:
         raise ValueError("residual evaluation requires a periodic grid")

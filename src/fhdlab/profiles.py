@@ -31,7 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
 
-from .core import Field, Grid1D, NumericalError, SolitonParams, Trajectory
+from .core import Grid1D, NumericalError, SolitonParams, Trajectory
 from .pseudopotential import existence_check, turning_points
 
 #: Default truncation of the quadrature table, relative to the orbit depth.
@@ -58,14 +58,14 @@ def decay_rate(params: SolitonParams) -> float:
     return float(np.sqrt(arg))
 
 
-def _require_admissible(params: SolitonParams) -> None:
+def require_admissible(params: SolitonParams) -> None:
+    """Raise ValueError unless a soliton exists, i.e. 0 < lambda < v0^3."""
     report = existence_check(params)
     if not report.admissible:
         raise ValueError(
-            "no soliton for lambda={}, v0={}: requires 0 < lambda < v0^3 "
-            "(S''(v0) = {:.3e})".format(
-                params.lambda_speed, params.v0, report.s_second_at_v0
-            )
+            f"soliton existence violated: lambda={params.lambda_speed}, "
+            f"v0={params.v0} needs 0 < lambda < v0^3 = {params.v0**3:.6g} "
+            f"(S''(v0) = {report.s_second_at_v0:.6g})"
         )
 
 
@@ -154,7 +154,7 @@ def solve_quadrature(
     diverges. Every panel is evaluated at two quadrature orders; their
     mismatch is the convergence diagnostic.
     """
-    _require_admissible(params)
+    require_admissible(params)
     tp = turning_points(params)
     v0, v_turn = params.v0, tp.v_turn
     depth = v0 - v_turn
@@ -215,7 +215,7 @@ class ShootingSolution:
     steps so the first integral can be audited along the actual solution.
     """
 
-    def __init__(self, params: SolitonParams, ode_result, xi_requested: float):
+    def __init__(self, params: SolitonParams, ode_result):
         self.params = params
         self.kappa = decay_rate(params)
         self._dense = ode_result.sol
@@ -224,7 +224,6 @@ class ShootingSolution:
         self.steps_vp = ode_result.y[1]
         self.xi_switch = float(ode_result.t[-1])
         self._v_switch = float(ode_result.y[0, -1])
-        self.xi_requested = xi_requested
 
     def __call__(self, xi) -> np.ndarray:
         w = np.abs(np.asarray(xi, dtype=float))
@@ -247,7 +246,7 @@ def solve_shooting(params: SolitonParams, xi_max: float) -> ShootingSolution:
     to the analytic tail before the saddle's unstable direction can amplify
     the accumulated error.
     """
-    _require_admissible(params)
+    require_admissible(params)
     tp = turning_points(params)
     lam, v0 = params.lambda_speed, params.v0
     depth = v0 - tp.v_turn
@@ -289,7 +288,7 @@ def solve_shooting(params: SolitonParams, xi_max: float) -> ShootingSolution:
         )
     if result.y[0, -1] > v0:
         raise NumericalError("profile shooting overshot the background v0")
-    return ShootingSolution(params, result, xi_requested=float(xi_max))
+    return ShootingSolution(params, result)
 
 
 def _check_shooting_grid(params: SolitonParams, grid: Grid1D) -> None:
@@ -346,17 +345,16 @@ def translated_trajectory(
 
     Frames are direct evaluations of the shooting solution at the shifted,
     periodically wrapped positions, so the trajectory solves the evolution
-    equation up to profile accuracy alone (no time stepping involved).
+    equation up to profile accuracy alone (no time stepping involved). All
+    (time, node) positions are evaluated in one call.
     """
     if not grid.periodic:
         raise ValueError("translated trajectories require a periodic grid")
     _check_shooting_grid(params, grid)
     sol = solve_shooting(params, xi_max=0.5 * grid.length)
     times = np.asarray(times, dtype=float)
-    x = grid.x
-    length = grid.length
-    frames = []
-    for t in times:
-        shifted = np.mod(x - params.lambda_speed * t - grid.x_min, length) + grid.x_min
-        frames.append(Field(grid, sol(shifted)))
-    return Trajectory(times=times, frames=tuple(frames))
+    shifted = (
+        np.mod(grid.x - params.lambda_speed * times[:, None] - grid.x_min, grid.length)
+        + grid.x_min
+    )
+    return Trajectory(grid, times, sol(shifted.ravel()).reshape(shifted.shape))

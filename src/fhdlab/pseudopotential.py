@@ -160,7 +160,6 @@ def phase_branch(v, params: SolitonParams):
     r = np.sqrt(np.maximum(-2.0 * s, 0.0))
     if r.ndim == 0:
         r = float(r)
-        return r, -r
     return r, -r
 
 

@@ -226,7 +226,7 @@ def test_criterion_8_convergence_orders():
             initial,
             EvolveConfig(t_final=1.0, cfl_constant=cfl, output_stride=10**9),
         )
-        final[cfl] = traj.frames[-1].values
+        final[cfl] = traj.values[-1]
     e_coarse = np.max(np.abs(final[0.4] - final[0.2]))
     e_fine = np.max(np.abs(final[0.2] - final[0.1]))
     temporal = np.log2(e_coarse / e_fine)

@@ -154,6 +154,20 @@ class TestUsageAndExitCodes:
         assert capsys.readouterr().err == f"error: unknown config key {key}\n"
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("command, document, message", [
+        ("profile", {"params": 3}, "config section params must be an object, got 3"),
+        ("scan-existence", {"grid": [1, 2]},
+         "config section grid must be an object, got [1, 2]"),
+    ], ids=["params", "grid"])
+    def test_non_object_config_section_exits_2(self, tmp_path, capsys, command,
+                                               document, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(document))
+        code = main([command, "--config", str(cfg), "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_readme_config_example_resolves(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
@@ -304,9 +318,8 @@ class TestEvolveCommand:
         oracle = tmp_path / "oracle.csv"
         frames = sorted((tmp_path / "each").glob("frame_*.csv"))
         assert len(frames) == len(trajectory.times) >= 3
-        for path, t, frame in zip(frames, trajectory.times, trajectory.frames):
-            write_csv(oracle, ["t", "x", "v"],
-                      [np.full(grid.n, t), grid.x, frame.values])
+        for path, t, row in zip(frames, trajectory.times, trajectory.values):
+            write_csv(oracle, ["t", "x", "v"], [np.full(grid.n, t), grid.x, row])
             assert path.read_bytes() == oracle.read_bytes()
         write_csv(oracle, ["t", "x", "v"], [
             np.repeat(trajectory.times, grid.n),

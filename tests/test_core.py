@@ -73,24 +73,44 @@ class TestField:
 class TestTrajectory:
     def test_times_must_increase(self):
         grid = make_grid(0.0, 1.0, 16)
-        f = Field(grid, np.ones(16))
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.0]), (f, f))
+            Trajectory(grid, np.array([0.0, 0.0]), np.ones((2, 16)))
 
-    def test_frames_share_grid(self):
-        f1 = Field(make_grid(0.0, 1.0, 16), np.ones(16))
-        f2 = Field(make_grid(0.0, 2.0, 16), np.ones(16))
+    def test_values_shape_must_match_grid_and_times(self):
+        grid = make_grid(0.0, 1.0, 16)
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 1.0]), (f1, f2))
+            Trajectory(grid, np.array([0.0, 1.0]), np.ones((2, 15)))
+        with pytest.raises(ValueError):
+            Trajectory(grid, np.array([0.0, 1.0]), np.ones((3, 16)))
+        with pytest.raises(ValueError):
+            Trajectory(grid, np.array([0.0, 1.0]), np.ones(32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        grid = make_grid(0.0, 1.0, 16)
+        values = np.ones((2, 16))
+        values[1, 7] = bad
+        with pytest.raises(ValueError):
+            Trajectory(grid, np.array([0.0, 1.0]), values)
+
+    def test_values_are_read_only(self):
+        grid = make_grid(0.0, 1.0, 16)
+        raw = np.ones((2, 16))
+        traj = Trajectory(grid, np.array([0.0, 1.0]), raw)
+        # a view of the caller's array: no copy, and the caller's flags stay
+        assert np.shares_memory(traj.values, raw)
+        assert raw.flags.writeable
+        with pytest.raises(ValueError):
+            traj.values[1, 0] = 2.0
+        with pytest.raises(ValueError):
+            traj.times[0] = 2.0
 
     def test_values_stacks_frames(self):
         grid = make_grid(0.0, 1.0, 16)
-        traj = Trajectory(
-            np.array([0.0, 1.0]),
-            (Field(grid, np.zeros(16)), Field(grid, np.ones(16))),
-        )
+        traj = Trajectory(grid, np.array([0.0, 1.0]), [np.zeros(16), np.ones(16)])
         assert traj.values.shape == (2, 16)
         assert traj.grid == grid
+        assert np.array_equal(traj.values[1], np.ones(16))
 
 
 def _sin_field(n, k=3):

@@ -82,14 +82,15 @@ class TestEvolve:
         f = Field(grid, np.full(128, 1.1))
         traj = evolve(f, EvolveConfig(t_final=1.0, cfl_constant=0.4))
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(traj.frames[-1].values - 1.1)) < 1e-12
+        assert np.max(np.abs(traj.values[-1] - 1.1)) < 1e-12
 
     def test_frames_recorded_on_stride_and_at_final_time(self):
         f = soliton_field(n=256)
         traj = evolve(f, EvolveConfig(t_final=0.1, cfl_constant=0.4, output_stride=5))
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(0.1, abs=1e-12)
-        assert len(traj.frames) >= 3
+        assert traj.values.shape == (len(traj.times), 256)
+        assert len(traj.times) >= 3
 
     def test_positivity_abort_carries_partial_trajectory(self):
         f = soliton_field(n=256)
@@ -98,7 +99,8 @@ class TestEvolve:
             evolve(f, config)
         partial = excinfo.value.trajectory
         assert isinstance(partial, Trajectory)
-        assert len(partial.frames) >= 1
+        assert partial.values.shape == (len(partial.times), 256)
+        assert len(partial.times) >= 1
         assert partial.times[0] == 0.0
 
     def test_spatial_refinement_improves_final_frame(self):
@@ -108,7 +110,7 @@ class TestEvolve:
             traj = evolve(
                 f, EvolveConfig(t_final=0.25, cfl_constant=0.4, output_stride=10**9)
             )
-            final[n] = traj.frames[-1].values
+            final[n] = traj.values[-1]
         err_coarse = np.max(np.abs(final[256] - final[512][::2]))
         err_fine = np.max(np.abs(final[512] - final[1024][::2]))
         assert err_coarse / err_fine >= 12.0
@@ -168,9 +170,31 @@ class TestInPlaceStepper:
         config = EvolveConfig(t_final=0.2, cfl_constant=0.4, output_stride=5)
         traj = evolve(f, config)
         times, frames = allocating_rk4(f, config)
-        assert len(traj.frames) == len(times)
+        assert traj.values.shape == frames.shape
         assert np.max(np.abs(traj.times - times)) <= 1e-13
         assert np.max(np.abs(traj.values - frames) / np.abs(frames)) <= 1e-12
+
+    def test_frame_buffer_grows_when_max_rises(self):
+        # the buffer is sized from the first step's dt; here max(v) rises,
+        # later steps are shorter and the run records more frames than that
+        grid = make_grid(0.0, 2.0 * np.pi, 64)
+        f = Field(grid, 1.0 + 0.1 * np.cos(grid.x) - 0.1 * np.cos(3.0 * grid.x))
+        config = EvolveConfig(t_final=0.1, cfl_constant=0.4, output_stride=1)
+        first_dt = config.cfl_constant * grid.dx**3 / f.values.max() ** 3
+        traj = evolve(f, config)
+        assert len(traj.times) > int(config.t_final / first_dt) + 2
+        times, frames = allocating_rk4(f, config)
+        assert traj.values.shape == frames.shape
+        assert np.max(np.abs(traj.times - times)) <= 1e-13
+        assert np.max(np.abs(traj.values - frames) / np.abs(frames)) <= 1e-12
+
+    def test_frame_buffer_is_bounded_up_front(self):
+        # t_final/dt asks for ~1e11 rows; the run still starts, then aborts
+        f = soliton_field(n=128)
+        config = EvolveConfig(t_final=1e12, cfl_constant=0.4, positivity_floor=0.9)
+        with pytest.raises(EvolutionAborted) as excinfo:
+            evolve(f, config)
+        assert excinfo.value.trajectory.values.shape == (1, 128)
 
     def test_constant_field_is_a_bit_exact_fixed_point(self):
         # the difference-form stencil cancels exactly (the sum form left
@@ -193,7 +217,7 @@ class TestInPlaceStepper:
         traj = evolve(
             soliton_field(n=128), EvolveConfig(t_final=0.5, output_stride=1)
         )
-        steps = len(traj.frames) - 1
+        steps = len(traj.times) - 1
         assert steps > 10
         assert len(calls) == 4 * steps
 
@@ -202,12 +226,11 @@ class TestInPlaceStepper:
         config = EvolveConfig(t_final=0.5, cfl_constant=0.4, output_stride=1)
         traj = evolve(f, config)
         _, frames = allocating_rk4(f, config)
-        values = [frame.values for frame in traj.frames]
+        values = traj.values
         assert len(values) > 3
-        for i, a in enumerate(values):
-            assert not any(np.shares_memory(a, b) for b in values[i + 1 :])
+        assert not np.shares_memory(values, f.values)
         # every earlier frame still holds its own step, not the final state
-        assert np.allclose(np.stack(values), frames, rtol=1e-12, atol=0.0)
+        assert np.allclose(values, frames, rtol=1e-12, atol=0.0)
         assert not np.array_equal(values[1], values[-1])
 
 
@@ -241,9 +264,9 @@ class TestMeasureSpeed:
         dx = f.grid.dx
         dt = 0.25
         shifts = [0, 3, 6, 9, 12]
-        frames = tuple(Field(f.grid, np.roll(f.values, s)) for s in shifts)
+        frames = [np.roll(f.values, s) for s in shifts]
         times = dt * np.arange(len(shifts))
-        traj = Trajectory(times, frames)
+        traj = Trajectory(f.grid, times, frames)
         expected = 3 * dx / dt
         assert measure_speed(traj) == pytest.approx(expected, abs=1e-10)
 
@@ -253,21 +276,20 @@ class TestMeasureSpeed:
         dx, dt = f.grid.dx, 1.0
         step = n // 3  # three steps wrap fully around the domain
         shifts = [0, step, 2 * step, 3 * step, 4 * step]
-        frames = tuple(Field(f.grid, np.roll(f.values, s % n)) for s in shifts)
-        traj = Trajectory(dt * np.arange(len(shifts)), frames)
+        frames = [np.roll(f.values, s % n) for s in shifts]
+        traj = Trajectory(f.grid, dt * np.arange(len(shifts)), frames)
         assert measure_speed(traj) == pytest.approx(step * dx / dt, abs=1e-10)
 
     def test_flat_frames_rejected(self):
         grid = make_grid(-5.0, 5.0, 64)
-        f = Field(grid, np.ones(64))
-        traj = Trajectory(np.array([0.0, 1.0, 2.0]), (f, f, f))
+        traj = Trajectory(grid, np.array([0.0, 1.0, 2.0]), np.ones((3, 64)))
         with pytest.raises(ValueError):
             measure_speed(traj)
 
     def test_minimum_positions_monotone_for_rightward_motion(self):
         f = soliton_field(n=512)
-        frames = tuple(Field(f.grid, np.roll(f.values, 5 * k)) for k in range(4))
-        traj = Trajectory(np.arange(4.0), frames)
+        frames = [np.roll(f.values, 5 * k) for k in range(4)]
+        traj = Trajectory(f.grid, np.arange(4.0), frames)
         pos = minimum_positions(traj)
         assert np.all(np.diff(pos) > 0)
 
@@ -280,12 +302,12 @@ class TestShapeTools:
 
     def test_shape_error_zero_for_pure_translation(self):
         f = soliton_field(n=512)
-        frames = tuple(Field(f.grid, np.roll(f.values, 7 * k)) for k in range(3))
-        traj = Trajectory(np.arange(3.0), frames)
+        frames = [np.roll(f.values, 7 * k) for k in range(3)]
+        traj = Trajectory(f.grid, np.arange(3.0), frames)
         assert shape_error(traj, background=1.0) < 1e-9
 
     def test_shape_error_detects_distortion(self):
         f = soliton_field(n=512)
-        widened = Field(f.grid, 1.0 + 1.5 * (f.values - 1.0))
-        traj = Trajectory(np.array([0.0, 1.0]), (f, widened))
+        widened = 1.0 + 1.5 * (f.values - 1.0)
+        traj = Trajectory(f.grid, np.array([0.0, 1.0]), [f.values, widened])
         assert shape_error(traj, background=1.0) > 0.1

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fhdlab.core import Field, SolitonParams, Trajectory, d1_periodic, make_grid
 from fhdlab.lax import (
-    LaxPair,
     build_M,
     build_N,
     reduction_check,
@@ -80,11 +79,6 @@ class TestBuildN:
         b_x = d1_periodic(b, field.grid.dx)
         assert np.max(np.abs(n[0, 0] + 0.5 * (b_x + b))) < 1e-12
 
-    def test_lax_pair_wrapper(self):
-        pair = LaxPair(lambda_spec=2.0)
-        assert np.array_equal(pair.M(1.0), build_M(1.0, 2.0))
-        assert np.array_equal(pair.N(1.0, 0.1, 0.2), build_N(1.0, 0.1, 0.2, 2.0))
-
 
 @pytest.fixture(scope="module")
 def exact_trajectory():
@@ -110,10 +104,7 @@ class TestZcResidual:
     def test_static_bump_is_not_a_solution(self):
         grid = make_grid(-20.0, 20.0, 512, periodic=True)
         v = 1.0 + 0.3 * np.exp(-(grid.x**2))
-        frame = Field(grid, v)
-        frozen = Trajectory(
-            0.1 * np.arange(9), tuple(frame for _ in range(9))
-        )
+        frozen = Trajectory(grid, 0.1 * np.arange(9), np.tile(v, (9, 1)))
         report = zc_residual(frozen, 1.0)
         assert report.entry_norms[1, 0] > 0.1
         assert not report.convergence_order >= 1.0
@@ -121,8 +112,7 @@ class TestZcResidual:
 
     def test_requires_three_frames(self):
         grid = make_grid(-20.0, 20.0, 64, periodic=True)
-        f = Field(grid, np.ones(64))
-        traj = Trajectory(np.array([0.0, 1.0]), (f, f))
+        traj = Trajectory(grid, np.array([0.0, 1.0]), np.ones((2, 64)))
         with pytest.raises(ValueError):
             zc_residual(traj, 1.0)
 

@@ -195,19 +195,19 @@ class TestTranslatedTrajectory:
         times = np.array([0.0, 1.0, 2.0])
         traj = translated_trajectory(P05, WIDE, times)
         x = WIDE.x
-        mins = [x[np.argmin(f.values)] for f in traj.frames]
+        mins = [x[np.argmin(row)] for row in traj.values]
         assert mins[1] - mins[0] == pytest.approx(0.5, abs=WIDE.dx)
         assert mins[2] - mins[0] == pytest.approx(1.0, abs=WIDE.dx)
 
     def test_frames_share_grid_and_times(self):
         times = np.linspace(0.0, 1.0, 5)
         traj = translated_trajectory(P05, WIDE, times)
-        assert len(traj.frames) == 5
+        assert traj.values.shape == (5, WIDE.n)
         assert traj.grid == WIDE
 
     def test_wraps_periodically(self):
         # after t = L/lambda the frame returns to its initial position
         period = WIDE.length / 0.5
         traj = translated_trajectory(P05, WIDE, np.array([0.0, period]))
-        first, last = traj.frames[0].values, traj.frames[-1].values
+        first, last = traj.values[0], traj.values[-1]
         assert np.max(np.abs(first - last)) < 1e-12
