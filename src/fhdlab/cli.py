@@ -410,7 +410,9 @@ def run_reduce_check(config: RunConfig) -> dict:
         grid, config.v0 * (1.0 + 0.3 * np.sin(k * grid.x) + 0.1 * np.cos(3 * k * grid.x))
     )
     report = reduction_check(field, config.lambda_spec)
-    control = reduction_check(field, config.lambda_spec, b_offset=1.0)
+    # the offset breaks the cancellation by about b_offset * v_x / v^3, so it
+    # scales as v0^3 to fail at every background level
+    control = reduction_check(field, config.lambda_spec, b_offset=config.v0**3)
     payload = {
         "lambda_spec": config.lambda_spec,
         "max_discrepancy": report.max_discrepancy,

@@ -79,9 +79,12 @@ def make_grid(x_min: float, x_max: float, n: int, periodic: bool = True) -> Grid
     return Grid1D(float(x_min), float(x_max), int(n), bool(periodic))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
-    """Samples of v(x) on a grid at one instant. Immutable once constructed."""
+    """Samples of v(x) on a grid at one instant. Immutable once constructed.
+
+    Compares and hashes by identity: an array field has no single truth value.
+    """
 
     grid: Grid1D
     values: np.ndarray
@@ -98,13 +101,14 @@ class Field:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Frames of v(x, t) on one grid: row k of ``values`` samples v(x, times[k]).
 
     ``values`` is a read-only (n_times, n_nodes) float array. It is a view
     of the array passed in, not a copy: a float array given by the caller
-    is kept, so the caller must not write to it afterwards.
+    is kept, so the caller must not write to it afterwards. Compares and
+    hashes by identity, as ``Field`` does.
     """
 
     grid: Grid1D

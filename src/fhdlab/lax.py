@@ -56,7 +56,7 @@ def build_N(v, v_x, v_xx, lambda_spec: float) -> np.ndarray:
     return np.stack((np.stack((a, b)), np.stack((c, -a))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaxResidualReport:
     """Entrywise max-norms of M_t + [M, N] - N_x over a space-time patch.
 

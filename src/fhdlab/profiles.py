@@ -69,7 +69,7 @@ def require_admissible(params: SolitonParams) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Profile:
     """A sampled travelling-wave profile v(xi), even about its minimum at xi=0."""
 
@@ -104,6 +104,11 @@ class QuadratureSolution:
     interpolant with exact slopes dv/dxi = sqrt(-2 S(v)) and exact
     curvatures from the profile ODE; beyond it the linearized exponential
     tail is used. Even in xi by construction.
+
+    The spline's degree-5 Bernstein coefficients are written in closed form
+    for all intervals at once (``_quintic_hermite``), in place of
+    ``BPoly.from_derivatives``, which builds the same coefficients interval
+    by interval in Python.
     """
 
     def __init__(self, params: SolitonParams, xi: np.ndarray, v: np.ndarray,
@@ -117,9 +122,7 @@ class QuadratureSolution:
         slopes[0] = 0.0
         lam, v0 = params.lambda_speed, params.v0
         curvatures = 0.5 * lam * (1.0 / v**2 - 1.0 / v0**2) + (v - v0)
-        self._spline = BPoly.from_derivatives(
-            xi, np.column_stack((v, slopes, curvatures))
-        )
+        self._spline = BPoly(_quintic_hermite(xi, v, slopes, curvatures), xi)
         self._xi_end = xi[-1]
         self._v_end = v[-1]
 
@@ -133,6 +136,26 @@ class QuadratureSolution:
             -self.kappa * (w[~inside] - self._xi_end)
         )
         return out
+
+
+def _quintic_hermite(xi: np.ndarray, y: np.ndarray, dy: np.ndarray,
+                     d2y: np.ndarray) -> np.ndarray:
+    """(6, m) Bernstein coefficients of the quintic matching y, y', y'' at xi.
+
+    On an interval of width h with left data (y, y', y'') and right data
+    (Y, Y', Y''): c0 = y, c1 = y + h y'/5, c2 = y + 2h y'/5 + h^2 y''/20,
+    c3 = Y - 2h Y'/5 + h^2 Y''/20, c4 = Y - h Y'/5, c5 = Y. c2 and c3 are
+    formed from c1 and c4 as ``BPoly.from_derivatives`` forms them.
+    """
+    h = np.diff(xi)
+    c = np.empty((6, h.size))
+    c[0] = y[:-1]
+    c[1] = y[:-1] + dy[:-1] / 5.0 * h
+    c[2] = d2y[:-1] / 20.0 * h**2 - y[:-1] + 2.0 * c[1]
+    c[5] = y[1:]
+    c[4] = y[1:] - dy[1:] / 5.0 * h
+    c[3] = d2y[1:] / 20.0 * h**2 + 2.0 * c[4] - y[1:]
+    return c
 
 
 def _orbit_slope(v: np.ndarray, params: SolitonParams) -> np.ndarray:

@@ -26,13 +26,21 @@ _FD_STEP_REL = 1e-5
 
 
 def eval_S(v, params: SolitonParams):
-    """Evaluate the pseudopotential S(v); accepts scalars or arrays, v > 0."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0.0):
+    """Evaluate the pseudopotential S(v); accepts scalars or arrays, v > 0.
+
+    A float ``v`` is not converted to a NumPy array: the same expression runs
+    in float arithmetic. It gives the bits of a 0-d array, whose
+    ``(v - v0)**2`` is a NumPy scalar power, i.e. a C ``pow`` like Python's
+    ``**`` (an array of shape (n,) squares by a product, which can differ in
+    the last bit). NaN passes through as NaN.
+    """
+    if not isinstance(v, float):
+        v = np.asarray(v, dtype=float)
+    if np.any(v <= 0.0) if isinstance(v, np.ndarray) else v <= 0.0:
         raise ValueError("pseudopotential is only defined for v > 0")
     lam, v0 = params.lambda_speed, params.v0
     s = (lam - v * v0**2) * (v - v0) ** 2 / (2.0 * v * v0**2)
-    return s if s.ndim else float(s)
+    return s if isinstance(s, np.ndarray) else float(s)
 
 
 @dataclass(frozen=True)
@@ -65,20 +73,16 @@ def existence_check(params: SolitonParams) -> ExistenceReport:
     """
     lam, v0 = params.lambda_speed, params.v0
     h = _FD_STEP_REL * v0
-
-    def d1(step: float) -> float:
-        return (eval_S(v0 + step, params) - eval_S(v0 - step, params)) / (2.0 * step)
-
-    def d2(step: float) -> float:
-        return (
-            eval_S(v0 + step, params)
-            - 2.0 * eval_S(v0, params)
-            + eval_S(v0 - step, params)
-        ) / step**2
-
     s0 = eval_S(v0, params)
-    s1 = _richardson_pair(d1(h), d1(h / 2.0))
-    s2 = _richardson_pair(d2(h), d2(h / 2.0))
+
+    def central(step: float) -> tuple[float, float]:
+        # first and second central differences from one pair of samples
+        plus, minus = eval_S(v0 + step, params), eval_S(v0 - step, params)
+        return (plus - minus) / (2.0 * step), (plus - 2.0 * s0 + minus) / step**2
+
+    (d1_h, d2_h), (d1_half, d2_half) = central(h), central(h / 2.0)
+    s1 = _richardson_pair(d1_h, d1_half)
+    s2 = _richardson_pair(d2_h, d2_half)
     admissible = 0.0 < lam < v0**3
     return ExistenceReport(
         admissible=admissible,

@@ -383,6 +383,17 @@ class TestReduceCheckCommand:
         assert report["control_pass"] is False
         assert report["control_discrepancy"] > 1e-2
 
+    @pytest.mark.parametrize("v0", ["1e-3", "1e6"])
+    def test_control_fails_at_every_background_level(self, tmp_path, capsys, v0):
+        # v0 = 1 is the test above
+        code, summary = run_cli(
+            ["reduce-check", "--v0", v0, "--n", "256", "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert summary["pass"] is True
+        assert summary["control_pass"] is False
+
     def test_zero_spectral_parameter_exits_2(self, tmp_path, capsys):
         code = main(["reduce-check", "--lambda-spec", "0", "--n", "64",
                      "--output-dir", str(tmp_path)])

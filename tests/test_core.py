@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhdlab.core import Field, Grid1D, Trajectory, derivative, make_grid
+from fhdlab.core import Field, Grid1D, SolitonParams, Trajectory, derivative, make_grid
+from fhdlab.lax import LaxResidualReport
+from fhdlab.profiles import Profile
 
 
 class TestMakeGrid:
@@ -111,6 +113,32 @@ class TestTrajectory:
         assert traj.values.shape == (2, 16)
         assert traj.grid == grid
         assert np.array_equal(traj.values[1], np.ones(16))
+
+
+_GRID16 = make_grid(0.0, 1.0, 16)
+_ARRAY_RECORDS = {
+    "Field": lambda: Field(_GRID16, np.ones(16)),
+    "Trajectory": lambda: Trajectory(_GRID16, np.array([0.0, 1.0]), np.ones((2, 16))),
+    "Profile": lambda: Profile(
+        xi=np.linspace(-1.0, 1.0, 8), v=np.ones(8),
+        params=SolitonParams(0.5, 1.0), method="quadrature",
+    ),
+    "LaxResidualReport": lambda: LaxResidualReport(
+        lambda_spec=1.0, entry_norms=np.zeros((2, 2)),
+        entry_norms_coarse=np.zeros((2, 2)), dx=0.1, dt=0.01,
+        convergence_order=4.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("make", _ARRAY_RECORDS.values(), ids=_ARRAY_RECORDS.keys())
+def test_array_records_compare_and_hash_by_identity(make):
+    # a generated __eq__ would compare arrays and raise on their truth value
+    a, b = make(), make()
+    assert a == a and not (a != a)
+    assert a != b and not (a == b)
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 
 def _sin_field(n, k=3):

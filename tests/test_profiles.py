@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import BPoly
 
 from fhdlab.core import Field, SolitonParams, derivative, make_grid
 from fhdlab.pseudopotential import eval_S
 from fhdlab.profiles import (
     Profile,
+    _orbit_slope,
     decay_rate,
     profile_by_quadrature,
     profile_by_shooting,
@@ -87,6 +91,27 @@ class TestQuadratureProfile:
             assert prof.v.max() <= 1.0 + 1e-8
 
 
+class TestQuadratureSpline:
+    @pytest.mark.parametrize(
+        "lam", [1e-4, 6e-4, 0.2, 0.5, 0.8, 1.0 - 6e-4, 1.0 - 1e-4]
+    )
+    def test_closed_form_matches_from_derivatives(self, lam):
+        # BPoly.from_derivatives builds the same quintic Hermite interpolant
+        # interval by interval; it is the oracle for the closed form
+        params = SolitonParams(lam, 1.0)
+        sol = solve_quadrature(params)
+        slopes = _orbit_slope(sol.v, params)
+        slopes[0] = 0.0
+        curvatures = 0.5 * lam * (1.0 / sol.v**2 - 1.0) + (sol.v - 1.0)
+        oracle = BPoly.from_derivatives(
+            sol.xi, np.column_stack((sol.v, slopes, curvatures))
+        )
+        assert sol._spline.c.shape == oracle.c.shape == (6, sol.xi.size - 1)
+        assert np.max(np.abs(sol._spline.c - oracle.c)) <= 4.5e-16
+        xi = np.linspace(0.0, sol.xi[-1], 20001)
+        assert np.max(np.abs(sol(xi) - oracle(xi))) <= 4.5e-16
+
+
 class TestShootingProfile:
     def test_minimum_matches_turning_point(self):
         prof = profile_by_shooting(P05, WIDE)
@@ -131,6 +156,14 @@ class TestCrossValidation:
         shoot = solve_shooting(params, xi_max=quad.xi[-1])
         disc = np.max(np.abs(shoot(quad.xi) - quad.v))
         assert disc < 1e-6
+
+    @settings(max_examples=25, deadline=None)
+    @given(frac=st.floats(0.05, 0.95), v0=st.floats(0.5, 2.0))
+    def test_methods_agree_over_the_domain(self, frac, v0):
+        params = SolitonParams(frac * v0**3, v0)
+        quad = solve_quadrature(params)
+        shoot = solve_shooting(params, xi_max=quad.xi[-1])
+        assert np.max(np.abs(shoot(quad.xi) - quad.v)) / v0 < 1e-6
 
     def test_dense_agreement_for_reference_params(self):
         quad = solve_quadrature(P05)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,26 @@ class TestEvalS:
         s = eval_S(v, p)
         assert s.shape == (3,)
         assert s[0] == 0.0 and s[2] == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_float_path_matches_array_path_bitwise(self, seed):
+        # 300 random (lambda, v0, v) per example, a third of them with v next
+        # to v0 where S cancels (the Richardson points of existence_check);
+        # the 0-d array is the reference
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(-3.0, 3.0, 300)
+        v0 = rng.uniform(0.05, 3.0, 300)
+        v = np.where(np.arange(300) < 100, v0 * (1.0 + rng.uniform(-1e-4, 1e-4, 300)),
+                     rng.uniform(1e-6, 5.0, 300))
+        for lam_k, v0_k, v_k in zip(lam.tolist(), v0.tolist(), v.tolist()):
+            params = SolitonParams(lam_k, v0_k)
+            for x in (v_k, math.nan):
+                s = eval_S(x, params)
+                ref = eval_S(np.asarray(x), params)
+                assert type(s) is float
+                assert np.float64(s).tobytes() == np.float64(ref).tobytes()
+            assert math.isnan(s)
 
     @settings(max_examples=50, deadline=None)
     @given(params=admissible_params())
