@@ -451,7 +451,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(USAGE)
         return 64
     command = argv[0]
-    args = build_parser(command).parse_args(argv[1:])
+    try:
+        args = build_parser(command).parse_args(argv[1:])
+    except SystemExit as exc:
+        # argparse has printed the usage error (2) or the help (0)
+        return exc.code
     try:
         config = resolve_config(command, args)
         summary = run(config)

@@ -19,17 +19,24 @@ exp(+kappa*xi) and contaminate the tail.
 
 The two constructions share no machinery beyond eval_S, which makes their
 pointwise agreement a strong cross-validation.
+
+SciPy is imported inside the two places that use it, ``solve_shooting``
+and ``QuadratureSolution._spline``, not at module top. Its import costs
+about 0.75 s of process CPU on a 2-vCPU VM, nearly four times all the rest
+of ``import fhdlab.cli``, and most callers never need it: the
+``scan-existence``, ``potential`` and ``reduce-check`` commands, every
+validation error, and ``profile_by_quadrature``, which reads only the node
+table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
-from scipy.interpolate import BPoly
 
 from .core import Grid1D, NumericalError, SolitonParams, Trajectory
 from .pseudopotential import existence_check, turning_points
@@ -108,7 +115,8 @@ class QuadratureSolution:
     The spline's degree-5 Bernstein coefficients are written in closed form
     for all intervals at once (``_quintic_hermite``), in place of
     ``BPoly.from_derivatives``, which builds the same coefficients interval
-    by interval in Python.
+    by interval in Python. The spline is built on first evaluation, so a
+    caller that reads only the node table ``xi``/``v`` never builds it.
     """
 
     def __init__(self, params: SolitonParams, xi: np.ndarray, v: np.ndarray,
@@ -118,13 +126,19 @@ class QuadratureSolution:
         self.v = v
         self.kappa = decay_rate(params)
         self.panel_defect = panel_defect
-        slopes = _orbit_slope(v, params)
-        slopes[0] = 0.0
-        lam, v0 = params.lambda_speed, params.v0
-        curvatures = 0.5 * lam * (1.0 / v**2 - 1.0 / v0**2) + (v - v0)
-        self._spline = BPoly(_quintic_hermite(xi, v, slopes, curvatures), xi)
         self._xi_end = xi[-1]
         self._v_end = v[-1]
+
+    @cached_property
+    def _spline(self):
+        from scipy.interpolate import BPoly
+
+        xi, v = self.xi, self.v
+        slopes = _orbit_slope(v, self.params)
+        slopes[0] = 0.0
+        lam, v0 = self.params.lambda_speed, self.params.v0
+        curvatures = 0.5 * lam * (1.0 / v**2 - 1.0 / v0**2) + (v - v0)
+        return BPoly(_quintic_hermite(xi, v, slopes, curvatures), xi)
 
     def __call__(self, xi) -> np.ndarray:
         w = np.abs(np.asarray(xi, dtype=float))
@@ -269,6 +283,8 @@ def solve_shooting(params: SolitonParams, xi_max: float) -> ShootingSolution:
     to the analytic tail before the saddle's unstable direction can amplify
     the accumulated error.
     """
+    from scipy.integrate import solve_ivp
+
     require_admissible(params)
     tp = turning_points(params)
     lam, v0 = params.lambda_speed, params.v0

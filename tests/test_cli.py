@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fhdlab
 from fhdlab.cli import build_parser, main, resolve_config
 from fhdlab.core import Field, SolitonParams, make_grid
 from fhdlab.evolution import EvolveConfig, evolve
@@ -188,6 +192,62 @@ class TestUsageAndExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: config value params.lambda must be a number")
 
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["profile", "--n", "abc"], 2, "err", "invalid int value: 'abc'"),
+        (["profile", "--bogus", "1"], 2, "err", "unrecognized arguments: --bogus 1"),
+        (["profile", "--help"], 0, "out", "usage: fhdlab profile"),
+    ], ids=["bad-type", "unknown-flag", "help"])
+    def test_argparse_exit_codes_are_returned(self, capsys, argv, code, stream,
+                                              text):
+        assert main(argv) == code
+        assert text in getattr(capsys.readouterr(), stream)
+
+
+def _run_fresh(script, cwd):
+    """Run ``script`` in a new interpreter that imports this fhdlab."""
+    src = Path(fhdlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+_COLD_START = """
+import sys
+import fhdlab.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+assert not scipy_modules(), scipy_modules()[:5]
+for argv, code in {cases!r}:
+    assert fhdlab.cli.main(argv + ["--output-dir", "out"]) == code, argv
+    assert not scipy_modules(), (argv, scipy_modules()[:5])
+"""
+
+
+class TestColdStart:
+    def test_commands_that_need_no_scipy_do_not_load_it(self, tmp_path):
+        cases = [
+            (["scan-existence"], 0),
+            (["potential", "--lambda", "0.5"], 0),
+            (["reduce-check", "--lambda", "0.5"], 0),
+            (["profile", "--lambda", "2"], 2),
+            (["nosuch"], 64),
+        ]
+        done = _run_fresh(_COLD_START.format(cases=cases), tmp_path)
+        assert done.returncode == 0, done.stderr
+
+    def test_profile_loads_scipy_when_it_shoots(self, tmp_path):
+        script = """
+import sys
+import fhdlab.cli
+
+assert fhdlab.cli.main(["profile", "--lambda", "0.5", "--output-dir", "out"]) == 0
+assert "scipy.integrate" in sys.modules
+"""
+        done = _run_fresh(script, tmp_path)
+        assert done.returncode == 0, done.stderr
+
 
 class TestScanExistence:
     def test_boundary_localised_between_samples(self, tmp_path, capsys):
@@ -359,6 +419,20 @@ class TestVerifyLaxCommand:
         report = json.loads((tmp_path / "lax_report.json").read_text())
         assert report["pass"] is False
         assert report["convergence_order"] is None
+
+    def test_large_spectral_parameter_passes(self, tmp_path, capsys):
+        # the off-shell entries cancel terms of size 4*lam^2/v ~ 8e6 here;
+        # their round-off (about 2e-9) is inside the scaled bound
+        code, summary = run_cli(
+            ["verify-lax", "--lambda", "0.5", "--lambda-spec", "1000", "--n", "512",
+             "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert summary["pass"] is True
+        report = json.loads((tmp_path / "lax_report.json").read_text())
+        assert report["pass"] is True
+        assert summary["max_off_entry"] < report["off_shell_tol"]
 
     def test_under_resolved_check_exits_3(self, tmp_path, capsys):
         code = main(["verify-lax", "--lambda", "0.5", "--v0", "1", "--n", "64",

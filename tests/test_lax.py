@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fhdlab.core import Field, SolitonParams, Trajectory, d1_periodic, make_grid
 from fhdlab.lax import (
+    OFF_SHELL_TOL,
     build_M,
     build_N,
     reduction_check,
@@ -109,6 +110,16 @@ class TestZcResidual:
         assert report.entry_norms[1, 0] > 0.1
         assert not report.convergence_order >= 1.0
         assert not report.passed
+
+    @pytest.mark.parametrize("lam", [0.1, 2.0])
+    def test_off_shell_bound_scales_with_the_c_entry(self, exact_trajectory, lam):
+        # 4*lam^2/v is the largest term the off-shell entries cancel; below
+        # a scale of 1 the bound stays at OFF_SHELL_TOL
+        report = zc_residual(exact_trajectory, lam)
+        scale = max(1.0, 4.0 * lam**2 / exact_trajectory.values.min())
+        assert report.off_shell_tol == OFF_SHELL_TOL * scale
+        assert report.to_dict()["off_shell_tol"] == report.off_shell_tol
+        assert report.passed
 
     def test_requires_three_frames(self):
         grid = make_grid(-20.0, 20.0, 64, periodic=True)
