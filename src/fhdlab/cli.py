@@ -43,14 +43,16 @@ from .profiles import (
 )
 from .pseudopotential import existence_check, phase_samples, potential_samples
 
-COMMANDS = (
-    "scan-existence",
-    "potential",
-    "profile",
-    "evolve",
-    "verify-lax",
-    "reduce-check",
-)
+# command -> its one-line purpose, shown by ``fhdlab --help`` and by the
+# command's own ``--help``
+COMMANDS = {
+    "scan-existence": "flag admissible wave speeds over a lambda range",
+    "potential": "tabulate the pseudopotential and phase portrait",
+    "profile": "construct the travelling-wave profile (both methods)",
+    "evolve": "evolve a soliton with the full PDE and measure it",
+    "verify-lax": "zero-curvature residuals on an exact travelling wave",
+    "reduce-check": "algebraic reduction of the matrix flow to the PDE",
+}
 
 
 @dataclass
@@ -88,7 +90,8 @@ class RunConfig:
 
 
 # RunConfig field -> (config-file key path, command-line flag or None);
-# the flags, their types, USAGE and the allowed config keys derive from it
+# the flags, their types, USAGE, each command's help and the allowed config
+# keys derive from it
 _OPTIONS = {
     "lambda_speed": (("params", "lambda"), "--lambda"),
     "v0": (("params", "v0"), "--v0"),
@@ -135,7 +138,11 @@ _SECTIONS = {path[:i] for path, _ in _OPTIONS.values() for i in range(1, len(pat
 _CONFIG_KEYS = _SECTIONS | {path for path, _ in _OPTIONS.values()} | {("command",)}
 
 
+_ENV_NOTE = "env FHD_OUTPUT_DIR is the fallback for --output-dir"
+
+
 def _usage() -> str:
+    commands = "".join(f"  {name:<17}{purpose}\n" for name, purpose in COMMANDS.items())
     flags = "".join(
         f"  {flag + _kind(field)[-1]:<22}{'.'.join(path)}\n"
         for field, (path, flag) in _OPTIONS.items()
@@ -144,16 +151,10 @@ def _usage() -> str:
     return f"""usage: fhdlab <command> [flags]
 
 commands:
-  scan-existence   flag admissible wave speeds over a lambda range
-  potential        tabulate the pseudopotential and phase portrait
-  profile          construct the travelling-wave profile (both methods)
-  evolve           evolve a soliton with the full PDE and measure it
-  verify-lax       zero-curvature residuals on an exact travelling wave
-  reduce-check     algebraic reduction of the matrix flow to the PDE
-
+{commands}
 flags, each with its config-file key (flags override file values):
   --config <path>       JSON run configuration
-{flags}  env FHD_OUTPUT_DIR is the fallback for --output-dir
+{flags}  {_ENV_NOTE}
 """
 
 
@@ -195,16 +196,25 @@ def _file_value(document: dict, field: str, path: tuple) -> object:
 
 
 def build_parser(command: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=f"fhdlab {command}")
-    parser.add_argument("--config", type=Path, default=None)
-    for field, (_, flag) in _OPTIONS.items():
+    """The command's parser; its help shows each flag's config-file key."""
+    parser = argparse.ArgumentParser(
+        prog=f"fhdlab {command}",
+        description=COMMANDS[command],
+        epilog=f"Flags override config-file values; {_ENV_NOTE}.",
+    )
+    parser.add_argument("--config", type=Path, default=None, metavar="<path>",
+                        help="JSON run configuration")
+    for field, (path, flag) in _OPTIONS.items():
         if flag is None:
             continue
-        _, _, parse, _ = _kind(field)
+        _, _, parse, placeholder = _kind(field)
+        key = ".".join(path)
         if parse is None:
-            parser.add_argument(flag, dest=field, action="store_true", default=None)
+            parser.add_argument(flag, dest=field, action="store_true", default=None,
+                                help=key)
         else:
-            parser.add_argument(flag, dest=field, type=parse, default=None)
+            parser.add_argument(flag, dest=field, type=parse, default=None,
+                                metavar=placeholder.strip(), help=key)
     return parser
 
 

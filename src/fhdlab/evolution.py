@@ -10,21 +10,32 @@ at 0.5.
 
 The dispersive limit makes runs long (about 26k steps at n=1024 to t=5)
 on arrays small enough that per-call overhead, not arithmetic, sets the
-cost of a step. The stepper therefore allocates nothing inside its loop:
-one padded stage buffer (n interior values plus 3 periodic ghost cells on
-each side), the four stage slopes and one work array are allocated once
-per run, every stage and the final combination are formed in place, and
-only the 3+3 ghost cells are refreshed before each right-hand-side call.
-The fused 7-point stencil is evaluated in the difference form
-c3(p0-p6) - c2(p1-p5) + c1(p2-p4), and max(v) and min(v) are reduced once
-per step, after the update; that max sets the next step's dt. Recorded
-steps are copied straight into one (frames, n) buffer, sized up front from
-the first step's dt and doubled only if max(v) rises enough to need more.
+cost of a step. The stepper therefore allocates nothing inside its loop
+but the one array ``np.correlate`` returns: one padded stage buffer (n
+interior values plus 3 periodic ghost cells on each side), the four stage
+slopes and an (n+4) gap buffer are allocated once per run, every stage and
+the final combination are formed in place, and only the 3+3 ghost cells
+are refreshed before each right-hand-side call. max(v) and min(v) are
+reduced once per step, after the update; that max sets the next step's
+dt. Recorded steps are copied straight into one (frames, n) buffer, sized
+up front from the first step's dt and doubled only if max(v) rises enough
+to need more.
 
-The semi-discrete system conserves sum(1/v) exactly (the stencils are
-antisymmetric), so the integral of 1/v is a sharp accuracy diagnostic for
-the time integration. In the difference form a constant field has an
-exactly zero right-hand side, so it is a bit-exact fixed point.
+The fused 7-point stencil c3(p0-p6) - c2(p1-p5) + c1(p2-p4) of the padded
+buffer p is evaluated through the gap-2 difference g_j = p_j - p_{j+2}:
+p2-p4 = g2, p1-p5 = g1+g3 and p0-p6 = g0+g2+g4, so the stencil is one
+5-tap correlation of g with the symmetric taps (c3, -c2, c3+c1, -c2, c3).
+A right-hand side is then 7 NumPy calls: 2 ghost-cell copies, the gap
+difference, the correlation and 3 in-place multiplies by v.
+
+Symmetric taps applied to an antisymmetric difference give an operator
+whose matrix is exactly antisymmetric for the float taps: the neighbour
+at offset d gets the weight t_{3+d} - t_{1+d} (taps t_0..t_4, zero
+outside), which t_j = t_{4-j} makes the exact negative of the weight at
+offset -d. So the semi-discrete system conserves sum(1/v), since
+d/dt sum(1/v) = -v.(A v) = 0, and the integral of 1/v is a sharp accuracy
+diagnostic for the time integration. A constant field has g = 0 exactly,
+hence an exactly zero right-hand side: it is a bit-exact fixed point.
 """
 
 from __future__ import annotations
@@ -77,45 +88,42 @@ class EvolutionAborted(NumericalError):
 def _windows(padded: np.ndarray) -> tuple[np.ndarray, ...]:
     """Views of a buffer of n+6 values that ``_rhs`` reads and writes.
 
-    The first seven are the stencil windows padded[j:j+n], j = 0..6; the
-    middle one (j = 3) is the field itself. The last four pair the left
-    and the right 3 ghost cells with the interior cells they mirror.
-    Building the views once per run keeps slicing out of the step loop.
+    The field padded[3:n+3]; the left and the right 3 ghost cells, each
+    paired with the interior cells it mirrors; and the two operands
+    padded[:n+4] and padded[2:] of the gap-2 difference. Building the
+    views once per run keeps slicing out of the step loop.
     """
     n = padded.shape[-1] - 6
-    shifted = tuple(padded[j : j + n] for j in range(7))
-    return shifted + (padded[:3], padded[n : n + 3], padded[n + 3 :], padded[3:6])
+    return (padded[3 : n + 3], padded[:3], padded[n : n + 3], padded[n + 3 :],
+            padded[3:6], padded[: n + 4], padded[2:])
 
 
-def _rhs(
-    windows: tuple[np.ndarray, ...], dx: float, out: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """Write v^3 (v_xxx - v_x) into ``out`` without allocating.
-
-    ``windows`` comes from ``_windows`` on a buffer holding the field in
-    its interior; the periodic ghost cells are refreshed here. ``work`` is
-    an n-array of scratch space. The two stencils are fused into one
-    7-point pass in the difference form, whose coefficients are exactly
-    antisymmetric, so sum(1/v) stays a discrete invariant of the
-    semi-discretization.
-    """
-    p0, p1, p2, v, p4, p5, p6, left, left_src, right, right_src = windows
+def _taps(dx: float) -> np.ndarray:
+    """The symmetric 5 taps (c3, -c2, c3+c1, -c2, c3) of the fused stencil."""
     c3 = 1.0 / (8.0 * dx**3)
     c2 = 8.0 / (8.0 * dx**3) + 1.0 / (12.0 * dx)
     c1 = 13.0 / (8.0 * dx**3) + 8.0 / (12.0 * dx)
+    return np.array([c3, -c2, c3 + c1, -c2, c3])
+
+
+def _rhs(
+    windows: tuple[np.ndarray, ...], taps: np.ndarray, out: np.ndarray, gap: np.ndarray
+) -> np.ndarray:
+    """Write v^3 (v_xxx - v_x) into ``out`` in 7 NumPy calls.
+
+    Refreshes the ghost cells of the ``_windows`` buffer p (2 calls), writes
+    g_j = p_j - p_{j+2} into the (n+4)-array ``gap`` (1), correlates g with
+    the ``_taps`` (1) and multiplies by v three times (3). Symmetric taps on
+    the antisymmetric g make the operator exactly antisymmetric, so sum(1/v)
+    is a semi-discrete invariant; a constant field has g = 0, hence 0 here.
+    """
+    v, left, left_src, right, right_src, head, tail = windows
     left[...] = left_src
     right[...] = right_src
-    np.subtract(p0, p6, out=out)
-    out *= c3
-    np.subtract(p1, p5, out=work)
-    work *= c2
-    out -= work
-    np.subtract(p2, p4, out=work)
-    work *= c1
-    out += work
-    np.multiply(v, v, out=work)
-    work *= v
-    out *= work
+    np.subtract(head, tail, out=gap)
+    np.multiply(np.correlate(gap, taps, "valid"), v, out=out)
+    out *= v
+    out *= v
     return out
 
 
@@ -127,8 +135,9 @@ def rhs_fhd(field: Field) -> Field:
         raise ValueError("field must be strictly positive")
     n = field.grid.n
     windows = _windows(np.empty(n + 6))
-    windows[3][...] = field.values
-    return Field(field.grid, _rhs(windows, field.grid.dx, np.empty(n), np.empty(n)))
+    windows[0][...] = field.values
+    rhs = _rhs(windows, _taps(field.grid.dx), np.empty(n), np.empty(n + 4))
+    return Field(field.grid, rhs)
 
 
 def evolve(field: Field, config: EvolveConfig) -> Trajectory:
@@ -154,8 +163,10 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
         floor = 0.01 * float(v.max())
 
     windows = _windows(np.empty(n + 6))
-    stage = windows[3]
-    k1, k2, k3, k4, work = np.empty((5, n))
+    stage = windows[0]
+    taps = _taps(dx)
+    k1, k2, k3, k4 = np.empty((4, n))
+    gap = np.empty(n + 4)
     dt_scale = config.cfl_constant * dx**3
 
     t = 0.0
@@ -173,16 +184,16 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
             dt = config.t_final - t
 
         stage[...] = v
-        _rhs(windows, dx, k1, work)
+        _rhs(windows, taps, k1, gap)
         np.multiply(k1, 0.5 * dt, out=stage)
         stage += v
-        _rhs(windows, dx, k2, work)
+        _rhs(windows, taps, k2, gap)
         np.multiply(k2, 0.5 * dt, out=stage)
         stage += v
-        _rhs(windows, dx, k3, work)
+        _rhs(windows, taps, k3, gap)
         np.multiply(k3, dt, out=stage)
         stage += v
-        _rhs(windows, dx, k4, work)
+        _rhs(windows, taps, k4, gap)
         # v += (dt/6) (k1 + 2 (k2 + k3) + k4), accumulated in k2
         k2 += k3
         k2 *= 2.0
@@ -253,12 +264,20 @@ def measure_speed(trajectory: Trajectory) -> float:
 
 
 def _inverse_integrals(grid: Grid1D, values: np.ndarray) -> np.ndarray:
-    """Trapezoidal integrals of 1/v over the periodic cell, one per row."""
+    """Trapezoidal integrals of 1/v over the periodic cell, one per row.
+
+    One reduction per block of about 2**13 values, not per row: the sums
+    are those of the rows, bit for bit, and no (T, n) reciprocal is built
+    (at T=264, n=1024 one would raise a run's peak memory by 2 MB).
+    """
     if not grid.periodic:
         raise ValueError("the conserved functional is defined on periodic grids")
     if values.min() <= 0.0:
         raise ValueError("field must be strictly positive")
-    return grid.dx * np.array([np.sum(1.0 / row) for row in np.atleast_2d(values)])
+    rows = np.atleast_2d(values)
+    step = max(1, 2**13 // rows.shape[1])
+    sums = [np.sum(1.0 / rows[i : i + step], axis=1) for i in range(0, len(rows), step)]
+    return grid.dx * np.concatenate(sums)
 
 
 def conserved_functional(field: Field) -> float:

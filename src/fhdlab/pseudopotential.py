@@ -29,17 +29,17 @@ def eval_S(v, params: SolitonParams):
     """Evaluate the pseudopotential S(v); accepts scalars or arrays, v > 0.
 
     A float ``v`` is not converted to a NumPy array: the same expression runs
-    in float arithmetic. It gives the bits of a 0-d array, whose
-    ``(v - v0)**2`` is a NumPy scalar power, i.e. a C ``pow`` like Python's
-    ``**`` (an array of shape (n,) squares by a product, which can differ in
-    the last bit). NaN passes through as NaN.
+    in float arithmetic. ``v - v0`` is squared by a product ``d * d`` on
+    every path, never by a power, so a float, a 0-d array and each entry of
+    an array of shape (n,) give the same bits. NaN passes through as NaN.
     """
     if not isinstance(v, float):
         v = np.asarray(v, dtype=float)
     if np.any(v <= 0.0) if isinstance(v, np.ndarray) else v <= 0.0:
         raise ValueError("pseudopotential is only defined for v > 0")
     lam, v0 = params.lambda_speed, params.v0
-    s = (lam - v * v0**2) * (v - v0) ** 2 / (2.0 * v * v0**2)
+    d = v - v0
+    s = (lam - v * v0**2) * (d * d) / (2.0 * v * v0**2)
     return s if isinstance(s, np.ndarray) else float(s)
 
 

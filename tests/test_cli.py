@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fhdlab
-from fhdlab.cli import build_parser, main, resolve_config
+from fhdlab.cli import COMMANDS, USAGE, build_parser, main, resolve_config
 from fhdlab.core import Field, SolitonParams, make_grid
 from fhdlab.evolution import EvolveConfig, evolve
 from fhdlab.output import (
@@ -105,6 +105,20 @@ class TestUsageAndExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "scan-existence" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_help_names_purpose_placeholders_and_keys(self, capsys,
+                                                             command):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert COMMANDS[command] in text
+        # every flag line of the top-level usage: flag, placeholder, config key
+        flag_lines = USAGE.split("flags, each with")[1].splitlines()[1:]
+        rows = [line.split() for line in flag_lines if line.startswith("  --")]
+        assert rows
+        for row in rows:
+            assert " ".join(row) in text, row
+        assert "LAMBDA_SPEED" not in text
 
     def test_existence_violation_exits_2(self, tmp_path, capsys):
         code = main(

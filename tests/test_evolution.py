@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhdlab import evolution
-from fhdlab.core import Field, SolitonParams, Trajectory, d1_periodic, make_grid
+from fhdlab.core import (
+    Field,
+    SolitonParams,
+    Trajectory,
+    d1_periodic,
+    d3_periodic,
+    make_grid,
+)
 from fhdlab.evolution import (
     EvolutionAborted,
     EvolveConfig,
@@ -234,6 +243,70 @@ class TestInPlaceStepper:
         assert not np.array_equal(values[1], values[-1])
 
 
+@st.composite
+def smooth_fields(draw, min_n=8):
+    """A positive periodic field: a level plus 1-3 Fourier modes.
+
+    Each mode has at least 32 points per wavelength where n allows it (k = 1
+    below n = 64), and its amplitude is at most 15% of the level.
+    """
+    n = draw(st.integers(min_n, 600))
+    dx = draw(st.floats(0.01, 0.3))
+    level = draw(st.floats(0.5, 2.0))
+    grid = make_grid(0.0, n * dx, n)
+    values = np.full(n, level)
+    modes = st.tuples(st.integers(1, max(1, n // 32)), st.floats(0.0, 0.15),
+                      st.floats(0.0, 2.0 * np.pi))
+    for k, amplitude, phase in draw(st.lists(modes, min_size=1, max_size=3)):
+        values += amplitude * level * np.cos(2.0 * np.pi * k * grid.x / grid.length
+                                             + phase)
+    return Field(grid, values)
+
+
+def stencil_scale(field):
+    """max(v)^4 times the summed magnitudes of the d3 and d1 coefficients."""
+    dx = field.grid.dx
+    return field.values.max() ** 4 * (44.0 / (8.0 * dx**3) + 18.0 / (12.0 * dx))
+
+
+class TestKernelProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(field=smooth_fields())
+    def test_rhs_matches_core_stencils(self, field):
+        v, dx = field.values, field.grid.dx
+        oracle = (d3_periodic(v, dx) - d1_periodic(v, dx)) * v**3
+        error = np.max(np.abs(rhs_fhd(field).values - oracle))
+        assert error <= 1e-14 * stencil_scale(field)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field=smooth_fields())
+    def test_inverse_integral_is_a_semi_discrete_invariant(self, field):
+        # d/dt sum(1/v) = -sum(v_t / v^2) = -v.(A v), zero for antisymmetric A
+        v = field.values
+        rate = np.sum(rhs_fhd(field).values / v**2)
+        assert abs(rate) <= 1e-14 * v.size * stencil_scale(field) / v.max() ** 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(8, 600), dx=st.floats(1e-3, 1.0),
+           level=st.floats(1e-3, 1e3))
+    def test_every_constant_level_gives_exactly_zero(self, n, dx, level):
+        grid = make_grid(0.0, n * dx, n)
+        assert np.all(rhs_fhd(Field(grid, np.full(n, level))).values == 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=smooth_fields(min_n=32))
+    def test_short_evolve_matches_oracle_and_conserves(self, field):
+        # 20 steps at cfl 0.4; below 32 points a single mode is too coarse
+        # for RK4's time error in sum(1/v) to stay under 1e-13
+        dt = 0.4 * field.grid.dx**3 / field.values.max() ** 3
+        config = EvolveConfig(t_final=20 * dt, cfl_constant=0.4, output_stride=5)
+        traj = evolve(field, config)
+        times, frames = allocating_rk4(field, config)
+        assert traj.values.shape == frames.shape
+        assert np.max(np.abs(traj.values - frames) / frames) <= 1e-12
+        assert conservation_drift(traj) <= 1e-13
+
+
 class TestConservedFunctional:
     def test_constant_value(self):
         grid = make_grid(0.0, 10.0, 64)
@@ -251,6 +324,14 @@ class TestConservedFunctional:
         grid = make_grid(0.0, 1.0, 32)
         with pytest.raises(ValueError):
             conserved_functional(Field(grid, np.zeros(32) + np.linspace(-1, 1, 32)))
+
+    @pytest.mark.parametrize("shape", [(264, 1024), (830, 512), (3, 8), (5, 4097)])
+    def test_integrals_match_row_loop_bitwise(self, shape):
+        grid = make_grid(0.0, 10.0, shape[1])
+        values = np.random.default_rng(shape[0]).uniform(0.05, 3.0, shape)
+        loop = grid.dx * np.array([np.sum(1.0 / row) for row in values])
+        rows = evolution._inverse_integrals(grid, values)
+        assert rows.tobytes() == loop.tobytes()
 
     def test_drift_small_over_soliton_run(self):
         f = soliton_field(n=256)

@@ -70,6 +70,19 @@ class TestEvalS:
                 assert np.float64(s).tobytes() == np.float64(ref).tobytes()
             assert math.isnan(s)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_float_path_matches_vector_path_bitwise(self, seed):
+        # the same 300 random v, one float at a time and as one (n,) array,
+        # a third of them next to v0 where the square is tiny
+        rng = np.random.default_rng(seed)
+        params = SolitonParams(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0))
+        v0 = params.v0
+        v = np.where(np.arange(300) < 100, v0 * (1.0 + rng.uniform(-1e-4, 1e-4, 300)),
+                     rng.uniform(1e-6, 5.0, 300))
+        floats = np.array([eval_S(v_k, params) for v_k in v.tolist()])
+        assert floats.tobytes() == eval_S(v, params).tobytes()
+
     @settings(max_examples=50, deadline=None)
     @given(params=admissible_params())
     def test_roots_vanish_for_any_admissible_params(self, params):
