@@ -338,6 +338,7 @@ def run_profile(config: RunConfig) -> dict:
             "depth": m.depth,
             "fwhm": m.fwhm,
             "method": prof.method,
+            **prof.diagnostics,
         }
         for m, prof in ((mq, quad), (ms, shoot))
     ]

@@ -20,18 +20,19 @@ exp(+kappa*xi) and contaminate the tail.
 The two constructions share no machinery beyond eval_S, which makes their
 pointwise agreement a strong cross-validation.
 
-SciPy is imported inside the two places that use it, ``solve_shooting``
-and ``QuadratureSolution._spline``, not at module top. Its import costs
-about 0.75 s of process CPU on a 2-vCPU VM, nearly four times all the rest
-of ``import fhdlab.cli``, and most callers never need it: the
-``scan-existence``, ``potential`` and ``reduce-check`` commands, every
-validation error, and ``profile_by_quadrature``, which reads only the node
-table.
+Shooting runs the DOP853 pair of ``_dop853`` in Python floats, with
+SciPy's tableau, step-size controller, dense output and event root search.
+On this 2-D system SciPy's integrator spends most of its time in per-step
+NumPy calls on 2-element arrays, and importing ``scipy.integrate`` loads
+about 350 SciPy modules (about 50 MB and 0.3 s of CPU), so no command
+imports SciPy at all. SciPy's DOP853 stays in the tests as the oracle.
+``QuadratureSolution`` imports ``scipy.interpolate.BPoly`` when it is
+first evaluated, which no command does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal
 
@@ -39,7 +40,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .core import Grid1D, NumericalError, SolitonParams, Trajectory
-from .pseudopotential import existence_check, turning_points
+from .pseudopotential import eval_S, existence_check, turning_points
 
 #: Default truncation of the quadrature table, relative to the orbit depth.
 TAIL_CUT_REL = 1e-8
@@ -78,12 +79,17 @@ def require_admissible(params: SolitonParams) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """A sampled travelling-wave profile v(xi), even about its minimum at xi=0."""
+    """A sampled travelling-wave profile v(xi), even about its minimum at xi=0.
+
+    ``diagnostics`` holds what the construction reports about itself; for
+    shooting, ``ShootingSolution.diagnostics``.
+    """
 
     xi: np.ndarray
     v: np.ndarray
     params: SolitonParams
     method: Literal["quadrature", "shooting"]
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         xi = np.asarray(self.xi, dtype=float)
@@ -248,26 +254,45 @@ def profile_by_quadrature(
 class ShootingSolution:
     """Callable v(xi) from outward integration of the profile ODE.
 
-    ``steps_xi`` / ``steps_v`` / ``steps_vp`` expose the accepted solver
-    steps so the first integral can be audited along the actual solution.
+    ``steps_xi`` / ``steps_v`` / ``steps_vp`` hold the accepted solver steps,
+    the last one ending at the tail switch ``xi_switch``, so the first
+    integral can be audited along the actual solution. ``rejected_steps``
+    counts the steps the error control refused. Between steps, v is the
+    DOP853 dense output of the step that covers xi.
     """
 
-    def __init__(self, params: SolitonParams, ode_result):
+    def __init__(self, params: SolitonParams, steps: list, dense: list,
+                 rejected_steps: int):
         self.params = params
         self.kappa = decay_rate(params)
-        self._dense = ode_result.sol
-        self.steps_xi = ode_result.t
-        self.steps_v = ode_result.y[0]
-        self.steps_vp = ode_result.y[1]
-        self.xi_switch = float(ode_result.t[-1])
-        self._v_switch = float(ode_result.y[0, -1])
+        self.steps_xi, self.steps_v, self.steps_vp = np.array(steps).T
+        self.rejected_steps = rejected_steps
+        self.xi_switch = float(self.steps_xi[-1])
+        self._v_switch = float(self.steps_v[-1])
+        # one row per step: start, length, v at the start, 7 coefficients
+        self._dense = np.array(dense)
+
+    def diagnostics(self) -> dict:
+        """Step counts, tail switch and max |v'^2/2 + S(v)| on the steps."""
+        energy = 0.5 * self.steps_vp**2 + eval_S(self.steps_v, self.params)
+        return {
+            "accepted_steps": self.steps_xi.size - 1,
+            "rejected_steps": self.rejected_steps,
+            "xi_switch": self.xi_switch,
+            "first_integral_residual": float(np.max(np.abs(energy))),
+        }
 
     def __call__(self, xi) -> np.ndarray:
+        from ._dop853 import interpolate
+
         w = np.abs(np.asarray(xi, dtype=float))
         inside = w <= self.xi_switch
         out = np.empty_like(w)
-        if np.any(inside):
-            out[inside] = self._dense(w[inside])[0]
+        w_in = w[inside]
+        # the step whose span holds w; a step boundary goes to the earlier
+        step = np.maximum(np.searchsorted(self._dense[:, 0], w_in) - 1, 0)
+        start, h, v_start, *coefficients = self._dense[step].T
+        out[inside] = interpolate(coefficients, (w_in - start) / h) + v_start
         v0 = self.params.v0
         out[~inside] = v0 - (v0 - self._v_switch) * np.exp(
             -self.kappa * (w[~inside] - self.xi_switch)
@@ -281,53 +306,26 @@ def solve_shooting(params: SolitonParams, xi_max: float) -> ShootingSolution:
     Initial data v(0) = v_turn, v'(0) = 0 sit exactly on the first-integral
     level set. A terminal event at v = v0 - TAIL_SWITCH_REL*depth hands over
     to the analytic tail before the saddle's unstable direction can amplify
-    the accumulated error.
+    the accumulated error; a second one stops a collapse toward v = 0.
     """
-    from scipy.integrate import solve_ivp
+    from ._dop853 import dop853
 
     require_admissible(params)
-    tp = turning_points(params)
+    if not xi_max > 0.0:
+        raise ValueError(f"xi_max must be positive, got {xi_max}")
+    v_turn = float(turning_points(params).v_turn)
     lam, v0 = params.lambda_speed, params.v0
-    depth = v0 - tp.v_turn
+    half_lam, inv_v0_sq = 0.5 * lam, 1.0 / v0**2
 
-    def rhs(_xi, y):
-        v = y[0]
-        return (y[1], 0.5 * lam * (1.0 / v**2 - 1.0 / v0**2) + (v - v0))
+    def accel(v):
+        return half_lam * (1.0 / (v * v) - inv_v0_sq) + (v - v0)
 
-    v_stop = v0 - TAIL_SWITCH_REL * depth
-
-    def reach_background(_xi, y):
-        return y[0] - v_stop
-
-    reach_background.terminal = True
-    reach_background.direction = 1.0
-
-    def collapse(_xi, y):
-        return y[0] - 0.1 * tp.v_turn
-
-    collapse.terminal = True
-    collapse.direction = -1.0
-
-    result = solve_ivp(
-        rhs,
-        (0.0, float(xi_max)),
-        (tp.v_turn, 0.0),
-        method="DOP853",
-        rtol=SHOOT_RTOL,
-        atol=SHOOT_ATOL,
-        dense_output=True,
-        events=(reach_background, collapse),
-    )
-    if not result.success:
-        raise NumericalError(f"profile shooting failed: {result.message}")
-    if result.t_events[1].size:
-        raise NumericalError(
-            "profile shooting collapsed toward v = 0; parameters or "
-            "tolerances are inconsistent"
-        )
-    if result.y[0, -1] > v0:
+    v_stop = v0 - TAIL_SWITCH_REL * (v0 - v_turn)
+    steps, dense, rejected = dop853(accel, v_turn, float(xi_max), v_stop,
+                                    0.1 * v_turn, SHOOT_RTOL, SHOOT_ATOL)
+    if steps[-1][1] > v0:
         raise NumericalError("profile shooting overshot the background v0")
-    return ShootingSolution(params, result)
+    return ShootingSolution(params, steps, dense, rejected)
 
 
 def _check_shooting_grid(params: SolitonParams, grid: Grid1D) -> None:
@@ -347,14 +345,18 @@ def profile_by_shooting(params: SolitonParams, grid: Grid1D) -> Profile:
     """Shooting profile resampled onto a symmetric grid (even extension)."""
     _check_shooting_grid(params, grid)
     sol = solve_shooting(params, xi_max=0.5 * grid.length)
-    return Profile(xi=grid.x, v=sol(grid.x), params=params, method="shooting")
+    return Profile(xi=grid.x, v=sol(grid.x), params=params, method="shooting",
+                   diagnostics=sol.diagnostics())
 
 
 def profile_metrics(profile: Profile) -> ProfileMetrics:
     """Depression depth v0 - min(v) and full width at half the depth.
 
     The half-depth crossings are located by linear interpolation on each
-    flank; the width is their separation.
+    flank; the width is their separation. A profile that does not rise
+    back above the half-depth level inside its window is a numerical
+    failure of its construction, not invalid input, so it raises
+    NumericalError.
     """
     v0 = profile.params.v0
     v = profile.v
@@ -365,7 +367,11 @@ def profile_metrics(profile: Profile) -> ProfileMetrics:
     below = v < level
     idx = np.flatnonzero(below)
     if idx.size == 0 or idx[0] == 0 or idx[-1] == v.size - 1:
-        raise ValueError("half-depth level is not bracketed inside the window")
+        half_width = 0.5 * (profile.xi[-1] - profile.xi[0])
+        raise NumericalError(
+            f"half-depth level is not bracketed inside the window of "
+            f"half-width {half_width:g} ({profile.method} profile)"
+        )
 
     def cross(i_out: int, i_in: int) -> float:
         x0, x1 = profile.xi[i_out], profile.xi[i_in]

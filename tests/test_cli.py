@@ -18,7 +18,7 @@ from fhdlab.output import (
     write_csv,
     write_frames_csv,
 )
-from fhdlab.profiles import profile_by_shooting
+from fhdlab.profiles import profile_by_shooting, solve_shooting
 
 SPECIAL = [-0.0, 5e-324, 1e300, 1.0 / 3.0, 5.0]
 
@@ -241,25 +241,18 @@ for argv, code in {cases!r}:
 
 class TestColdStart:
     def test_commands_that_need_no_scipy_do_not_load_it(self, tmp_path):
+        # no command needs SciPy: shooting runs the in-house DOP853
         cases = [
             (["scan-existence"], 0),
             (["potential", "--lambda", "0.5"], 0),
             (["reduce-check", "--lambda", "0.5"], 0),
+            (["profile", "--lambda", "0.5"], 0),
+            (["evolve", "--lambda", "0.5", "--n", "128", "--t-final", "0.05"], 0),
+            (["verify-lax", "--lambda", "0.5", "--n", "512"], 0),
             (["profile", "--lambda", "2"], 2),
             (["nosuch"], 64),
         ]
         done = _run_fresh(_COLD_START.format(cases=cases), tmp_path)
-        assert done.returncode == 0, done.stderr
-
-    def test_profile_loads_scipy_when_it_shoots(self, tmp_path):
-        script = """
-import sys
-import fhdlab.cli
-
-assert fhdlab.cli.main(["profile", "--lambda", "0.5", "--output-dir", "out"]) == 0
-assert "scipy.integrate" in sys.modules
-"""
-        done = _run_fresh(script, tmp_path)
         assert done.returncode == 0, done.stderr
 
 
@@ -296,6 +289,34 @@ class TestProfileCommand:
             assert record["depth"] == pytest.approx(0.5, abs=1e-6)
         assert (tmp_path / "plot_profile.py").exists()
         assert summary["min_v"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_shooting_record_reports_solver_diagnostics(self, tmp_path, capsys):
+        code, summary = run_cli(
+            ["profile", "--lambda", "0.5", "--output-dir", str(tmp_path)], capsys
+        )
+        assert code == 0
+        quad, shoot = json.loads((tmp_path / "metrics.json").read_text())
+        common = {"lambda", "v0", "depth", "fwhm", "method"}
+        assert set(quad) == common
+        assert set(shoot) == common | {"accepted_steps", "rejected_steps",
+                                       "xi_switch", "first_integral_residual"}
+        sol = solve_shooting(SolitonParams(0.5, 1.0), xi_max=40.0)
+        assert shoot["accepted_steps"] == sol.steps_xi.size - 1 > 0
+        assert shoot["rejected_steps"] == sol.rejected_steps
+        assert shoot["xi_switch"] == sol.xi_switch
+        assert 0.0 < shoot["first_integral_residual"] < 1e-9
+        assert set(summary) == {"command", "status", "output_dir", "min_v",
+                                "depth", "fwhm_quadrature", "fwhm_shooting"}
+
+    def test_unbracketed_half_depth_exits_3(self, tmp_path, capsys):
+        # near lambda = v0^3 the shooting profile does not rise back through
+        # its half-depth level inside the window: a numerical failure
+        code = main(["profile", "--lambda", "0.9999", "--output-dir", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: half-depth level is not "
+                              "bracketed inside the window of half-width 2199.93")
+        assert "Traceback" not in err
 
     def test_meta_sidecars_embed_config(self, tmp_path, capsys):
         code, _ = run_cli(

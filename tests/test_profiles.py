@@ -1,12 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
 
+from fhdlab import _dop853
 from fhdlab.core import Field, SolitonParams, derivative, make_grid
 from fhdlab.pseudopotential import eval_S
 from fhdlab.profiles import (
+    MIN_DECAY_LENGTHS,
+    SHOOT_ATOL,
+    SHOOT_RTOL,
+    TAIL_SWITCH_REL,
     Profile,
     _orbit_slope,
     decay_rate,
@@ -130,6 +138,11 @@ class TestShootingProfile:
         )
         assert np.max(np.abs(energy)) < 1e-9
 
+    @pytest.mark.parametrize("xi_max", [0.0, -5.0, float("nan")])
+    def test_nonpositive_xi_max_rejected(self, xi_max):
+        with pytest.raises(ValueError):
+            solve_shooting(P05, xi_max=xi_max)
+
     def test_asymmetric_grid_rejected(self):
         grid = make_grid(-30.0, 50.0, 1024, periodic=True)
         with pytest.raises(ValueError):
@@ -144,6 +157,107 @@ class TestShootingProfile:
         prof = profile_by_shooting(P05, WIDE)
         assert prof.v.min() >= 0.5 - 1e-8
         assert prof.v.max() <= 1.0 + 1e-8
+
+
+def _oracle(params, xi_max):
+    """The shooting problem as SciPy's solve_ivp(method="DOP853") solves it."""
+    lam, v0 = params.lambda_speed, params.v0
+    v_turn = lam / v0**2
+    v_stop = v0 - TAIL_SWITCH_REL * (v0 - v_turn)
+
+    def rhs(_xi, y):
+        v = y[0]
+        return (y[1], 0.5 * lam * (1.0 / v**2 - 1.0 / v0**2) + (v - v0))
+
+    def reach_background(_xi, y):
+        return y[0] - v_stop
+
+    def collapse(_xi, y):
+        return y[0] - 0.1 * v_turn
+
+    reach_background.terminal = collapse.terminal = True
+    reach_background.direction, collapse.direction = 1.0, -1.0
+    result = solve_ivp(rhs, (0.0, xi_max), (v_turn, 0.0), method="DOP853",
+                       rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense_output=True,
+                       events=(reach_background, collapse))
+    assert result.success and not result.t_events[1].size
+    return result
+
+
+def _oracle_profile(params, grid):
+    """The oracle's v on the grid, with the same tail, and its step count."""
+    result = _oracle(params, 0.5 * grid.length)
+    w = np.abs(grid.x)
+    xi_switch, v_switch = result.t[-1], result.y[0, -1]
+    inside = w <= xi_switch
+    v = np.empty_like(w)
+    v[inside] = result.sol(w[inside])[0]
+    v0 = params.v0
+    v[~inside] = v0 - (v0 - v_switch) * np.exp(
+        -decay_rate(params) * (w[~inside] - xi_switch)
+    )
+    return v, result.t.size - 1
+
+
+def _window(params):
+    """The CLI's default grid for these parameters, at n = 1024."""
+    half = max(40.0, np.ceil(1.1 * MIN_DECAY_LENGTHS / decay_rate(params)))
+    return make_grid(-half, half, 1024, periodic=True)
+
+
+class TestShootingOracle:
+    def test_tableau_is_scipys_bit_for_bit(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        a = np.zeros((16, 16))
+        for i, row in enumerate(_dop853.A):
+            a[i, :i] = row
+        assert a.tobytes() == ref.A.tobytes()
+        assert np.array(_dop853.A[12]).tobytes() == ref.B.tobytes()
+        for ours, theirs in ((_dop853.C, ref.C), (_dop853.E3, ref.E3),
+                             (_dop853.E5, ref.E5), (_dop853.D, ref.D)):
+            assert np.array(ours).tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x**3 - 2.0, 0.0, 2.0),
+        (lambda x: math.tanh(50.0 * (x - 0.7)), 0.0, 1.0),
+        (lambda x: x * x - 1e-12, 0.0, 1.0),
+        (lambda x: math.log(x) + 3.0, 1e-3, 1.0),
+    ], ids=["cos", "cube", "tanh", "square", "log"])
+    def test_root_search_is_scipys_brentq(self, f, a, b):
+        from scipy.optimize import brentq
+
+        tol = 4.0 * np.finfo(float).eps
+        assert _dop853.brentq(f, a, b) == brentq(f, a, b, xtol=tol, rtol=tol)
+
+    @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
+    def test_matches_oracle_at_reference_speeds(self, lam):
+        params = SolitonParams(lam, 1.0)
+        grid = make_grid(-40.0, 40.0, 2048, periodic=True)
+        v_ref, steps_ref = _oracle_profile(params, grid)
+        sol = solve_shooting(params, xi_max=40.0)
+        assert np.max(np.abs(sol(grid.x) - v_ref)) <= 1e-10
+        assert sol.steps_xi.size - 1 == steps_ref
+
+    # Above lambda/v0^3 = 0.999 the first-integral error that the
+    # tolerances allow exceeds |S| at the tail switch, so the orbit can turn
+    # back before it: there solve_ivp itself differs from the quadrature by
+    # up to 1e-4 and sometimes runs to xi_max, so it is no oracle. Near the
+    # lower edge the first steps' error estimates are rounding noise in both
+    # solvers (the acceleration at v_turn is about v0^4/(2 lambda)), their
+    # step sequences part, and the profiles differ by up to 1.14e-7 in 5,000
+    # draws; the oracle itself is about 1e-7 off the quadrature there.
+    @settings(max_examples=40, deadline=None)
+    @given(log_frac=st.floats(-4.0, np.log10(0.999)), v0=st.floats(0.5, 2.0))
+    def test_matches_oracle_over_the_domain(self, log_frac, v0):
+        frac = 10.0**log_frac
+        params = SolitonParams(frac * v0**3, v0)
+        grid = _window(params)
+        v_ref, steps_ref = _oracle_profile(params, grid)
+        prof = profile_by_shooting(params, grid)
+        assert np.max(np.abs(prof.v - v_ref)) / v0 <= 2e-7
+        assert abs(prof.diagnostics["accepted_steps"] - steps_ref) <= 1
 
 
 class TestCrossValidation:
