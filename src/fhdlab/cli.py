@@ -31,7 +31,7 @@ from .evolution import (
     shape_error,
 )
 from .lax import reduction_check, zc_residual
-from .output import write_csv, write_frames_csv, write_json
+from .output import write_csv, write_frame_files, write_frames_csv, write_json
 from .profiles import (
     MIN_DECAY_LENGTHS,
     decay_rate,
@@ -368,10 +368,9 @@ def run_evolve(config: RunConfig) -> dict:
 
     out = _out_dir(config)
     if config.per_frame:
-        for k, (t, row) in enumerate(zip(trajectory.times, trajectory.values)):
-            write_frames_csv(
-                out / f"frame_{k:05d}.csv", [t], grid.x, [row], meta=config.meta()
-            )
+        write_frame_files(
+            out, trajectory.times, grid.x, trajectory.values, meta=config.meta()
+        )
     else:
         write_frames_csv(
             out / "trajectory.csv", trajectory.times, grid.x, trajectory.values,

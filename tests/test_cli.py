@@ -7,20 +7,39 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fhdlab
+from fhdlab import output
 from fhdlab.cli import COMMANDS, USAGE, build_parser, main, resolve_config
 from fhdlab.core import Field, SolitonParams, make_grid
 from fhdlab.evolution import EvolveConfig, evolve
 from fhdlab.output import (
-    format_float,
     read_csv,
     write_csv,
+    write_frame_files,
     write_frames_csv,
 )
 from fhdlab.profiles import profile_by_shooting, solve_shooting
 
 SPECIAL = [-0.0, 5e-324, 1e300, 1.0 / 3.0, 5.0]
+BLOCK_N = 97
+BLOCK_FRAMES = output._FRAME_BLOCK_VALUES // BLOCK_N
+
+
+def assert_frames_match_write_csv(tmp_path, times, x, v):
+    """write_frames_csv gives the bytes of write_csv on the long columns."""
+    n, frames = len(x), len(times)
+    meta = {"config": {"n": n}}
+    written = write_frames_csv(tmp_path / "f.csv", times, x, v, meta=meta)
+    expected = write_csv(
+        tmp_path / "e.csv", ["t", "x", "v"],
+        [np.repeat(times, n), np.tile(x, frames), np.ravel(v)], meta=meta,
+    )
+    assert written.read_bytes() == expected.read_bytes()
+    assert (tmp_path / "f.meta.json").read_bytes() == (
+        tmp_path / "e.meta.json").read_bytes()
 
 
 def run_cli(argv, capsys):
@@ -40,12 +59,18 @@ class TestOutputHelpers:
         assert np.array_equal(back["x"], x)
         assert np.array_equal(back["y"], y)
 
-    def test_format_float_17_digits(self):
-        assert format_float(1.0 / 3.0) == "0.33333333333333331"
+    def test_format_float_17_digits(self, tmp_path):
+        # both writers' formatters give "%.17g": 17 significant digits
+        third = np.array([1.0 / 3.0])
+        assert "%.17g" % third[0] == "0.33333333333333331"
+        path = write_csv(tmp_path / "t.csv", ["x"], [third])
+        assert path.read_text() == "x\n0.33333333333333331\n"
+        assert output._format_g17(third).tobytes().rstrip(b"\0") == (
+            b"0.33333333333333331")
 
     @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097])
     def test_csv_text_matches_format_float(self, tmp_path, rows):
-        # block formatting must give the bytes of per-value format_float
+        # block formatting must give the bytes of "%.17g" % x value by value
         special = [-0.0, 5e-324, 1e300, 1.0 / 3.0, 5.0]
         rng = np.random.default_rng(rows)
         columns = [
@@ -55,7 +80,7 @@ class TestOutputHelpers:
         ]
         path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], columns)
         expected = "a,b,c\n" + "".join(
-            ",".join(format_float(x) for x in row) + "\n" for row in zip(*columns)
+            ",".join("%.17g" % x for x in row) + "\n" for row in zip(*columns)
         )
         assert path.read_text() == expected
 
@@ -70,15 +95,34 @@ class TestOutputHelpers:
         v = rng.standard_normal((frames, n)) * 10.0 ** rng.integers(
             -300, 300, size=(frames, n))
         v[:, : len(SPECIAL)] = SPECIAL[:n]
-        meta = {"config": {"n": n}}
-        written = write_frames_csv(tmp_path / "f.csv", times, x, v, meta=meta)
-        expected = write_csv(
-            tmp_path / "e.csv", ["t", "x", "v"],
-            [np.repeat(times, n), np.tile(x, frames), v.ravel()], meta=meta,
-        )
-        assert written.read_bytes() == expected.read_bytes()
-        assert (tmp_path / "f.meta.json").read_bytes() == (
-            tmp_path / "e.meta.json").read_bytes()
+        assert_frames_match_write_csv(tmp_path, times, x, v)
+
+    @pytest.mark.parametrize("frames", [1, BLOCK_FRAMES - 1, BLOCK_FRAMES,
+                                        BLOCK_FRAMES + 1])
+    def test_frames_csv_across_the_block_size(self, tmp_path, frames):
+        # v is formatted a block of BLOCK_FRAMES frames at a time
+        rng = np.random.default_rng(frames)
+        x = np.linspace(-40.0, 40.0, BLOCK_N, endpoint=False)
+        times = np.cumsum(rng.uniform(0.0, 0.1, frames))
+        v = 1.0 - 0.5 * rng.uniform(size=(frames, BLOCK_N))
+        v[:, 0] = rng.choice([0.0, -0.0, 1e-300, -1e20, np.nan, 1.0], frames)
+        assert_frames_match_write_csv(tmp_path, times, x, v)
+
+    def test_frame_files_hold_the_rows_of_each_frame(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = np.linspace(-1.0, 1.0, 5)
+        times = [0.0, 0.25, 1e-5]
+        v = rng.standard_normal((3, 5))
+        meta = {"config": {"n": 5}}
+        paths = write_frame_files(tmp_path, times, x, v, meta=meta)
+        assert [p.name for p in paths] == [
+            "frame_00000.csv", "frame_00001.csv", "frame_00002.csv"]
+        for path, t, row in zip(paths, times, v):
+            expected = write_csv(tmp_path / "e.csv", ["t", "x", "v"],
+                                 [np.full(5, t), x, row], meta=meta)
+            assert path.read_bytes() == expected.read_bytes()
+            assert path.with_name(path.stem + ".meta.json").read_bytes() == (
+                tmp_path / "e.meta.json").read_bytes()
 
     def test_frames_csv_validation(self, tmp_path):
         for v in (np.ones(2), np.ones(4)):
@@ -92,6 +136,73 @@ class TestOutputHelpers:
             write_csv(tmp_path / "t.csv", ["a"], [np.ones(3), np.ones(3)])
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a", "b"], [np.ones(3), np.ones(4)])
+
+
+def assert_formats_as_percent(values):
+    """_format_g17 gives the bytes of "%.17g" % x, NUL-padded to 24."""
+    values = np.asarray(values, dtype=float)
+    rows = output._format_g17(values)
+    assert rows.shape == (values.size, 24) and rows.dtype == np.uint8
+    expected = [("%.17g" % x).encode().ljust(24, b"\0") for x in values.tolist()]
+    assert [row.tobytes() for row in rows] == expected
+
+
+class TestFormatG17:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    @example([0.0, -0.0, 5e-324, -5e-324, float("nan"), float("inf"),
+              float("-inf"), 1.7976931348623157e308])
+    def test_floats(self, values):
+        assert_formats_as_percent(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(1e-4, 1e14) | st.floats(-1e14, -1e-4),
+                    min_size=1, max_size=64))
+    def test_positional_range(self, values):
+        assert_formats_as_percent(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_bit_patterns(self, bits):
+        assert_formats_as_percent(np.array(bits, dtype=np.uint64).view(float))
+
+    def test_random_bit_patterns_in_bulk(self):
+        rng = np.random.default_rng(9)
+        assert_formats_as_percent(
+            rng.integers(0, 2**64, size=50_000, dtype=np.uint64).view(float))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # log10 can round to the wrong side of these, which moves E by one
+        values = 10.0 ** np.arange(-5, 16)
+        for _ in range(3):
+            values = np.concatenate([np.nextafter(values, 0.0), values,
+                                     np.nextafter(values, np.inf)])
+        assert_formats_as_percent(np.concatenate([values, -values]))
+
+    def test_edges_of_the_positional_range(self):
+        edges = np.array([1e-4, 1e14])
+        values = np.concatenate([edges, np.nextafter(edges, 0.0),
+                                 np.nextafter(edges, np.inf)])
+        assert_formats_as_percent(np.concatenate([values, -values]))
+
+    def test_halfway_cases_round_to_even(self):
+        # j 2^-(17-E) with odd j lies halfway between two 17-digit decimals
+        assert "%.17g" % (211 / 2**21) == "0.00010061264038085938"
+        assert "%.17g" % (12345678901234.5625) == "12345678901234.562"
+        rng = np.random.default_rng(5)
+        j = rng.integers(1, 2**20, size=20_000) * 2 + 1
+        values = np.ldexp(j.astype(float), -rng.integers(0, 40, size=j.size))
+        assert_formats_as_percent(np.concatenate(
+            [[211 / 2**21, 12345678901234.5625], values, -values]))
+
+    @pytest.mark.parametrize("n", [256, 512, 1000, 1024])
+    def test_grid_values(self, n):
+        dx = 80.0 / n
+        assert_formats_as_percent(-40.0 + np.arange(4 * n) * dx)
+        assert_formats_as_percent(np.linspace(-40.0, 40.0, n, endpoint=False))
+
+    def test_empty(self):
+        assert output._format_g17(np.array([])).shape == (0, 24)
 
 
 class TestUsageAndExitCodes:
@@ -423,6 +534,11 @@ class TestEvolveCommand:
         ])
         assert (tmp_path / "long" / "trajectory.csv").read_bytes() == (
             oracle.read_bytes())
+        # each frame file is the header plus that frame's rows of the long file
+        header, *rows = oracle.read_bytes().splitlines(keepends=True)
+        for k, path in enumerate(frames):
+            assert path.read_bytes() == header + b"".join(
+                rows[k * grid.n : (k + 1) * grid.n])
 
 
 class TestVerifyLaxCommand:
