@@ -180,7 +180,9 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
     times = [t]
     while t < config.t_final:
         dt = dt_scale / vmax**3
-        if t + dt >= config.t_final:
+        # end on t_final from within 1e-6 dt, so round-off adds no ~1e-17 step
+        last = t + dt * (1.0 + 1e-6) >= config.t_final
+        if last:
             dt = config.t_final - t
 
         stage[...] = v
@@ -201,7 +203,7 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
         k2 += k4
         k2 *= dt / 6.0
         v += k2
-        t += dt
+        t = config.t_final if last else t + dt
         steps += 1
 
         vmin, vmax = v.min(), v.max()

@@ -12,7 +12,8 @@ v_t = v^3 (v_xxx - v_x). The structure residual M_t + [M, N] - N_x then
 vanishes; three of its four entries vanish identically by construction of
 A, C, D (they hold off-shell), and only the (2,1) entry carries the
 evolution equation. ``zc_residual`` measures all four entrywise over a
-space-time patch and fits a convergence order by coarsening the patch.
+space-time patch, all frames in one pass, and fits a convergence order by
+coarsening the patch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Trajectory, d1_periodic, d3_periodic
+from .core import Field, NumericalError, Trajectory, d1_periodic, d3_periodic
 
 #: Residual entries that must hold identically stay below this at any
 #: resolution, once scaled by the size of the 4*lam^2/v term (``zc_residual``).
@@ -108,45 +109,37 @@ def _finite_or_none(x: float) -> float | None:
     return x if np.isfinite(x) else None
 
 
-def _matmul2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.stack(
-        (
-            np.stack((x[0, 0] * y[0, 0] + x[0, 1] * y[1, 0],
-                      x[0, 0] * y[0, 1] + x[0, 1] * y[1, 1])),
-            np.stack((x[1, 0] * y[0, 0] + x[1, 1] * y[1, 0],
-                      x[1, 0] * y[0, 1] + x[1, 1] * y[1, 1])),
-        )
-    )
-
-
 def _patch_norms(values: np.ndarray, times: np.ndarray, dx: float,
-                 lambda_spec: float) -> np.ndarray:
-    """Entrywise residual max-norms over the interior frames of one patch."""
-    norms = np.zeros((2, 2))
-    for j in range(1, len(times) - 1):
-        v = values[j]
-        v_x = d1_periodic(v, dx)
-        v_xx = d1_periodic(v_x, dx)
-        m = build_M(v, lambda_spec)
-        n = build_N(v, v_x, v_xx, lambda_spec)
-        n_x = d1_periodic(n, dx)
+                 lam: float) -> np.ndarray:
+    """Entrywise residual max-norms over the interior frames of one patch.
 
-        h_left = times[j] - times[j - 1]
-        h_right = times[j + 1] - times[j]
-        m_prev = build_M(values[j - 1], lambda_spec)
-        m_next = build_M(values[j + 1], lambda_spec)
-        if abs(h_right - h_left) <= 1e-12 * h_left:
-            m_t = (m_next - m_prev) / (h_left + h_right)
-        else:
-            # 3-point nonuniform central difference
-            w_prev = -h_right / (h_left * (h_left + h_right))
-            w_mid = (h_right - h_left) / (h_left * h_right)
-            w_next = h_left / (h_right * (h_left + h_right))
-            m_t = w_prev * m_prev + w_mid * m + w_next * m_next
+    The entries of ((M_t + M N) - N M) - N_x, M = [[0, 1], [q, 1]] and
+    N = [[a, b], [c, -a]], are written out in the order of the 2x2 products,
+    without the products by 0 and 1; M_t is central, or 3-point nonuniform
+    where the frame spacing changes (a constant's is the sum of the weights).
+    """
+    q = -lam / (values * values)
+    v, q_mid = values[1:-1], q[1:-1]
+    v_x = d1_periodic(v, dx)
+    a = 2.0 * lam * (v_x + v)
+    b = -4.0 * lam * v
+    c = 2.0 * lam * (d1_periodic(v_x, dx) + v_x) + 4.0 * lam**2 / v
+    a_x, b_x, c_x = d1_periodic(np.stack((a, b, c)), dx)
 
-        residual = m_t + _matmul2(m, n) - _matmul2(n, m) - n_x
-        norms = np.maximum(norms, np.abs(residual).max(axis=-1))
-    return norms
+    h = np.diff(times)[:, None]
+    h_left, h_right = h[:-1], h[1:]
+    w_prev = -h_right / (h_left * (h_left + h_right))
+    w_mid = (h_right - h_left) / (h_left * h_right)
+    w_next = h_left / (h_right * (h_left + h_right))
+    uniform = np.abs(h_right - h_left) <= 1e-12 * h_left
+    q_t = np.where(uniform, (q[2:] - q[:-2]) / (h_left + h_right),
+                   (w_prev * q[:-2] + w_mid * q_mid) + w_next * q[2:])
+    one_t = np.where(uniform, 0.0, (w_prev + w_mid) + w_next)
+
+    qa, qb = q_mid * a, q_mid * b
+    residual = ((c - qb) - a_x, ((one_t - a) - (a + b)) - b_x,
+                ((q_t + (qa + c)) + qa) - c_x, ((one_t + (qb - a)) - (c - a)) + a_x)
+    return np.array([np.abs(r).max() for r in residual]).reshape(2, 2)
 
 
 def zc_residual(trajectory: Trajectory, lambda_spec: float) -> LaxResidualReport:
@@ -160,30 +153,32 @@ def zc_residual(trajectory: Trajectory, lambda_spec: float) -> LaxResidualReport
 
     The off-shell entries cancel terms as large as the ``4 lam^2/v`` of C,
     so their round-off grows with it: their bound is OFF_SHELL_TOL times
-    ``max(1, max|4 lam^2/v|)`` over the frames (``_patch_norms`` has
-    checked that every frame is positive).
+    ``max(1, max|4 lam^2/v|)`` over the frames. A lam for which that term
+    overflows is a numerical failure.
     """
     if trajectory.times.size < 3:
         raise ValueError("need at least 3 frames for the time derivative")
     if not trajectory.grid.periodic:
         raise ValueError("residual evaluation requires a periodic grid")
-    values = trajectory.values
-    times = trajectory.times
+    if not (np.isfinite(lambda_spec) and lambda_spec != 0.0):
+        raise ValueError(f"lambda_spec must be finite and nonzero, got {lambda_spec}")
+    values, times = trajectory.values, trajectory.times
+    if np.any(values <= 0.0):
+        raise ValueError("M is only defined for v > 0")
+    # a float64 square overflows to inf, where a Python float's raises
+    with np.errstate(over="ignore"):
+        c_scale = float(4.0 * np.float64(lambda_spec) ** 2 / values.min())
+    if c_scale == np.inf:
+        raise NumericalError(f"4 lambda_spec^2/v overflows for lambda_spec {lambda_spec}")
     dx = trajectory.grid.dx
     fine = _patch_norms(values, times, dx, lambda_spec)
 
-    can_coarsen = trajectory.grid.n % 2 == 0 and len(times) >= 5
-    if can_coarsen:
+    coarse, order = np.full((2, 2), np.nan), float("nan")
+    if trajectory.grid.n % 2 == 0 and len(times) >= 5:
         coarse = _patch_norms(values[::2, ::2], times[::2], 2.0 * dx, lambda_spec)
         if fine[1, 0] > 0.0 and coarse[1, 0] > 0.0:
             order = float(np.log2(coarse[1, 0] / fine[1, 0]))
-        else:
-            order = float("nan")
-    else:
-        coarse = np.full((2, 2), np.nan)
-        order = float("nan")
 
-    c_scale = 4.0 * lambda_spec**2 / float(values.min())
     return LaxResidualReport(
         lambda_spec=lambda_spec,
         entry_norms=fine,

@@ -6,10 +6,10 @@ exactly. Every data file is accompanied by a ``<stem>.meta.json`` side-car
 embedding the fully resolved run configuration, which makes each output
 self-describing.
 
-``write_csv`` formats with ``%``, a block of rows at a time. The trajectory
-writers format x once per file, t once per frame and v in blocks of about
-2^14 values through ``_format_g17``, a NumPy formatter whose bytes equal
-those of ``%`` for every float64, so every file holds the bytes that ``%``
+Every writer formats through ``_format_g17``, a NumPy formatter whose bytes
+equal those of ``%`` for every float64, about 2^14 values at a time:
+``write_csv`` a block of rows, the trajectory writers x once per file, t once
+per frame and v a block of frames. So every file holds the bytes that ``%``
 applied value by value would write.
 """
 
@@ -23,7 +23,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 
-_CSV_BLOCK_ROWS = 4096
 _FRAME_BLOCK_VALUES = 1 << 14
 
 # Exact "%.17g" in bulk, after the fixed-precision conversion of Adams, "Ryu
@@ -201,17 +200,18 @@ def write_csv(
     lengths = {c.size for c in columns}
     if len(lengths) != 1:
         raise ValueError("all columns must have equal length")
-    # one %-format per block of rows writes the same text as "%.17g" % x
-    # applied value by value, without holding every line in memory
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = lengths.pop()
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, rows, _CSV_BLOCK_ROWS):
-            block = np.column_stack(
-                [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
-            )
-            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+    # each block of about _FRAME_BLOCK_VALUES values is one uint8 matrix of
+    # 25-byte fields (text, NUL padding, separator) whose NULs are dropped
+    per_block = max(1, _FRAME_BLOCK_VALUES // len(columns))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, lengths.pop(), per_block):
+            block = np.column_stack([c[start : start + per_block] for c in columns])
+            rows = np.empty(block.shape + (25,), np.uint8)
+            rows[..., :24] = _format_g17(block).reshape(*block.shape, 24)
+            rows[..., 24] = ord(",")
+            rows[:, -1, 24] = ord("\n")
+            fh.write(rows[rows != 0].tobytes())
     _write_meta(path, meta)
     return path
 

@@ -28,16 +28,23 @@ BLOCK_N = 97
 BLOCK_FRAMES = output._FRAME_BLOCK_VALUES // BLOCK_N
 
 
+def percent_csv(header, columns):
+    """Oracle for the CSV writers: the bytes of ``"%.17g" % x`` value by value."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    lines = [",".join(header)] + [",".join("%.17g" % x for x in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def assert_frames_match_write_csv(tmp_path, times, x, v):
-    """write_frames_csv gives the bytes of write_csv on the long columns."""
+    """write_frames_csv and write_csv on the long columns both give the
+    oracle's bytes, and the same side-car."""
     n, frames = len(x), len(times)
     meta = {"config": {"n": n}}
+    columns = [np.repeat(times, n), np.tile(x, frames), np.ravel(v)]
     written = write_frames_csv(tmp_path / "f.csv", times, x, v, meta=meta)
-    expected = write_csv(
-        tmp_path / "e.csv", ["t", "x", "v"],
-        [np.repeat(times, n), np.tile(x, frames), np.ravel(v)], meta=meta,
-    )
-    assert written.read_bytes() == expected.read_bytes()
+    expected = write_csv(tmp_path / "e.csv", ["t", "x", "v"], columns, meta=meta)
+    assert written.read_bytes() == percent_csv(["t", "x", "v"], columns)
+    assert expected.read_bytes() == written.read_bytes()
     assert (tmp_path / "f.meta.json").read_bytes() == (
         tmp_path / "e.meta.json").read_bytes()
 
@@ -79,10 +86,33 @@ class TestOutputHelpers:
             np.resize(special[::-1], rows),
         ]
         path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], columns)
-        expected = "a,b,c\n" + "".join(
-            ",".join("%.17g" % x for x in row) + "\n" for row in zip(*columns)
-        )
-        assert path.read_text() == expected
+        assert path.read_bytes() == percent_csv(["a", "b", "c"], columns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.lists(st.floats(), min_size=k, max_size=k), max_size=40)))
+    @example([[0.0, -0.0, 5e-324, -5e-324, float("nan"), float("inf"),
+               float("-inf"), 1.7976931348623157e308, -1e300, 1e14]])
+    @example([])
+    def test_csv_matches_the_percent_oracle(self, tmp_path_factory, rows):
+        # +-0, subnormals, nan, inf and huge values; 0 rows; 1 to 4 columns
+        k = len(rows[0]) if rows else 1
+        columns = [np.array([row[j] for row in rows]) for j in range(k)]
+        header = [f"c{j}" for j in range(k)]
+        path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", header, columns)
+        assert path.read_bytes() == percent_csv(header, columns)
+
+    @pytest.mark.parametrize("n_columns", [1, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_csv_across_the_block_size(self, tmp_path, n_columns, offset):
+        # write_csv formats about _FRAME_BLOCK_VALUES values per block
+        rows = output._FRAME_BLOCK_VALUES // n_columns + offset
+        rng = np.random.default_rng(rows)
+        columns = [np.resize(SPECIAL, rows) * rng.standard_normal(rows)
+                   for _ in range(n_columns)]
+        header = list("abc"[:n_columns])
+        path = write_csv(tmp_path / "t.csv", header, columns)
+        assert path.read_bytes() == percent_csv(header, columns)
 
     @pytest.mark.parametrize("frames", [1, 5])
     @pytest.mark.parametrize("n", [1, 4097])
@@ -118,9 +148,9 @@ class TestOutputHelpers:
         assert [p.name for p in paths] == [
             "frame_00000.csv", "frame_00001.csv", "frame_00002.csv"]
         for path, t, row in zip(paths, times, v):
-            expected = write_csv(tmp_path / "e.csv", ["t", "x", "v"],
-                                 [np.full(5, t), x, row], meta=meta)
-            assert path.read_bytes() == expected.read_bytes()
+            columns = [np.full(5, t), x, row]
+            write_csv(tmp_path / "e.csv", ["t", "x", "v"], columns, meta=meta)
+            assert path.read_bytes() == percent_csv(["t", "x", "v"], columns)
             assert path.with_name(path.stem + ".meta.json").read_bytes() == (
                 tmp_path / "e.meta.json").read_bytes()
 
@@ -510,7 +540,8 @@ class TestEvolveCommand:
         assert not (tmp_path / "trajectory.csv").exists()
 
     def test_trajectory_files_match_write_csv(self, tmp_path, capsys):
-        # oracle: the same run through the library, written by write_csv
+        # oracle: the same run through the library, written value by value
+        # with "%.17g"; write_csv must give the same bytes
         argv = ["evolve", "--lambda", "0.5", "--v0", "1.0", "--n", "256",
                 "--xmin", "-40", "--xmax", "40", "--t-final", "0.2",
                 "--cfl", "0.4", "--output-stride", "10"]
@@ -521,21 +552,22 @@ class TestEvolveCommand:
         initial = Field(grid, profile_by_shooting(SolitonParams(0.5, 1.0), grid).v)
         trajectory = evolve(initial, EvolveConfig(
             t_final=0.2, cfl_constant=0.4, output_stride=10))
-        oracle = tmp_path / "oracle.csv"
+        header = ["t", "x", "v"]
         frames = sorted((tmp_path / "each").glob("frame_*.csv"))
         assert len(frames) == len(trajectory.times) >= 3
         for path, t, row in zip(frames, trajectory.times, trajectory.values):
-            write_csv(oracle, ["t", "x", "v"], [np.full(grid.n, t), grid.x, row])
-            assert path.read_bytes() == oracle.read_bytes()
-        write_csv(oracle, ["t", "x", "v"], [
+            assert path.read_bytes() == percent_csv(
+                header, [np.full(grid.n, t), grid.x, row])
+        columns = [
             np.repeat(trajectory.times, grid.n),
             np.tile(grid.x, len(trajectory.times)),
             trajectory.values.ravel(),
-        ])
-        assert (tmp_path / "long" / "trajectory.csv").read_bytes() == (
-            oracle.read_bytes())
+        ]
+        oracle = percent_csv(header, columns)
+        assert (tmp_path / "long" / "trajectory.csv").read_bytes() == oracle
+        assert write_csv(tmp_path / "w.csv", header, columns).read_bytes() == oracle
         # each frame file is the header plus that frame's rows of the long file
-        header, *rows = oracle.read_bytes().splitlines(keepends=True)
+        header, *rows = oracle.splitlines(keepends=True)
         for k, path in enumerate(frames):
             assert path.read_bytes() == header + b"".join(
                 rows[k * grid.n : (k + 1) * grid.n])
@@ -584,6 +616,41 @@ class TestVerifyLaxCommand:
         report = json.loads((tmp_path / "lax_report.json").read_text())
         assert report["pass"] is True
         assert summary["max_off_entry"] < report["off_shell_tol"]
+
+    @pytest.mark.parametrize("lambda_spec", ["nan", "inf", "0"])
+    def test_undefined_spectral_parameter_exits_2(self, tmp_path, capsys,
+                                                  lambda_spec):
+        # as in reduce-check: a validation error, and no report
+        code = main(["verify-lax", "--lambda", "0.5", "--lambda-spec", lambda_spec,
+                     "--n", "512", "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "lambda_spec must be finite and nonzero" in capsys.readouterr().err
+        assert not (tmp_path / "lax_report.json").exists()
+
+    @pytest.mark.parametrize("lambda_spec", ["1e155", "1e200"])
+    def test_overflowing_spectral_parameter_exits_3(self, tmp_path, capsys,
+                                                    lambda_spec):
+        # lambda_spec**2 overflows a float: a numerical failure, not a crash
+        code = main(["verify-lax", "--lambda", "0.5", "--lambda-spec", lambda_spec,
+                     "--n", "512", "--output-dir", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: 4 lambda_spec^2/v overflows")
+
+    def test_overflowing_residual_is_a_failed_check(self, tmp_path, capsys):
+        # 4*lam^2/v is a float here but its derivative overflows: the check
+        # fails, and its report and summary hold null, never NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["verify-lax", "--lambda", "0.5", "--lambda-spec", "3e153",
+                         "--n", "512", "--output-dir", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        summary = json.loads(err[err.index("{"):], parse_constant=_reject_constant)
+        assert summary["pass"] is False
+        assert summary["entry_norm_21"] is None
+        report = json.loads((tmp_path / "lax_report.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert report["entry_norms"][2] is None
 
     def test_under_resolved_check_exits_3(self, tmp_path, capsys):
         code = main(["verify-lax", "--lambda", "0.5", "--v0", "1", "--n", "64",

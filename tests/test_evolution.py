@@ -101,6 +101,19 @@ class TestEvolve:
         assert traj.values.shape == (len(traj.times), 256)
         assert len(traj.times) >= 3
 
+    @pytest.mark.parametrize("phase", np.linspace(0.0, 6.0, 13))
+    def test_whole_number_of_steps_records_no_extra_frame(self, phase):
+        # round-off in t can leave ~1e-17 after the 20th step; that remnant
+        # belongs to the 20th step, not to a 21st step with a frame of its own
+        grid = make_grid(0.0, 8.0, 32)
+        f = Field(grid, 1.0 + 1e-15 * np.cos(2.0 * np.pi * grid.x / 8.0 + phase))
+        dt = 0.4 * grid.dx**3 / f.values.max() ** 3
+        config = EvolveConfig(t_final=20 * dt, cfl_constant=0.4, output_stride=5)
+        traj = evolve(f, config)
+        assert len(traj.times) == 5
+        assert traj.times[-1] == config.t_final
+        assert np.min(np.diff(traj.times)) > 4 * dt
+
     def test_positivity_abort_carries_partial_trajectory(self):
         f = soliton_field(n=256)
         config = EvolveConfig(t_final=1.0, cfl_constant=0.4, positivity_floor=0.9)
@@ -158,14 +171,15 @@ def allocating_rk4(field, config):
     t, steps = 0.0, 0
     while t < config.t_final:
         dt = config.cfl_constant * dx**3 / v.max() ** 3
-        if t + dt >= config.t_final:
+        last = t + dt * (1.0 + 1e-6) >= config.t_final
+        if last:
             dt = config.t_final - t
         k1 = rhs(v, dx)
         k2 = rhs(v + (0.5 * dt) * k1, dx)
         k3 = rhs(v + (0.5 * dt) * k2, dx)
         k4 = rhs(v + dt * k3, dx)
         v = v + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        t += dt
+        t = config.t_final if last else t + dt
         steps += 1
         if steps % config.output_stride == 0 or t >= config.t_final:
             times.append(t)
@@ -301,10 +315,13 @@ class TestKernelProperties:
     @settings(max_examples=40, deadline=None)
     @given(field=smooth_fields(min_n=32))
     @example(field=mode_field(32, 0.25, 1.0, [(1, 0.15, 0.0)] * 3))
+    @example(field=mode_field(32, 0.25, 1.0, [(1, 1e-15, 0.0)]))
     def test_short_evolve_matches_oracle_and_conserves(self, field):
         # 20 steps at cfl 0.4. RK4's own time error moves sum(1/v) by up to
-        # ~2e-12 on coarse fields (6.8e-13 in the example), the same in the
-        # oracle, so the kernel must match the oracle's drift, not zero
+        # ~2e-12 on coarse fields (6.8e-13 in the first example), the same in the
+        # oracle, so the kernel must match the oracle's drift, not zero.
+        # In the second example round-off in t leaves ~1e-17 after the 20th
+        # step, which both fold into that step
         dt = 0.4 * field.grid.dx**3 / field.values.max() ** 3
         config = EvolveConfig(t_final=20 * dt, cfl_constant=0.4, output_stride=5)
         traj = evolve(field, config)

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fhdlab.core import Field, SolitonParams, Trajectory, d1_periodic, make_grid
+from fhdlab import lax
+from fhdlab.core import (
+    Field,
+    NumericalError,
+    SolitonParams,
+    Trajectory,
+    d1_periodic,
+    make_grid,
+)
 from fhdlab.lax import (
     OFF_SHELL_TOL,
     build_M,
@@ -42,10 +50,12 @@ class TestBuildM:
         v=st.floats(0.05, 50.0),
         lam=st.floats(0.01, 10.0),
     )
+    @example(v=49.00980200261321, lam=1.0)  # pow(v, 2) != v * v here
     def test_determinant_identity(self, v, lam):
+        # build_M squares by a product; a Python float's v**2 calls pow
         m = build_M(v, lam)
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        assert det == lam / v**2
+        assert det == lam / (v * v)
 
 
 class TestBuildN:
@@ -79,6 +89,87 @@ class TestBuildN:
         b = n[0, 1]
         b_x = d1_periodic(b, field.grid.dx)
         assert np.max(np.abs(n[0, 0] + 0.5 * (b_x + b))) < 1e-12
+
+
+def matmul2(x, y):
+    """Product of two 2x2 matrices whose entries are arrays."""
+    return np.stack(
+        (
+            np.stack((x[0, 0] * y[0, 0] + x[0, 1] * y[1, 0],
+                      x[0, 0] * y[0, 1] + x[0, 1] * y[1, 1])),
+            np.stack((x[1, 0] * y[0, 0] + x[1, 1] * y[1, 0],
+                      x[1, 0] * y[0, 1] + x[1, 1] * y[1, 1])),
+        )
+    )
+
+
+def framewise_patch_norms(values, times, dx, lambda_spec):
+    """Oracle for ``lax._patch_norms``: M_t + [M, N] - N_x frame by frame,
+    from build_M, build_N and 2x2 matrix products."""
+    norms = np.zeros((2, 2))
+    for j in range(1, len(times) - 1):
+        v = values[j]
+        v_x = d1_periodic(v, dx)
+        v_xx = d1_periodic(v_x, dx)
+        m = build_M(v, lambda_spec)
+        n = build_N(v, v_x, v_xx, lambda_spec)
+        n_x = d1_periodic(n, dx)
+
+        h_left = times[j] - times[j - 1]
+        h_right = times[j + 1] - times[j]
+        m_prev = build_M(values[j - 1], lambda_spec)
+        m_next = build_M(values[j + 1], lambda_spec)
+        if abs(h_right - h_left) <= 1e-12 * h_left:
+            m_t = (m_next - m_prev) / (h_left + h_right)
+        else:
+            # 3-point nonuniform central difference
+            w_prev = -h_right / (h_left * (h_left + h_right))
+            w_mid = (h_right - h_left) / (h_left * h_right)
+            w_next = h_left / (h_right * (h_left + h_right))
+            m_t = w_prev * m_prev + w_mid * m + w_next * m_next
+
+        residual = m_t + matmul2(m, n) - matmul2(n, m) - n_x
+        norms = np.maximum(norms, np.abs(residual).max(axis=-1))
+    return norms
+
+
+# frame spacings: equal ones, ones within the 1e-12 tolerance, and others
+NEARLY = 0.05 * (1.0 + 1e-13)
+STEPS = st.sampled_from([0.05, 0.05, NEARLY, 0.03, 0.08])
+
+
+class TestPatchNorms:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.05, 0.9),
+        lambda_spec=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+        n=st.integers(16, 160),
+        steps=st.lists(STEPS, min_size=2, max_size=12),
+        amplitude=st.floats(0.0, 0.5),
+    )
+    @example(lam=0.5, lambda_spec=1.0, n=512, steps=[0.05] * 16, amplitude=0.0)
+    @example(lam=0.8, lambda_spec=-2.0, n=33, steps=[0.05, 0.08, 0.03, 0.05],
+             amplitude=0.3)
+    # spacings within the tolerance take the uniform difference
+    @example(lam=0.5, lambda_spec=1.0, n=33, steps=[0.05, NEARLY] * 3,
+             amplitude=0.3)
+    def test_bitwise_equal_to_framewise_products(self, lam, lambda_spec, n,
+                                                  steps, amplitude):
+        # the one-pass entries must give the oracle's norms bit for bit, on
+        # the fine patch and on the coarse one subsampled by two
+        grid = make_grid(-120.0, 120.0, n, periodic=True)
+        times = np.concatenate(([0.0], np.cumsum(steps)))
+        values = translated_trajectory(SolitonParams(lam, 1.0), grid, times).values
+        # a perturbation that is not a solution keeps the (2,1) entry large
+        values = values * (1.0 + amplitude * np.sin(np.pi * grid.x / 120.0
+                                                    + times[:, None]))
+        for vals, ts, dx in ((values, times, grid.dx),
+                             (values[::2, ::2], times[::2], 2.0 * grid.dx)):
+            if len(ts) < 3:
+                continue
+            expected = framewise_patch_norms(vals, ts, dx, lambda_spec)
+            got = lax._patch_norms(vals, ts, dx, lambda_spec)
+            assert got.tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +211,19 @@ class TestZcResidual:
         assert report.off_shell_tol == OFF_SHELL_TOL * scale
         assert report.to_dict()["off_shell_tol"] == report.off_shell_tol
         assert report.passed
+
+    @pytest.mark.parametrize("lambda_spec", [0.0, np.nan, np.inf, -np.inf])
+    def test_rejects_undefined_spectral_parameter(self, exact_trajectory,
+                                                  lambda_spec):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            zc_residual(exact_trajectory, lambda_spec)
+
+    @pytest.mark.parametrize("lambda_spec", [1e155, -1e200, 1e154])
+    def test_overflowing_spectral_parameter_is_numerical(self, exact_trajectory,
+                                                         lambda_spec):
+        # 4*lam^2/v is not a float here (lam**2 itself overflows above ~1.3e154)
+        with pytest.raises(NumericalError, match="overflows"):
+            zc_residual(exact_trajectory, lambda_spec)
 
     def test_requires_three_frames(self):
         grid = make_grid(-20.0, 20.0, 64, periodic=True)
