@@ -263,7 +263,10 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
 
 def _out_dir(config: RunConfig) -> Path:
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -413,15 +416,16 @@ def run_verify_lax(config: RunConfig) -> dict:
 
 
 def run_reduce_check(config: RunConfig) -> dict:
+    v0 = config.params.v0
     grid = make_grid(config.x_min, config.x_max, config.n, periodic=True)
     k = 2.0 * np.pi / grid.length
     field = Field(
-        grid, config.v0 * (1.0 + 0.3 * np.sin(k * grid.x) + 0.1 * np.cos(3 * k * grid.x))
+        grid, v0 * (1.0 + 0.3 * np.sin(k * grid.x) + 0.1 * np.cos(3 * k * grid.x))
     )
     report = reduction_check(field, config.lambda_spec)
     # the offset breaks the cancellation by about b_offset * v_x / v^3, so it
     # scales as v0^3 to fail at every background level
-    control = reduction_check(field, config.lambda_spec, b_offset=config.v0**3)
+    control = reduction_check(field, config.lambda_spec, b_offset=v0**3)
     payload = {
         "lambda_spec": config.lambda_spec,
         "max_discrepancy": report.max_discrepancy,

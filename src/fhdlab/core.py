@@ -18,6 +18,11 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed to converge or left its validity domain."""
 
 
+#: Range of the background level: the terms of S(v), of size up to v0^5,
+#: stay normal floats.
+V0_MIN, V0_MAX = 1e-60, 1e60
+
+
 @dataclass(frozen=True)
 class SolitonParams:
     """Travelling-frame speed and asymptotic background level.
@@ -34,8 +39,9 @@ class SolitonParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lambda_speed) and math.isfinite(self.v0)):
             raise ValueError("soliton parameters must be finite")
-        if self.v0 <= 0.0:
-            raise ValueError(f"background v0 must be positive, got {self.v0}")
+        if not V0_MIN <= self.v0 <= V0_MAX:
+            raise ValueError(f"background v0 must lie in [{V0_MIN:g}, {V0_MAX:g}], "
+                             f"got {self.v0}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,12 @@ class Grid1D:
             raise ValueError("x_max must exceed x_min")
         if self.n < 8:
             raise ValueError(f"need at least 8 nodes, got {self.n}")
+        try:
+            cube = self.dx**3
+        except OverflowError:
+            cube = math.inf
+        if not 0.0 < cube < math.inf:  # the third derivative divides by dx^3
+            raise ValueError(f"grid spacing dx = {self.dx:g}: dx**3 under- or overflows")
 
     @property
     def dx(self) -> float:

@@ -172,9 +172,14 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
     t = 0.0
     steps = 0
     vmax = v.max()
+    dt_first = dt_scale / vmax**3
+    # a step that t_final + dt rounds away could never end the run
+    if not config.t_final + dt_first > config.t_final:
+        raise ValueError(f"dt = cfl*dx^3/max(v)^3 = {dt_first:.3g} is below the "
+                         f"float resolution at t_final {config.t_final:g}")
     # enough rows for every recorded step unless max(v) rises during the run;
     # at most 2**24 values up front, however many steps a tiny dx implies
-    rows = int(config.t_final / (dt_scale / vmax**3)) // config.output_stride + 2
+    rows = int(config.t_final / dt_first) // config.output_stride + 2
     frames = np.empty((min(rows, max(2, 2**24 // n)), n))
     frames[0] = v
     times = [t]
@@ -258,10 +263,14 @@ def minimum_positions(trajectory: Trajectory) -> np.ndarray:
 
 def measure_speed(trajectory: Trajectory) -> float:
     """Least-squares propagation speed of the tracked minimum."""
-    if trajectory.times.size < 2:
+    times = trajectory.times
+    if times.size < 2:
         raise ValueError("need at least two frames to measure a speed")
+    # the fit scales the times by their 2-norm, which must not underflow
+    if not np.sum(times * times) > 0.0:
+        raise ValueError(f"frames span too short a time ({times[-1]:g}) to fit a speed")
     pos = minimum_positions(trajectory)
-    slope = np.polyfit(trajectory.times, pos, 1)[0]
+    slope = np.polyfit(times, pos, 1)[0]
     return float(slope)
 
 

@@ -1,13 +1,16 @@
 """Travelling-wave profile construction by two independent routes.
 
-Route 1 (quadrature): integrate dxi/dv = 1/sqrt(-2 S(v)) from the turning
-point v_turn = lambda/v0^2 toward the background v0, invert the monotone
-table and mirror. The simple root at v_turn gives an integrable
-1/sqrt(v - v_turn) singularity that disappears under the substitution
-u = sqrt(v - v_turn); the double root at v0 makes xi(v) diverge
-logarithmically, so the table stops at v0 - tail_cut and the remaining tail
-is the linearized exponential v0 - C*exp(-kappa*xi) with
-kappa = sqrt((v0^3 - lambda)/v0^3).
+Route 1 (quadrature): the first integral (1/2) v'^2 + S(v) = 0 integrates
+in closed form. With v_turn = lambda/v0^2, depth b = v0 - v_turn and
+u = sqrt(v - v_turn), the flank from the minimum is
+
+    xi(u) = 2 sqrt(v0/b) artanh(sqrt(v0/(b v)) u) - 2 arsinh(u/sqrt(v_turn)),
+
+as for the implicit waves of the Harry Dym equation (Hereman, Banerjee &
+Chatterjee, J. Phys. A 22, 1989). It is tabulated on nodes clustered toward
+v0, where xi diverges logarithmically, and inverted by Newton's method; the
+table stops at v0 - tail_cut and the remaining tail is the linearized
+exponential v0 - C*exp(-kappa*xi) with kappa = sqrt((v0^3 - lambda)/v0^3).
 
 Route 2 (shooting): integrate v'' = (lambda/2)(1/v^2 - 1/v0^2) + (v - v0)
 outward from the minimum (v(0) = v_turn, v'(0) = 0) with an adaptive
@@ -17,27 +20,23 @@ TAIL_SWITCH_REL of the background and the same linearized tail takes over;
 integrating further would let the accumulated error grow like
 exp(+kappa*xi) and contaminate the tail.
 
-The two constructions share no machinery beyond eval_S, which makes their
-pointwise agreement a strong cross-validation.
+The two constructions share no machinery beyond the turning point, which
+makes their pointwise agreement a strong cross-validation.
 
 Shooting runs the DOP853 pair of ``_dop853`` in Python floats, with
 SciPy's tableau, step-size controller, dense output and event root search.
 On this 2-D system SciPy's integrator spends most of its time in per-step
 NumPy calls on 2-element arrays, and importing ``scipy.integrate`` loads
-about 350 SciPy modules (about 50 MB and 0.3 s of CPU), so no command
-imports SciPy at all. SciPy's DOP853 stays in the tests as the oracle.
-``QuadratureSolution`` imports ``scipy.interpolate.BPoly`` when it is
-first evaluated, which no command does.
+about 350 SciPy modules (about 50 MB and 0.3 s of CPU), so no module here
+imports SciPy. SciPy's DOP853 stays in the tests as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Literal
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .core import Grid1D, NumericalError, SolitonParams, Trajectory
 from .pseudopotential import eval_S, existence_check, turning_points
@@ -47,6 +46,9 @@ TAIL_CUT_REL = 1e-8
 
 #: Fraction of the depth below v0 at which shooting hands over to the tail.
 TAIL_SWITCH_REL = 1e-4
+
+#: Newton steps that refine the interpolated root of xi(u) = |xi|.
+NEWTON_STEPS = 3
 
 #: Shooting solver tolerances; the profile error budget must sit far below
 #: the tolerances of the PDE runs it seeds.
@@ -60,10 +62,9 @@ MIN_DECAY_LENGTHS = 20.0
 def decay_rate(params: SolitonParams) -> float:
     """Linearized tail decay rate sqrt((v0^3 - lambda)/v0^3) about v = v0."""
     lam, v0 = params.lambda_speed, params.v0
-    arg = (v0**3 - lam) / v0**3
-    if arg <= 0.0:
+    if not 0.0 < lam < v0**3:
         raise ValueError("decay rate undefined outside the existence domain")
-    return float(np.sqrt(arg))
+    return float(np.sqrt((v0**3 - lam) / v0**3))
 
 
 def require_admissible(params: SolitonParams) -> None:
@@ -111,92 +112,64 @@ class ProfileMetrics:
 
 
 class QuadratureSolution:
-    """Callable v(xi) built from the first-integral quadrature table.
+    """Callable v(xi), even, on the closed-form table of the first integral.
 
-    Inside the tabulated window the inverse map is a quintic Hermite
-    interpolant with exact slopes dv/dxi = sqrt(-2 S(v)) and exact
-    curvatures from the profile ODE; beyond it the linearized exponential
-    tail is used. Even in xi by construction.
-
-    The spline's degree-5 Bernstein coefficients are written in closed form
-    for all intervals at once (``_quintic_hermite``), in place of
-    ``BPoly.from_derivatives``, which builds the same coefficients interval
-    by interval in Python. The spline is built on first evaluation, so a
-    caller that reads only the node table ``xi``/``v`` never builds it.
+    Inside the table v = v_turn + u^2, where u solves ``_flank_xi(u) = |xi|``
+    by ``NEWTON_STEPS`` Newton steps from linear interpolation on the table,
+    each kept inside the bracketing table interval; beyond it, the linear tail.
     """
 
     def __init__(self, params: SolitonParams, xi: np.ndarray, v: np.ndarray,
-                 panel_defect: float):
+                 u: np.ndarray):
         self.params = params
         self.xi = xi
         self.v = v
         self.kappa = decay_rate(params)
-        self.panel_defect = panel_defect
+        self.u = u
         self._xi_end = xi[-1]
         self._v_end = v[-1]
-
-    @cached_property
-    def _spline(self):
-        from scipy.interpolate import BPoly
-
-        xi, v = self.xi, self.v
-        slopes = _orbit_slope(v, self.params)
-        slopes[0] = 0.0
-        lam, v0 = self.params.lambda_speed, self.params.v0
-        curvatures = 0.5 * lam * (1.0 / v**2 - 1.0 / v0**2) + (v - v0)
-        return BPoly(_quintic_hermite(xi, v, slopes, curvatures), xi)
 
     def __call__(self, xi) -> np.ndarray:
         w = np.abs(np.asarray(xi, dtype=float))
         inside = w <= self._xi_end
         out = np.empty_like(w)
-        out[inside] = self._spline(w[inside])
+        w_in = w[inside]
+        j = np.clip(np.searchsorted(self.xi, w_in), 1, self.u.size - 1)
+        lo, hi = self.u[j - 1], self.u[j]
+        u = np.interp(w_in, self.xi, self.u)
         v0 = self.params.v0
+        v_turn = self.v[0]
+        depth = v0 - v_turn
+        for _ in range(NEWTON_STEPS):
+            gap = depth - u * u
+            slope = 2.0 * np.sqrt(v_turn + u * u) / gap
+            u = np.clip(u - (_flank_xi(u, gap, v_turn, v0) - w_in) / slope, lo, hi)
+        out[inside] = v_turn + u * u
         out[~inside] = v0 - (v0 - self._v_end) * np.exp(
             -self.kappa * (w[~inside] - self._xi_end)
         )
         return out
 
 
-def _quintic_hermite(xi: np.ndarray, y: np.ndarray, dy: np.ndarray,
-                     d2y: np.ndarray) -> np.ndarray:
-    """(6, m) Bernstein coefficients of the quintic matching y, y', y'' at xi.
+def _flank_xi(u: np.ndarray, gap: np.ndarray, v_turn: float,
+              v0: float) -> np.ndarray:
+    """The closed form xi(u) of the flank, given ``gap`` = v0 - v.
 
-    On an interval of width h with left data (y, y', y'') and right data
-    (Y, Y', Y''): c0 = y, c1 = y + h y'/5, c2 = y + 2h y'/5 + h^2 y''/20,
-    c3 = Y - 2h Y'/5 + h^2 Y''/20, c4 = Y - h Y'/5, c5 = Y. c2 and c3 are
-    formed from c1 and c4 as ``BPoly.from_derivatives`` forms them.
+    Its artanh(x), x = sqrt(v0/(b v)) u, is log1p(2x/(1 - x))/2 with
+    1 - x = v_turn gap/(sqrt(b v) (sqrt(b v) + sqrt(v0) u)), so nothing
+    cancels as v -> v0 if ``gap`` is exact.
     """
-    h = np.diff(xi)
-    c = np.empty((6, h.size))
-    c[0] = y[:-1]
-    c[1] = y[:-1] + dy[:-1] / 5.0 * h
-    c[2] = d2y[:-1] / 20.0 * h**2 - y[:-1] + 2.0 * c[1]
-    c[5] = y[1:]
-    c[4] = y[1:] - dy[1:] / 5.0 * h
-    c[3] = d2y[1:] / 20.0 * h**2 + 2.0 * c[4] - y[1:]
-    return c
-
-
-def _orbit_slope(v: np.ndarray, params: SolitonParams) -> np.ndarray:
-    """|dv/dxi| = sqrt(-2 S(v)) on the orbit, in the factorized form."""
-    lam, v0 = params.lambda_speed, params.v0
-    v_turn = lam / v0**2
-    q = (v - v_turn) * (v0 - v) ** 2 / v
-    return np.sqrt(np.maximum(q, 0.0))
+    b = v0 - v_turn
+    root_bv = np.sqrt(b * (v_turn + u * u))
+    root_v0_u = np.sqrt(v0) * u
+    ratio = 2.0 * root_v0_u * (root_bv + root_v0_u) / (v_turn * gap)
+    return np.sqrt(v0 / b) * np.log1p(ratio) - 2.0 * np.arcsinh(u / np.sqrt(v_turn))
 
 
 def solve_quadrature(
     params: SolitonParams, n_points: int = 800, tail_cut: float | None = None
 ) -> QuadratureSolution:
-    """Tabulate xi(v) by Gauss-Legendre panels in the regularized variable.
-
-    With u = sqrt(v - v_turn) the flank integral becomes
-    xi = int 2*sqrt(v_turn + u^2) / (v0 - v_turn - u^2) du, analytic on the
-    whole panel range. Nodes cluster geometrically toward v0 where xi(v)
-    diverges. Every panel is evaluated at two quadrature orders; their
-    mismatch is the convergence diagnostic.
-    """
+    """Tabulate the closed-form xi(v) of the flank up to v0 - tail_cut."""
     require_admissible(params)
     tp = turning_points(params)
     v0, v_turn = params.v0, tp.v_turn
@@ -210,7 +183,8 @@ def solve_quadrature(
 
     # Lower half of the orbit: uniform in u (dense xi resolution around the
     # minimum). Upper half: geometric ladder in t = (v0 - v)/depth down to
-    # the tail cut, resolving the logarithmic divergence of xi(v) at v0.
+    # the tail cut, resolving the logarithmic divergence of xi(v) at v0;
+    # there v0 - v is depth*t, free of the cancellation in depth - u^2.
     n_lo = n_points // 2
     u_half = np.sqrt(0.5 * depth)
     u_lo = np.linspace(0.0, u_half, n_lo, endpoint=False)
@@ -219,26 +193,12 @@ def solve_quadrature(
     u = np.concatenate((u_lo, u_hi))
     v = v_turn + u**2
     v[0] = v_turn
-
-    def panel_sums(order: int) -> np.ndarray:
-        nodes, weights = leggauss(order)
-        lo, hi = u[:-1], u[1:]
-        mid = 0.5 * (hi + lo)
-        half = 0.5 * (hi - lo)
-        uu = mid[:, None] + half[:, None] * nodes[None, :]
-        g = 2.0 * np.sqrt(v_turn + uu**2) / (v0 - v_turn - uu**2)
-        return half * (g @ weights)
-
-    coarse = panel_sums(16)
-    fine = panel_sums(24)
-    defect = float(np.max(np.abs(fine - coarse)))
-    xi = np.concatenate(([0.0], np.cumsum(fine)))
-    if defect > 1e-9 * (1.0 + xi[-1]):
-        raise NumericalError(
-            f"flank quadrature did not converge: max panel defect {defect:.3e} "
-            f"over {n_points - 1} panels (lambda={params.lambda_speed}, v0={v0})"
-        )
-    return QuadratureSolution(params, xi, v, defect)
+    gap = np.concatenate((depth - u_lo**2, depth * t_hi))
+    with np.errstate(over="ignore", divide="ignore"):
+        xi = _flank_xi(u, gap, v_turn, v0)
+    if not np.isfinite(xi[-1]):
+        raise NumericalError(f"closed-form xi overflows at lambda={params.lambda_speed}")
+    return QuadratureSolution(params, xi, v, u)
 
 
 def profile_by_quadrature(
@@ -320,9 +280,13 @@ def solve_shooting(params: SolitonParams, xi_max: float) -> ShootingSolution:
     def accel(v):
         return half_lam * (1.0 / (v * v) - inv_v0_sq) + (v - v0)
 
+    v_collapse = 0.1 * v_turn
+    if v_collapse * v_collapse < 1.0 / np.finfo(float).max:
+        raise NumericalError(f"turning point v_turn = {v_turn:.6g} is too deep to "
+                             "shoot: 1/v^2 overflows at v_turn/10")
     v_stop = v0 - TAIL_SWITCH_REL * (v0 - v_turn)
     steps, dense, rejected = dop853(accel, v_turn, float(xi_max), v_stop,
-                                    0.1 * v_turn, SHOOT_RTOL, SHOOT_ATOL)
+                                    v_collapse, SHOOT_RTOL, SHOOT_ATOL)
     if steps[-1][1] > v0:
         raise NumericalError("profile shooting overshot the background v0")
     return ShootingSolution(params, steps, dense, rejected)

@@ -7,12 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fhdlab
 from fhdlab import output
-from fhdlab.cli import COMMANDS, USAGE, build_parser, main, resolve_config
+from fhdlab.cli import (
+    COMMANDS,
+    USAGE,
+    _OPTIONS,
+    _kind,
+    build_parser,
+    main,
+    resolve_config,
+)
 from fhdlab.core import Field, SolitonParams, make_grid
 from fhdlab.evolution import EvolveConfig, evolve
 from fhdlab.output import (
@@ -285,6 +293,40 @@ class TestUsageAndExitCodes:
         assert "positivity" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv, code, message", [
+        # v0**3 of a float raises OverflowError above about 5.6e102, and the
+        # terms of S(v), of size v0^5, leave the floats outside [1e-60, 1e60]
+        (["scan-existence", "--v0", "1e200"], 2, "error: background v0 must lie in"),
+        (["reduce-check", "--v0", "1e200"], 2, "error: background v0 must lie in"),
+        (["potential", "--v0", "5e102"], 2, "error: background v0 must lie in"),
+        (["evolve", "--v0", "5e-324"], 2, "error: background v0 must lie in"),
+        # at the turning point 1e-300 the closed form's ratio overflows and
+        # the shooting ODE's v*v underflows to 0
+        (["profile", "--lambda", "1e-300"], 3,
+         "numerical failure: closed-form xi overflows at lambda=1e-300"),
+        (["evolve", "--lambda", "1e-300", "--n", "64"], 3,
+         "numerical failure: turning point v_turn = 1e-300 is too deep to shoot"),
+        (["reduce-check", "--xmax", "1e200"], 2, "error: grid spacing dx"),
+        (["reduce-check", "--lambda-spec", "1e308"], 3,
+         "numerical failure: the reduction check overflows"),
+        (["evolve", "--n", "64", "--t-final", "0.1", "--cfl", "5e-324"], 2,
+         "error: dt = cfl*dx^3/max(v)^3 = 9.88e-324 is below the float"),
+        (["evolve", "--n", "64", "--t-final", "1e-300"], 2,
+         "error: frames span too short a time"),
+    ])
+    def test_extreme_values_exit_with_one_line(self, tmp_path, capfd, argv, code,
+                                               message):
+        assert main(argv + ["--output-dir", str(tmp_path)]) == code
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1, err
+
+    def test_output_directory_that_is_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        for output in (tmp_path / "file", tmp_path / "file" / "sub"):
+            assert main(["scan-existence", "--output-dir", str(output)]) == 2
+            assert "error: cannot create output directory" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["profile", "--config", str(tmp_path / "absent.json"),
                      "--output-dir", str(tmp_path)])
@@ -394,6 +436,20 @@ class TestColdStart:
             (["nosuch"], 64),
         ]
         done = _run_fresh(_COLD_START.format(cases=cases), tmp_path)
+        assert done.returncode == 0, done.stderr
+
+    def test_quadrature_profile_does_not_load_it(self, tmp_path):
+        script = """
+import sys
+import numpy as np
+from fhdlab.core import SolitonParams
+from fhdlab.profiles import solve_quadrature
+
+v = solve_quadrature(SolitonParams(0.5, 1.0))(np.linspace(-40.0, 40.0, 801))
+assert v.min() == 0.5
+assert not [name for name in sys.modules if name.startswith("scipy")]
+"""
+        done = _run_fresh(script, tmp_path)
         assert done.returncode == 0, done.stderr
 
 
@@ -652,6 +708,22 @@ class TestVerifyLaxCommand:
                             parse_constant=_reject_constant)
         assert report["entry_norms"][2] is None
 
+    def test_overflowing_residual_prints_one_line(self, tmp_path):
+        # the overflow inside the patch evaluation is reported by the check,
+        # not by NumPy warnings on stderr
+        script = """
+import sys
+from fhdlab.cli import main
+sys.exit(main(["verify-lax", "--lambda", "0.5", "--lambda-spec", "3e153",
+               "--n", "512", "--output-dir", "out"]))
+"""
+        done = _run_fresh(script, tmp_path)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "numerical failure: verify-lax check failed"), done.stderr
+
     def test_under_resolved_check_exits_3(self, tmp_path, capsys):
         code = main(["verify-lax", "--lambda", "0.5", "--v0", "1", "--n", "64",
                      "--output-dir", str(tmp_path)])
@@ -718,3 +790,74 @@ def test_outputs_are_standard_json(tmp_path, capsys, argv, code):
     assert len(documents) >= 2
     for text in documents:
         json.loads(text, parse_constant=_reject_constant)
+
+
+# values a flag is fuzzed with, per kind: the edges of the float range, values
+# on either side of each option's domain, non-finite values, and text that
+# is no number. Integers stop at 64, and 512 outside evolve, and evolve runs
+# to t_final <= 0.1, so that every run stays small.
+_FUZZ_FLOATS = ["0", "-0", "-1", "5e-324", "1e-300", "1e-12", "0.1", "0.5", "1",
+                "2", "1e12", "5e102", "1e200", "1.7976931348623157e308", "-1e308",
+                "nan", "inf", "-inf"]
+_FUZZ_INTS = ["-9223372036854775809", "-1", "0", "1", "7", "8", "9", "63", "64"]
+_FUZZ_TEXT = ["", "abc", "1e", "0x1p3", "1,5", "--"]
+_FUZZ_FLAGS = {flag: field for field, (_, flag) in _OPTIONS.items()
+               if flag is not None and flag != "--output-dir"}
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    """A command and up to four flags with fuzzed values."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    # the defaults n = 2048 and t_final = 5 make runs of seconds
+    required = {"evolve": ["--n", "--t-final"], "verify-lax": ["--n"]}
+    optional = sorted(set(_FUZZ_FLAGS) - set(required.get(command, [])))
+    flags = required.get(command, []) + draw(
+        st.lists(st.sampled_from(optional), max_size=4, unique=True))
+    argv = [command]
+    for flag in flags:
+        kind = _kind(_FUZZ_FLAGS[flag])[0]
+        if kind == "true or false":
+            argv.append(flag)
+            continue
+        if kind == "a number":
+            values = _FUZZ_FLOATS
+            if command == "evolve" and flag == "--t-final":
+                values = [x for x in values if not float(x) > 0.1]
+            if command == "evolve" and flag == "--cfl":
+                values = [x for x in values if x != "1e-12"]  # 1e11 steps
+        else:
+            values = _FUZZ_INTS
+            if command != "evolve" and flag in ("--n", "--steps"):
+                values = values + ["512"]
+        text = draw(st.integers(0, 7)) == 0
+        argv += [flag, draw(st.sampled_from(_FUZZ_TEXT if text else values))]
+    return argv
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_fuzzed_argv(),
+           output=st.sampled_from(["out", "", "file", "file/sub"]))
+    def test_every_command_exits_with_a_contract_code(self, tmp_path_factory,
+                                                      capfd, argv, output):
+        # 0 ok, 2 validation, 3 numerical, 64 unknown command, whatever each
+        # flag holds; never a traceback, and stdout holds the one summary
+        # line of a success or nothing. An output directory that is a file,
+        # or lies under one, is a validation error.
+        cwd = tmp_path_factory.mktemp("fuzz")
+        (cwd / "file").write_text("")
+        old = os.getcwd()
+        os.chdir(cwd)
+        try:
+            code = main(argv + ["--output-dir", output])
+        finally:
+            os.chdir(old)
+        out, err = capfd.readouterr()
+        assert code in (0, 2, 3, 64), (code, err)
+        assert "Traceback" not in out + err
+        if code == 0:
+            assert json.loads(out, parse_constant=_reject_constant)["status"] == "ok"
+        else:
+            assert out == "", out

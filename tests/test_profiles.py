@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad as scipy_quad
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
 
@@ -14,9 +15,9 @@ from fhdlab.profiles import (
     MIN_DECAY_LENGTHS,
     SHOOT_ATOL,
     SHOOT_RTOL,
+    TAIL_CUT_REL,
     TAIL_SWITCH_REL,
     Profile,
-    _orbit_slope,
     decay_rate,
     profile_by_quadrature,
     profile_by_shooting,
@@ -99,25 +100,90 @@ class TestQuadratureProfile:
             assert prof.v.max() <= 1.0 + 1e-8
 
 
+class TestClosedForm:
+    """The closed-form table and its inverse over the whole existence domain.
+
+    lambda/v0^3 is drawn log-uniformly down to 1e-4 and up to 0.9999, where
+    the orbit is 1e-4 v0 deep and about 2000 units long.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_frac=st.floats(-4.0, np.log10(0.9999)), v0=st.floats(0.5, 2.0))
+    def test_table_matches_adaptive_quadrature(self, log_frac, v0):
+        # nodes up to 5/8 of the table, where the first integral's
+        # conditioning still allows 1e-11; the upper tail nodes sit where a
+        # rounding of v alone moves xi by more
+        params = SolitonParams(10.0**log_frac * v0**3, v0)
+        sol = solve_quadrature(params)
+        v_turn = sol.v[0]
+        depth = v0 - v_turn
+
+        def integrand(u):
+            return 2.0 * np.sqrt(v_turn + u * u) / (depth - u * u)
+
+        n = sol.xi.size
+        for j in (1, n // 8, n // 4, n // 2 - 1, n // 2, 5 * n // 8):
+            ref, _ = scipy_quad(integrand, 0.0, sol.u[j], epsabs=1e-13,
+                                epsrel=1e-13, limit=200)
+            assert sol.xi[j] == pytest.approx(ref, abs=1e-11)
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_frac=st.floats(-4.0, np.log10(0.9999)), v0=st.floats(0.5, 2.0))
+    def test_tail_matches_quadrature_in_log_gap(self, log_frac, v0):
+        # from the first upper node, v0 - v = depth/2, to the last,
+        # v0 - v = tail_cut: in sigma = log(v0 - v) the integrand
+        # dxi/dsigma = sqrt(v/(v - v_turn)) is smooth and bounded
+        params = SolitonParams(10.0**log_frac * v0**3, v0)
+        sol = solve_quadrature(params)
+        v_turn = sol.v[0]
+        depth = v0 - v_turn
+
+        def integrand(sigma):
+            gap = np.exp(sigma)
+            return np.sqrt((v0 - gap) / (depth - gap))
+
+        ref, _ = scipy_quad(integrand, np.log(TAIL_CUT_REL * depth),
+                            np.log(0.5 * depth), epsabs=0.0, epsrel=1e-13)
+        span = sol.xi[-1] - sol.xi[sol.xi.size // 2]
+        assert span == pytest.approx(ref, rel=1e-13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_frac=st.floats(-4.0, np.log10(0.9999)), v0=st.floats(0.5, 2.0))
+    def test_inverse_round_trips(self, log_frac, v0):
+        # the nodes of a second table fall between those of the first
+        params = SolitonParams(10.0**log_frac * v0**3, v0)
+        sol = solve_quadrature(params)
+        other = solve_quadrature(params, n_points=1001)
+        assert np.max(np.abs(sol(sol.xi) - sol.v)) <= 1e-14 * v0
+        assert np.max(np.abs(sol(other.xi) - other.v)) <= 1e-14 * v0
+
+    @settings(max_examples=25, deadline=None)
+    @given(log_frac=st.floats(-4.0, np.log10(0.999)), v0=st.floats(0.5, 2.0))
+    def test_shooting_agrees(self, log_frac, v0):
+        params = SolitonParams(10.0**log_frac * v0**3, v0)
+        quad = solve_quadrature(params)
+        shoot = solve_shooting(params, xi_max=quad.xi[-1])
+        assert np.max(np.abs(shoot(quad.xi) - quad.v)) / v0 < 1e-6
+
+
 class TestQuadratureSpline:
     @pytest.mark.parametrize(
         "lam", [1e-4, 6e-4, 0.2, 0.5, 0.8, 1.0 - 6e-4, 1.0 - 1e-4]
     )
     def test_closed_form_matches_from_derivatives(self, lam):
-        # BPoly.from_derivatives builds the same quintic Hermite interpolant
-        # interval by interval; it is the oracle for the closed form
+        # BPoly.from_derivatives interpolates the table by quintics with the
+        # exact slopes sqrt(-2 S(v)) and the curvatures of the profile ODE:
+        # an oracle for v(xi) between the nodes that shares nothing with the
+        # Newton steps (largest difference seen 4.0e-12, at lambda 0.2)
         params = SolitonParams(lam, 1.0)
         sol = solve_quadrature(params)
-        slopes = _orbit_slope(sol.v, params)
-        slopes[0] = 0.0
+        slopes = np.sqrt(np.maximum(-2.0 * eval_S(sol.v, params), 0.0))
         curvatures = 0.5 * lam * (1.0 / sol.v**2 - 1.0) + (sol.v - 1.0)
         oracle = BPoly.from_derivatives(
             sol.xi, np.column_stack((sol.v, slopes, curvatures))
         )
-        assert sol._spline.c.shape == oracle.c.shape == (6, sol.xi.size - 1)
-        assert np.max(np.abs(sol._spline.c - oracle.c)) <= 4.5e-16
         xi = np.linspace(0.0, sol.xi[-1], 20001)
-        assert np.max(np.abs(sol(xi) - oracle(xi))) <= 4.5e-16
+        assert np.max(np.abs(sol(xi) - oracle(xi))) <= 1e-11
 
 
 class TestShootingProfile:
