@@ -271,6 +271,14 @@ def _out_dir(config: RunConfig) -> Path:
 
 
 def run_scan_existence(config: RunConfig) -> dict:
+    # np.linspace warns and then yields NaN for a bound or span that is not finite
+    for field in ("lambda_min", "lambda_max"):
+        if not math.isfinite(getattr(config, field)):
+            path, flag = _OPTIONS[field]
+            raise ValueError(f"{flag} ({'.'.join(path)}) must be finite, "
+                             f"got {getattr(config, field)}")
+    if not math.isfinite(config.lambda_max - config.lambda_min):
+        raise ValueError("--lambda-max minus --lambda-min overflows")
     lambdas = np.linspace(config.lambda_min, config.lambda_max, config.steps)
     admissible = np.zeros(lambdas.size)
     curvature = np.zeros(lambdas.size)

@@ -10,37 +10,38 @@ at 0.5.
 
 The dispersive limit makes runs long (about 26k steps at n=1024 to t=5)
 on arrays small enough that per-call overhead, not arithmetic, sets the
-cost of a step. The stepper therefore allocates nothing inside its loop
-but the one array ``np.correlate`` returns: one padded stage buffer (n
-interior values plus 3 periodic ghost cells on each side), the four stage
-slopes and an (n+4) gap buffer are allocated once per run, every stage and
-the final combination are formed in place, and only the 3+3 ghost cells
-are refreshed before each right-hand-side call. max(v) and min(v) are
-reduced once per step, after the update; that max sets the next step's
-dt. Recorded steps are copied straight into one (frames, n) buffer, sized
-up front from the first step's dt and doubled only if max(v) rises enough
-to need more.
+cost of a step, so a step is about 30 NumPy calls on buffers allocated
+once per run. v sits in row 0 of a (4, n+24) buffer inside a 12-cell
+periodic halo per side, 3 cells for each stage: stage s reads row s on
+[3s, n+24-3s), its slope is valid 3 cells further in, and stage s+1 is one
+add of v and that increment into row s+1. One gather refreshes the halo of
+v once per step (for n < 12 it wraps the grid more than once). dt is folded
+into the taps, so the right-hand sides write dt/2 k1, dt/2 k2, dt k3 and
+dt k4, which one matmul with the weights (1/3, 2/3, 1/3, 1/6) and one add
+combine into v. max(v) and min(v) are reduced once per step; that max sets
+the next dt. Recorded steps are copied into one (frames, n) buffer, sized
+from the first dt and doubled only if max(v) rises enough to need more.
 
-The fused 7-point stencil c3(p0-p6) - c2(p1-p5) + c1(p2-p4) of the padded
-buffer p is evaluated through the gap-2 difference g_j = p_j - p_{j+2}:
+The fused 7-point stencil c3(p0-p6) - c2(p1-p5) + c1(p2-p4) of a stage
+window p is evaluated through the gap-2 difference g_j = p_j - p_{j+2}:
 p2-p4 = g2, p1-p5 = g1+g3 and p0-p6 = g0+g2+g4, so the stencil is one
-5-tap correlation of g with the symmetric taps (c3, -c2, c3+c1, -c2, c3).
-A right-hand side is then 7 NumPy calls: 2 ghost-cell copies, the gap
-difference, the correlation and 3 in-place multiplies by v.
+5-tap correlation of g with the symmetric taps (c3, -c2, c3+c1, -c2, c3),
+and a right-hand side is 5 NumPy calls: the difference, the correlation
+and 3 in-place multiplies by v.
 
-Symmetric taps applied to an antisymmetric difference give an operator
-whose matrix is exactly antisymmetric for the float taps: the neighbour
-at offset d gets the weight t_{3+d} - t_{1+d} (taps t_0..t_4, zero
-outside), which t_j = t_{4-j} makes the exact negative of the weight at
-offset -d. So the semi-discrete system conserves sum(1/v), since
-d/dt sum(1/v) = -v.(A v) = 0, and the integral of 1/v is a sharp accuracy
-diagnostic for the time integration. A constant field has g = 0 exactly,
-hence an exactly zero right-hand side: it is a bit-exact fixed point.
+Symmetric taps on an antisymmetric difference give an exactly
+antisymmetric operator for the float taps, scaled by dt or not: the
+neighbour at offset d gets the weight t_{3+d} - t_{1+d} (taps t_0..t_4,
+zero outside), which t_j = t_{4-j} makes the exact negative of the weight
+at offset -d. So the semi-discrete system conserves sum(1/v), a sharp
+diagnostic of the time error, since d/dt sum(1/v) = -v.(A v) = 0; a
+constant field has g = 0 and so is a bit-exact fixed point.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +86,7 @@ class EvolutionAborted(NumericalError):
         self.trajectory = trajectory
 
 
-def _windows(padded: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Views of a buffer of n+6 values that ``_rhs`` reads and writes.
-
-    The field padded[3:n+3]; the left and the right 3 ghost cells, each
-    paired with the interior cells it mirrors; and the two operands
-    padded[:n+4] and padded[2:] of the gap-2 difference. Building the
-    views once per run keeps slicing out of the step loop.
-    """
-    n = padded.shape[-1] - 6
-    return (padded[3 : n + 3], padded[:3], padded[n : n + 3], padded[n + 3 :],
-            padded[3:6], padded[: n + 4], padded[2:])
+HALO = 12  # 3 periodic cells per RK4 stage on each side of the state
 
 
 def _taps(dx: float) -> np.ndarray:
@@ -106,20 +97,15 @@ def _taps(dx: float) -> np.ndarray:
     return np.array([c3, -c2, c3 + c1, -c2, c3])
 
 
-def _rhs(
-    windows: tuple[np.ndarray, ...], taps: np.ndarray, out: np.ndarray, gap: np.ndarray
-) -> np.ndarray:
-    """Write v^3 (v_xxx - v_x) into ``out`` in 7 NumPy calls.
+def _rhs(head: np.ndarray, tail: np.ndarray, v: np.ndarray, taps: np.ndarray,
+         gap: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write v^3 times the stencil of ``taps`` into ``out`` in 5 NumPy calls.
 
-    Refreshes the ghost cells of the ``_windows`` buffer p (2 calls), writes
-    g_j = p_j - p_{j+2} into the (n+4)-array ``gap`` (1), correlates g with
-    the ``_taps`` (1) and multiplies by v three times (3). Symmetric taps on
-    the antisymmetric g make the operator exactly antisymmetric, so sum(1/v)
-    is a semi-discrete invariant; a constant field has g = 0, hence 0 here.
+    For a window p of m periodic values, head = p[:-2], tail = p[2:] and
+    v = p[3:-3]: writes g = head - tail into the (m-2)-array ``gap``,
+    correlates g with the taps and multiplies by v three times, so ``out``
+    holds m-6 values. A constant window has g = 0, hence 0 here.
     """
-    v, left, left_src, right, right_src, head, tail = windows
-    left[...] = left_src
-    right[...] = right_src
     np.subtract(head, tail, out=gap)
     np.multiply(np.correlate(gap, taps, "valid"), v, out=out)
     out *= v
@@ -133,11 +119,55 @@ def rhs_fhd(field: Field) -> Field:
         raise ValueError("the evolution operator requires a periodic grid")
     if np.any(field.values <= 0.0):
         raise ValueError("field must be strictly positive")
-    n = field.grid.n
-    windows = _windows(np.empty(n + 6))
-    windows[0][...] = field.values
-    rhs = _rhs(windows, _taps(field.grid.dx), np.empty(n), np.empty(n + 4))
+    v = field.values
+    p = np.concatenate((v[-3:], v, v[:3]))
+    rhs = _rhs(p[:-2], p[2:], v, _taps(field.grid.dx), np.empty(v.size + 4), np.empty(v.size))
     return Field(field.grid, rhs)
+
+
+def _rk4(values: np.ndarray, dx: float) -> tuple[np.ndarray, Callable[[float], None]]:
+    """The state v, a view that starts as ``values``, and its RK4 step(dt).
+
+    step advances v in place, calls the module's ``_rhs`` 4 times and
+    allocates only the arrays ``np.correlate`` returns.
+    """
+    n = values.size
+    width = n + 2 * HALO
+    rows, incs = np.empty((2, 4, width))  # stage s and its increment in row s
+    gap = np.empty(width - 2)
+    taps = _taps(dx)
+    half, full = scaled = np.empty((2, 5))  # taps dt/2 for stages 1-2, taps dt for 3-4
+    vp = rows[0]
+    v = vp[HALO : HALO + n]
+    v[...] = values
+    ghost = np.r_[:HALO, HALO + n : width]
+    source = HALO + (ghost - HALO) % n
+    inner = [slice(3 * s + 3, width - 3 * s - 3) for s in range(4)]
+    k1, k2, k3, k4 = [(rows[s, 3 * s : width - 3 * s - 2], rows[s, 3 * s + 2 : width - 3 * s],
+                       rows[s, inner[s]], scaled[s // 2], gap[: width - 6 * s - 2],
+                       incs[s, inner[s]]) for s in range(4)]
+    # stage s+1 = v + increment s, on the cells where that increment is valid
+    a1, a2, a3 = [(vp[inner[s]], incs[s, inner[s]], rows[s + 1, inner[s]]) for s in range(3)]
+    weights = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
+    interior = incs[:, HALO : HALO + n]
+    combined = np.zeros(n)  # some BLAS builds scale it by beta = 0, keeping NaN
+
+    def step(dt: float) -> None:
+        vp[ghost] = vp[source]
+        np.multiply(taps, 0.5 * dt, out=half)
+        np.multiply(taps, dt, out=full)
+        _rhs(*k1)
+        np.add(*a1)
+        _rhs(*k2)
+        np.add(*a2)
+        _rhs(*k3)
+        np.add(*a3)
+        _rhs(*k4)
+        # v += (dt/6) (k1 + 2 k2 + 2 k3 + k4) from dt/2 k1, dt/2 k2, dt k3, dt k4
+        np.matmul(weights, interior, out=combined)
+        np.add(v, combined, out=v)
+
+    return v, step
 
 
 def evolve(field: Field, config: EvolveConfig) -> Trajectory:
@@ -146,31 +176,20 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
     The step size cfl*dx^3/max(v)^3 is refreshed from the current state so
     general initial data stay inside the stability region even if max(v)
     drifts. Aborts (with the partial trajectory attached) on any value
-    dropping below the positivity floor or turning non-finite. The state
-    and all RK4 stage arrays are allocated once; recorded steps are copied
-    into rows of one frame buffer, of which the trajectory keeps a view.
+    dropping below the positivity floor or turning non-finite. Recorded
+    steps go to rows of one frame buffer; the trajectory is a view of it.
     """
     if not field.grid.periodic:
         raise ValueError("evolve requires a periodic grid")
-    v = field.values.copy()
-    if np.any(v <= 0.0):
+    if np.any(field.values <= 0.0):
         raise ValueError("initial field must be strictly positive")
-    grid = field.grid
-    n = grid.n
-    dx = grid.dx
+    grid, n = field.grid, field.grid.n
     floor = config.positivity_floor
     if floor is None:
-        floor = 0.01 * float(v.max())
-
-    windows = _windows(np.empty(n + 6))
-    stage = windows[0]
-    taps = _taps(dx)
-    k1, k2, k3, k4 = np.empty((4, n))
-    gap = np.empty(n + 4)
-    dt_scale = config.cfl_constant * dx**3
-
-    t = 0.0
-    steps = 0
+        floor = 0.01 * float(field.values.max())
+    v, step = _rk4(field.values, grid.dx)
+    dt_scale = config.cfl_constant * grid.dx**3
+    t, steps = 0.0, 0
     vmax = v.max()
     dt_first = dt_scale / vmax**3
     # a step that t_final + dt rounds away could never end the run
@@ -189,30 +208,11 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
         last = t + dt * (1.0 + 1e-6) >= config.t_final
         if last:
             dt = config.t_final - t
-
-        stage[...] = v
-        _rhs(windows, taps, k1, gap)
-        np.multiply(k1, 0.5 * dt, out=stage)
-        stage += v
-        _rhs(windows, taps, k2, gap)
-        np.multiply(k2, 0.5 * dt, out=stage)
-        stage += v
-        _rhs(windows, taps, k3, gap)
-        np.multiply(k3, dt, out=stage)
-        stage += v
-        _rhs(windows, taps, k4, gap)
-        # v += (dt/6) (k1 + 2 (k2 + k3) + k4), accumulated in k2
-        k2 += k3
-        k2 *= 2.0
-        k2 += k1
-        k2 += k4
-        k2 *= dt / 6.0
-        v += k2
+        step(dt)
         t = config.t_final if last else t + dt
         steps += 1
-
         vmin, vmax = v.min(), v.max()
-        if not (np.isfinite(vmin) and np.isfinite(vmax)):
+        if not (math.isfinite(vmin) and math.isfinite(vmax)):
             raise EvolutionAborted(
                 f"non-finite values at t={t:.6g} (step {steps})",
                 Trajectory(grid, times, frames[: len(times)]),

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,22 @@ class TestUsageAndExitCodes:
         assert out == ""
         assert err.startswith(message) and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("bounds, message", [
+        (["--lambda-max", "inf"], "error: --lambda-max (scan.lambda_max) must be finite"),
+        (["--lambda-min", "nan"], "error: --lambda-min (scan.lambda_min) must be finite"),
+        (["--lambda-min=-1e308", "--lambda-max", "1e308"],
+         "error: --lambda-max minus --lambda-min overflows"),
+    ])
+    def test_scan_bounds_that_are_not_finite_exit_2(self, tmp_path, capfd, bounds,
+                                                      message):
+        # np.linspace used to warn on stderr, then fail on the NaN lambdas
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scan-existence", *bounds, "--output-dir", str(tmp_path)]) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1, err
+
     def test_output_directory_that_is_a_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         for output in (tmp_path / "file", tmp_path / "file" / "sub"):
@@ -537,6 +554,20 @@ class TestDeterminism:
         capsys.readouterr()
         for name in ("potential.csv", "phase.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_evolve_gives_identical_bytes(self, tmp_path, capsys):
+        # the RK4 slope combination is a matmul, which may run through BLAS;
+        # one output directory, since the files record the config that names it
+        args = ["evolve", "--n", "256", "--t-final", "0.2", "--cfl", "0.4",
+                "--output-stride", "3", "--output-dir", str(tmp_path)]
+        runs = []
+        for _ in range(2):
+            assert main(args) == 0
+            runs.append((capsys.readouterr().out,
+                         (tmp_path / "trajectory.csv").read_bytes(),
+                         (tmp_path / "summary.json").read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0].count("\n") == 1
 
 
 class TestConfigResolution:

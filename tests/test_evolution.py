@@ -258,13 +258,13 @@ class TestInPlaceStepper:
 
 
 @st.composite
-def smooth_fields(draw, min_n=8):
+def smooth_fields(draw, min_n=8, max_n=600):
     """A positive periodic field: a level plus 1-3 Fourier modes.
 
     Each mode has at least 32 points per wavelength where n allows it (k = 1
     below n = 64), and its amplitude is at most 15% of the level.
     """
-    n = draw(st.integers(min_n, 600))
+    n = draw(st.integers(min_n, max_n))
     dx = draw(st.floats(0.01, 0.3))
     level = draw(st.floats(0.5, 2.0))
     modes = st.tuples(st.integers(1, max(1, n // 32)), st.floats(0.0, 0.15),
@@ -330,6 +330,28 @@ class TestKernelProperties:
         assert np.max(np.abs(traj.values - frames) / frames) <= 1e-12
         oracle = Trajectory(field.grid, times, frames)
         assert abs(conservation_drift(traj) - conservation_drift(oracle)) <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=smooth_fields(max_n=40))
+    @example(field=mode_field(8, 0.3, 1.0, [(1, 0.15, 0.0)]))
+    def test_small_grids_match_oracle(self, field):
+        # below n = 12 the 12-cell halo of the stepper wraps the grid more
+        # than once; every n up to 40 must still step like the oracle
+        dt = 0.4 * field.grid.dx**3 / field.values.max() ** 3
+        config = EvolveConfig(t_final=20 * dt, cfl_constant=0.4, output_stride=5)
+        traj = evolve(field, config)
+        times, frames = allocating_rk4(field, config)
+        assert traj.values.shape == frames.shape
+        assert np.max(np.abs(traj.times - times)) <= 1e-13
+        assert np.max(np.abs(traj.values - frames) / frames) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(8, 12))
+    def test_constant_level_is_a_fixed_point_on_small_grids(self, n):
+        grid = make_grid(0.0, 0.2 * n, n)
+        traj = evolve(Field(grid, np.full(n, 1.3)),
+                      EvolveConfig(t_final=0.01, cfl_constant=0.4, output_stride=1))
+        assert len(traj.times) > 3
+        assert np.all(traj.values == 1.3)
 
 
 class TestConservedFunctional:
