@@ -13,11 +13,12 @@ command.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +87,9 @@ class RunConfig:
         return SolitonParams(self.lambda_speed, self.v0)
 
     def meta(self) -> dict:
-        return {"config": asdict(self)}
+        # every field is a scalar or a string, so a shallow copy serializes
+        # as dataclasses.asdict would, without its deep copy of each value
+        return {"config": dict(vars(self))}
 
 
 # RunConfig field -> (config-file key path, command-line flag or None);
@@ -195,8 +198,13 @@ def _file_value(document: dict, field: str, path: tuple) -> object:
     return value
 
 
+@functools.cache
 def build_parser(command: str) -> argparse.ArgumentParser:
-    """The command's parser; its help shows each flag's config-file key."""
+    """The command's parser; its help shows each flag's config-file key.
+
+    Built on first use and kept for the process, so that repeated calls of
+    ``main`` reuse it: parsing leaves a parser unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog=f"fhdlab {command}",
         description=COMMANDS[command],
@@ -279,6 +287,10 @@ def run_scan_existence(config: RunConfig) -> dict:
                              f"got {getattr(config, field)}")
     if not math.isfinite(config.lambda_max - config.lambda_min):
         raise ValueError("--lambda-max minus --lambda-min overflows")
+    if config.steps < 1:
+        path, flag = _OPTIONS["steps"]
+        raise ValueError(f"{flag} ({'.'.join(path)}) must be at least 1, "
+                         f"got {config.steps}")
     lambdas = np.linspace(config.lambda_min, config.lambda_max, config.steps)
     admissible = np.zeros(lambdas.size)
     curvature = np.zeros(lambdas.size)

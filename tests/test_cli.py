@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import re
@@ -17,6 +19,7 @@ from fhdlab.cli import (
     COMMANDS,
     USAGE,
     _OPTIONS,
+    RunConfig,
     _kind,
     build_parser,
     main,
@@ -29,6 +32,7 @@ from fhdlab.output import (
     write_csv,
     write_frame_files,
     write_frames_csv,
+    write_json,
 )
 from fhdlab.profiles import profile_by_shooting, solve_shooting
 
@@ -338,6 +342,24 @@ class TestUsageAndExitCodes:
         assert out == ""
         assert err.startswith(message) and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("steps", [-1, 0])
+    def test_scan_steps_below_one_exit_2(self, tmp_path, capfd, source, steps):
+        # -1 used to fail in np.linspace with a message that names no flag,
+        # 0 to succeed with a header-only table
+        argv = ["scan-existence", "--output-dir", str(tmp_path)]
+        if source == "flag":
+            argv += ["--steps", str(steps)]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"scan": {"steps": steps}}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == f"error: --steps (scan.steps) must be at least 1, got {steps}\n"
+        assert not (tmp_path / "existence.csv").exists()
+
     def test_output_directory_that_is_a_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         for output in (tmp_path / "file", tmp_path / "file" / "sub"):
@@ -568,6 +590,121 @@ class TestDeterminism:
                          (tmp_path / "summary.json").read_bytes()))
         assert runs[0] == runs[1]
         assert runs[0][0].count("\n") == 1
+
+    def test_every_command_twice_in_one_process(self, tmp_path, capsys):
+        # the pattern of an in-process sweep: the second round of commands,
+        # into the same directory, must print and write what the first did
+        def snapshot():
+            lines = []
+            for argv in _EVERY_COMMAND:
+                assert main(argv + ["--output-dir", str(tmp_path)]) == 0, argv
+                lines.append(capsys.readouterr().out)
+            files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+            return lines, files
+
+        first = snapshot()
+        assert [line.count("\n") for line in first[0]] == [1] * len(COMMANDS)
+        assert len(first[1]) == 20
+        assert snapshot() == first
+
+
+# one cheap successful run of each command
+_EVERY_COMMAND = [
+    ["scan-existence", "--steps", "11"],
+    ["potential", "--lambda", "0.5"],
+    ["profile", "--lambda", "0.5"],
+    ["evolve", "--n", "128", "--t-final", "0.1", "--cfl", "0.4",
+     "--output-stride", "5"],
+    ["verify-lax", "--n", "512"],
+    ["reduce-check", "--n", "256"],
+]
+
+
+class TestInProcessReuse:
+    """``main`` keeps one parser per command for the process; nothing a
+    call parses may reach the next call."""
+
+    def test_parser_is_built_once_per_command(self):
+        parsers = {command: build_parser(command) for command in COMMANDS}
+        for command, parser in parsers.items():
+            assert build_parser(command) is parser
+            assert parser.prog == f"fhdlab {command}"
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # every flag set, then the same command with no flag at all (the
+        # output directory comes from the environment)
+        every_flag = [
+            "--lambda", "0.3", "--v0", "1.2", "--lambda-spec", "2", "--xmin", "-30",
+            "--xmax", "30", "--n", "64", "--t-final", "1", "--cfl", "0.2",
+            "--output-stride", "7", "--lambda-min", "0.1", "--lambda-max", "1",
+            "--steps", "5", "--per-frame", "--emit-plots",
+        ]
+        flags = {arg for arg in every_flag if arg.startswith("--")} | {"--output-dir"}
+        assert flags == {flag for _, flag in _OPTIONS.values() if flag}
+        assert main(["scan-existence", *every_flag,
+                     "--output-dir", str(tmp_path / "set")]) == 0
+        monkeypatch.setenv("FHD_OUTPUT_DIR", str(tmp_path / "bare"))
+        assert main(["scan-existence"]) == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "bare" / "existence.meta.json").read_text())
+        # the defaults, resolved from a namespace that no parser produced
+        bare = argparse.Namespace(config=None, **dict.fromkeys(_OPTIONS))
+        bare.output_dir = str(tmp_path / "bare")
+        expected = resolve_config("scan-existence", bare)
+        assert meta == {"config": dataclasses.asdict(expected)}
+        assert len(read_csv(tmp_path / "bare" / "existence.csv")["lambda"]) == 41
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, tmp_path, capsys):
+        argv = ["profile", "--lambda", "0.5", "--output-dir", str(tmp_path)]
+
+        def run():
+            assert main(argv) == 0
+            files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+            return capsys.readouterr().out, files
+
+        before = run()
+        assert main(["profile", "--lambda", "0.7", "--n", "abc"]) == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        assert run() == before
+
+    def test_help_is_unchanged_by_other_commands(self, tmp_path, capsys):
+        def helps():
+            texts = {}
+            for command in COMMANDS:
+                assert main([command, "--help"]) == 0
+                texts[command] = capsys.readouterr().out
+            return texts
+
+        before = helps()
+        for argv in _EVERY_COMMAND:
+            assert main(argv + ["--output-dir", str(tmp_path)]) == 0, argv
+        assert main(["profile", "--bogus", "1"]) == 2
+        capsys.readouterr()
+        assert helps() == before
+        for command, text in before.items():
+            # a parser built afresh, outside the cache, prints the same help
+            assert build_parser.__wrapped__(command).format_help() == text
+
+
+def test_meta_sidecar_matches_asdict_oracle(tmp_path):
+    # the side-car of a config whose every field is off its default, but for
+    # tail_cut, which holds the None; RunConfig.meta copies fields shallowly
+    config = RunConfig(
+        command="evolve", lambda_speed=1.0 / 3.0, v0=1.25, lambda_spec=-0.0,
+        x_min=-30.5, x_max=1e300, n=4097, t_final=5e-324, cfl_constant=0.4,
+        output_stride=3, positivity_floor=1e-3, lambda_min=-1.5, lambda_max=2.5,
+        steps=7, n_points=801, tail_cut=None, lax_frames=5, lax_frame_dt=0.125,
+        per_frame=True, output_dir='runs/λ 0.5/"quoted"', emit_plots=True,
+    )
+    assert [f.name for f in dataclasses.fields(RunConfig)
+            if getattr(config, f.name) == f.default] == ["tail_cut"]
+    write_json(tmp_path / "r.json", {}, meta=config.meta())
+    oracle = json.dumps({"config": dataclasses.asdict(config)}, sort_keys=True,
+                        indent=2) + "\n"
+    assert (tmp_path / "r.meta.json").read_bytes() == oracle.encode()
+    config.meta()["config"]["n"] = 8
+    assert config.n == 4097
 
 
 class TestConfigResolution:
