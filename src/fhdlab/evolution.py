@@ -6,21 +6,29 @@ restriction dt = cfl * dx^3 / max(v)^3, recomputed every step. The third
 derivative acts like a linear dispersive operator with local coefficient
 v^3, hence the cubic step scaling; RK4's imaginary-axis stability interval
 makes cfl values up to ~0.6 stable, and the configurable range is capped
-at 0.5.
+at 0.5. On coarse grids the first-derivative part of the stencil matters
+too, so dt max(v)^3 is also capped at STABLE_RADIUS / rho, for rho the
+spectral radius of the fused operator on the grid, computed once per run.
+rho dx^3 is 4.62 on fine grids and 12.8 at n=32 on [-40, 40]; at any cfl
+the config allows, the cap can bind only where dx > 0.3, so finer grids
+keep dt = cfl dx^3 / max(v)^3 bit for bit.
 
 The dispersive limit makes runs long (about 26k steps at n=1024 to t=5)
 on arrays small enough that per-call overhead, not arithmetic, sets the
 cost of a step, so a step is about 30 NumPy calls on buffers allocated
-once per run. v sits in row 0 of a (4, n+24) buffer inside a 12-cell
-periodic halo per side, 3 cells for each stage: stage s reads row s on
-[3s, n+24-3s), its slope is valid 3 cells further in, and stage s+1 is one
-add of v and that increment into row s+1. One gather refreshes the halo of
-v once per step (for n < 12 it wraps the grid more than once). dt is folded
-into the taps, so the right-hand sides write dt/2 k1, dt/2 k2, dt k3 and
-dt k4, which one matmul with the weights (1/3, 2/3, 1/3, 1/6) and one add
-combine into v. max(v) and min(v) are reduced once per step; that max sets
-the next dt. Recorded steps are copied into one (frames, n) buffer, sized
-from the first dt and doubled only if max(v) rises enough to need more.
+once per run, each ``out`` passed positionally and the correlation called
+without NumPy's __array_function__ dispatch. v sits in row 0 of a
+(4, n+24) buffer inside a 12-cell periodic halo per side, 3 cells for
+each stage: stage s reads row s on [3s, n+24-3s), its slope is valid 3
+cells further in, and stage s+1 is one add of v and that increment into
+row s+1. One gather refreshes the halo of v once per step (for n < 12 it
+wraps the grid more than once). dt is folded into the taps: one multiply
+scales the stored taps/2 and taps by dt, so the right-hand sides write
+dt/2 k1, dt/2 k2, dt k3 and dt k4, which one matmul with the weights
+(1/3, 2/3, 1/3, 1/6) and one add combine into v. One minimum and one
+maximum reduction per step follow; that max sets the next dt. Recorded
+steps are copied into one (frames, n) buffer, sized from the first dt and
+doubled only if max(v) rises enough to need more.
 
 The fused 7-point stencil c3(p0-p6) - c2(p1-p5) + c1(p2-p4) of a stage
 window p is evaluated through the gap-2 difference g_j = p_j - p_{j+2}:
@@ -87,6 +95,10 @@ class EvolutionAborted(NumericalError):
 
 
 HALO = 12  # 3 periodic cells per RK4 stage on each side of the state
+# the largest dt max(v)^3 rho used, for rho the spectral radius of the fused
+# operator: inside RK4's imaginary-axis interval 2 sqrt(2), and above the 2.36
+# that cfl 0.5 gives on any grid with dx <= 0.3, so there dt = cfl dx^3/max(v)^3
+STABLE_RADIUS = 2.4
 
 
 def _taps(dx: float) -> np.ndarray:
@@ -95,6 +107,10 @@ def _taps(dx: float) -> np.ndarray:
     c2 = 8.0 / (8.0 * dx**3) + 1.0 / (12.0 * dx)
     c1 = 13.0 / (8.0 * dx**3) + 8.0 / (12.0 * dx)
     return np.array([c3, -c2, c3 + c1, -c2, c3])
+
+
+# np.correlate without its __array_function__ dispatch, about 1 us a call
+_correlate = getattr(np.correlate, "__wrapped__", np.correlate)
 
 
 def _rhs(head: np.ndarray, tail: np.ndarray, v: np.ndarray, taps: np.ndarray,
@@ -106,11 +122,23 @@ def _rhs(head: np.ndarray, tail: np.ndarray, v: np.ndarray, taps: np.ndarray,
     correlates g with the taps and multiplies by v three times, so ``out``
     holds m-6 values. A constant window has g = 0, hence 0 here.
     """
-    np.subtract(head, tail, out=gap)
-    np.multiply(np.correlate(gap, taps, "valid"), v, out=out)
-    out *= v
-    out *= v
+    np.subtract(head, tail, gap)
+    np.multiply(_correlate(gap, taps, "valid"), v, out)
+    np.multiply(out, v, out)
+    np.multiply(out, v, out)
     return out
+
+
+def _spectral_radius(taps: np.ndarray, n: int) -> float:
+    """The largest |eigenvalue| of the periodic operator of ``taps`` on n points.
+
+    The operator is antisymmetric with weight w_d = t_{3+d} - t_{1+d} at
+    offset d = 1, 2, 3, so its eigenvalues are 2i sum_d w_d sin(d theta) at
+    the grid's wavenumbers theta = 2 pi k / n.
+    """
+    w = np.array([taps[4] - taps[2], -taps[3], -taps[4]])
+    theta = 2.0 * np.pi / n * np.arange(n // 2 + 1)
+    return 2.0 * float(np.max(np.abs(np.sin(np.outer(theta, [1.0, 2.0, 3.0])) @ w)))
 
 
 def rhs_fhd(field: Field) -> Field:
@@ -135,8 +163,9 @@ def _rk4(values: np.ndarray, dx: float) -> tuple[np.ndarray, Callable[[float], N
     width = n + 2 * HALO
     rows, incs = np.empty((2, 4, width))  # stage s and its increment in row s
     gap = np.empty(width - 2)
-    taps = _taps(dx)
-    half, full = scaled = np.empty((2, 5))  # taps dt/2 for stages 1-2, taps dt for 3-4
+    # taps/2 for stages 1-2 and taps for 3-4, scaled by dt; halving is exact
+    halved = _taps(dx) * np.array([[0.5], [1.0]])
+    scaled = np.empty((2, 5))
     vp = rows[0]
     v = vp[HALO : HALO + n]
     v[...] = values
@@ -154,8 +183,7 @@ def _rk4(values: np.ndarray, dx: float) -> tuple[np.ndarray, Callable[[float], N
 
     def step(dt: float) -> None:
         vp[ghost] = vp[source]
-        np.multiply(taps, 0.5 * dt, out=half)
-        np.multiply(taps, dt, out=full)
+        np.multiply(halved, dt, scaled)
         _rhs(*k1)
         np.add(*a1)
         _rhs(*k2)
@@ -164,8 +192,8 @@ def _rk4(values: np.ndarray, dx: float) -> tuple[np.ndarray, Callable[[float], N
         np.add(*a3)
         _rhs(*k4)
         # v += (dt/6) (k1 + 2 k2 + 2 k3 + k4) from dt/2 k1, dt/2 k2, dt k3, dt k4
-        np.matmul(weights, interior, out=combined)
-        np.add(v, combined, out=v)
+        np.matmul(weights, interior, combined)
+        np.add(v, combined, v)
 
     return v, step
 
@@ -173,11 +201,12 @@ def _rk4(values: np.ndarray, dx: float) -> tuple[np.ndarray, Callable[[float], N
 def evolve(field: Field, config: EvolveConfig) -> Trajectory:
     """March the field to t_final, recording every output_stride-th step.
 
-    The step size cfl*dx^3/max(v)^3 is refreshed from the current state so
-    general initial data stay inside the stability region even if max(v)
-    drifts. Aborts (with the partial trajectory attached) on any value
-    dropping below the positivity floor or turning non-finite. Recorded
-    steps go to rows of one frame buffer; the trajectory is a view of it.
+    The step size min(cfl*dx^3, STABLE_RADIUS/rho)/max(v)^3 is refreshed
+    from the current state so general initial data stay inside the
+    stability region even if max(v) drifts. Aborts (with the partial
+    trajectory attached) on any value dropping below the positivity floor
+    or turning non-finite. Recorded steps go to rows of one frame buffer;
+    the trajectory is a view of it.
     """
     if not field.grid.periodic:
         raise ValueError("evolve requires a periodic grid")
@@ -188,9 +217,11 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
     if floor is None:
         floor = 0.01 * float(field.values.max())
     v, step = _rk4(field.values, grid.dx)
-    dt_scale = config.cfl_constant * grid.dx**3
+    # dt max(v)^3 times the spectral radius stays inside RK4's stable interval
+    rho = _spectral_radius(_taps(grid.dx), n)
+    dt_scale = min(config.cfl_constant * grid.dx**3, STABLE_RADIUS / rho)
     t, steps = 0.0, 0
-    vmax = v.max()
+    vmax = np.maximum.reduce(v)
     dt_first = dt_scale / vmax**3
     # a step that t_final + dt rounds away could never end the run
     if not config.t_final + dt_first > config.t_final:
@@ -211,7 +242,7 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
         step(dt)
         t = config.t_final if last else t + dt
         steps += 1
-        vmin, vmax = v.min(), v.max()
+        vmin, vmax = np.minimum.reduce(v), np.maximum.reduce(v)
         if not (math.isfinite(vmin) and math.isfinite(vmax)):
             raise EvolutionAborted(
                 f"non-finite values at t={t:.6g} (step {steps})",
@@ -253,12 +284,10 @@ def minimum_positions(trajectory: Trajectory) -> np.ndarray:
     if np.any(denom <= 0.0):
         raise ValueError("minimum neighborhood is not convex; cannot interpolate")
     raw = grid.x[i] + 0.5 * (fm - fp) / denom * grid.dx
-    out = raw.copy()
-    length = grid.length
-    for k in range(1, out.size):
-        jump = raw[k] - out[k - 1]
-        out[k] = out[k - 1] + jump - length * np.round(jump / length)
-    return out
+    # a jump of more than L/2 between frames is a crossing of the seam
+    crossings = np.cumsum(np.round(np.diff(raw) / grid.length))
+    raw[1:] -= grid.length * crossings
+    return raw
 
 
 def measure_speed(trajectory: Trajectory) -> float:

@@ -11,6 +11,13 @@ equal those of ``%`` for every float64, about 2^14 values at a time:
 ``write_csv`` a block of rows, the trajectory writers x once per file, t once
 per frame and v a block of frames. So every file holds the bytes that ``%``
 applied value by value would write.
+
+Each block is laid out as one uint8 matrix of 24-byte NUL-padded fields
+and their separators, and its NULs are dropped once. For the trajectory
+writers the block is (frames, n, 75): x is laid out once per file, t is
+broadcast over each frame's rows and v fills the last field, so
+``write_frames_csv`` writes a block with one call and ``write_frame_files``
+drops the NULs of each frame's slice.
 """
 
 from __future__ import annotations
@@ -211,42 +218,41 @@ def write_csv(
             rows[..., :24] = _format_g17(block).reshape(*block.shape, 24)
             rows[..., 24] = ord(",")
             rows[:, -1, 24] = ord("\n")
-            fh.write(rows[rows != 0].tobytes())
+            fh.write(rows[rows != 0])
     _write_meta(path, meta)
     return path
 
 
-def _frame_texts(
+def _frame_blocks(
     times: Sequence[float], x: np.ndarray, frames: Iterable[np.ndarray]
-) -> Iterator[bytes]:
-    """Yield the ``t,x,v`` rows of each frame, without the header.
+) -> Iterator[np.ndarray]:
+    """Yield the ``t,x,v`` rows of the frames, without the header, as
+    (frames, n, 75) NUL-padded uint8 blocks of about ``_FRAME_BLOCK_VALUES``
+    values of v, at least one frame each.
 
-    x is formatted once and t once per frame. v is formatted in blocks of
-    about ``_FRAME_BLOCK_VALUES`` values, so that a frame of a few hundred
-    points does not pay the formatter's fixed cost alone. Each frame's rows
-    are laid out as one uint8 matrix whose NUL padding is then dropped.
+    The block and its frame buffer are reused, so each block must be
+    consumed before the next is drawn.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     t_rows = _format_g17(times)
-    rows = np.empty((n, 75), np.uint8)  # t, x and v fields of 24 bytes
-    rows[:, 24] = rows[:, 49] = ord(",")
-    rows[:, 25:49] = _format_g17(x)
-    rows[:, 74] = ord("\n")
+    count = len(t_rows)
     per_block = max(1, _FRAME_BLOCK_VALUES // max(n, 1))
-    block: list[np.ndarray] = []
-    for k, v in zip(range(len(t_rows)), frames, strict=True):
+    rows = np.empty((min(per_block, count), n, 75), np.uint8)
+    rows[..., 24] = rows[..., 49] = ord(",")
+    rows[..., 25:49] = _format_g17(x)
+    rows[..., 74] = ord("\n")
+    block = np.empty((len(rows), n))
+    for k, v in zip(range(count), frames, strict=True):
         v = np.asarray(v, dtype=float)
         if v.shape != (n,):
             raise TypeError(f"frame {k} has shape {v.shape}, x has {n} points")
-        block.append(v)
-        if len(block) == per_block or k == len(t_rows) - 1:
-            v_rows = _format_g17(np.stack(block)).reshape(len(block), n, 24)
-            for j, t in enumerate(t_rows[k + 1 - len(block) : k + 1]):
-                rows[:, :24] = t
-                rows[:, 50:74] = v_rows[j]
-                yield rows[rows != 0].tobytes()
-            block = []
+        m = k % per_block + 1
+        block[m - 1] = v
+        if m == per_block or k == count - 1:
+            rows[:m, :, :24] = t_rows[k + 1 - m : k + 1, None]
+            rows[:m, :, 50:74] = _format_g17(block[:m]).reshape(m, n, 24)
+            yield rows[:m]
 
 
 def write_frames_csv(
@@ -263,8 +269,8 @@ def write_frames_csv(
     """
     with open(path, "wb") as fh:
         fh.write(b"t,x,v\n")
-        for text in _frame_texts(times, x, frames):
-            fh.write(text)
+        for rows in _frame_blocks(times, x, frames):
+            fh.write(rows[rows != 0])
     _write_meta(path, meta)
     return path
 
@@ -282,11 +288,12 @@ def write_frame_files(
     frame alone.
     """
     paths = []
-    for k, text in enumerate(_frame_texts(times, x, frames)):
-        path = directory / f"frame_{k:05d}.csv"
-        path.write_bytes(b"t,x,v\n" + text)
-        _write_meta(path, meta)
-        paths.append(path)
+    for rows in _frame_blocks(times, x, frames):
+        for frame in rows:
+            path = directory / f"frame_{len(paths):05d}.csv"
+            path.write_bytes(b"t,x,v\n" + frame[frame != 0].tobytes())
+            _write_meta(path, meta)
+            paths.append(path)
     return paths
 
 

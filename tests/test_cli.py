@@ -50,7 +50,8 @@ def percent_csv(header, columns):
 
 def assert_frames_match_write_csv(tmp_path, times, x, v):
     """write_frames_csv and write_csv on the long columns both give the
-    oracle's bytes, and the same side-car."""
+    oracle's bytes, and the same side-car; so do frames from a generator,
+    and the bodies of the frame files, concatenated."""
     n, frames = len(x), len(times)
     meta = {"config": {"n": n}}
     columns = [np.repeat(times, n), np.tile(x, frames), np.ravel(v)]
@@ -60,6 +61,11 @@ def assert_frames_match_write_csv(tmp_path, times, x, v):
     assert expected.read_bytes() == written.read_bytes()
     assert (tmp_path / "f.meta.json").read_bytes() == (
         tmp_path / "e.meta.json").read_bytes()
+    lazy = write_frames_csv(tmp_path / "g.csv", times, x, (row for row in v))
+    assert lazy.read_bytes() == written.read_bytes()
+    texts = [path.read_bytes() for path in write_frame_files(tmp_path, times, x, v)]
+    assert len(texts) == frames and all(t.startswith(b"t,x,v\n") for t in texts)
+    assert b"".join(t[6:] for t in texts) == written.read_bytes()[6:]
 
 
 def run_cli(argv, capsys):
@@ -128,10 +134,11 @@ class TestOutputHelpers:
         assert path.read_bytes() == percent_csv(header, columns)
 
     @pytest.mark.parametrize("frames", [1, 5])
-    @pytest.mark.parametrize("n", [1, 4097])
+    @pytest.mark.parametrize("n", [1, 4097, output._FRAME_BLOCK_VALUES + 1])
     def test_frames_csv_matches_write_csv(self, tmp_path, frames, n):
         # the frame writer must give the bytes of write_csv on the
-        # expanded long-format columns t, x, v
+        # expanded long-format columns t, x, v; above _FRAME_BLOCK_VALUES
+        # points a block holds one frame
         rng = np.random.default_rng(frames * n)
         times = np.resize(SPECIAL, frames)
         x = np.resize(SPECIAL[::-1], n)
@@ -141,9 +148,9 @@ class TestOutputHelpers:
         assert_frames_match_write_csv(tmp_path, times, x, v)
 
     @pytest.mark.parametrize("frames", [1, BLOCK_FRAMES - 1, BLOCK_FRAMES,
-                                        BLOCK_FRAMES + 1])
+                                        BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 3])
     def test_frames_csv_across_the_block_size(self, tmp_path, frames):
-        # v is formatted a block of BLOCK_FRAMES frames at a time
+        # v is formatted and laid out a block of BLOCK_FRAMES frames at a time
         rng = np.random.default_rng(frames)
         x = np.linspace(-40.0, 40.0, BLOCK_N, endpoint=False)
         times = np.cumsum(rng.uniform(0.0, 0.1, frames))
@@ -173,6 +180,32 @@ class TestOutputHelpers:
                 write_frames_csv(tmp_path / "f.csv", [0.0], np.ones(3), [v])
         with pytest.raises(ValueError):
             write_frames_csv(tmp_path / "f.csv", [0.0, 1.0], np.ones(3), [np.ones(3)])
+
+    @pytest.mark.parametrize("per_frame", [False, True])
+    def test_frame_errors_are_raised_at_the_offending_frame(self, tmp_path, per_frame):
+        count = 2 * BLOCK_FRAMES
+        times, x = np.arange(float(count)), np.linspace(0.0, 1.0, BLOCK_N)
+        drawn = []
+
+        def write(frames):
+            drawn.clear()
+            supply = (drawn.append(k) or frame for k, frame in enumerate(frames))
+            if per_frame:
+                return write_frame_files(tmp_path, times, x, supply)
+            return write_frames_csv(tmp_path / "f.csv", times, x, supply)
+
+        frames = [np.ones(BLOCK_N)] * count
+        bad = BLOCK_FRAMES + 2  # inside the second block
+        frames[bad] = np.ones(BLOCK_N + 1)
+        with pytest.raises(TypeError, match=f"frame {bad} has shape"):
+            write(frames)
+        assert drawn[-1] == bad
+        # one frame short: raised when frame count - 1 is missing; one frame
+        # over: raised on drawing frame count, which has no time
+        for supplied, last in ((count - 1, count - 2), (count + 1, count)):
+            with pytest.raises(ValueError):
+                write([np.ones(BLOCK_N)] * supplied)
+            assert drawn[-1] == last
 
     def test_column_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -762,6 +795,19 @@ class TestEvolveCommand:
         frames = sorted(tmp_path.glob("frame_*.csv"))
         assert len(frames) >= 2
         assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_coarse_grid_keeps_the_step_stable(self, tmp_path, capsys):
+        # n=32 on [-40, 40]: a dt set by the dispersive term alone left the
+        # advective part of the stencil outside RK4's stable interval, and
+        # the 1/v integral drifted by 1.2e-2; the spectral-radius cap holds
+        # it to about 6.5e-4
+        code, summary = run_cli(
+            ["evolve", "--lambda", "0.5", "--n", "32", "--cfl", "0.4",
+             "--t-final", "40", "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert summary["conservation_drift"] <= 1e-3
 
     def test_trajectory_files_match_write_csv(self, tmp_path, capsys):
         # oracle: the same run through the library, written value by value

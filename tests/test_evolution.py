@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -353,6 +355,66 @@ class TestKernelProperties:
         assert len(traj.times) > 3
         assert np.all(traj.values == 1.3)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(5, 1100), dx=st.floats(1e-3, 3.0), scale=st.floats(1e-9, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rhs_gives_the_bits_of_np_correlate(self, n, dx, scale, seed):
+        # the kernel calls np.correlate without its dispatch; same sum, same bits
+        rng = np.random.default_rng(seed)
+        p = 1.0 + 0.2 * rng.standard_normal(n + 6)
+        taps = scale * evolution._taps(dx)
+        gap = p[:-2] - p[2:]
+        assert evolution._correlate(gap, taps, "valid").tobytes() == (
+            np.correlate(gap, taps, "valid").tobytes())
+        v = p[3:-3]
+        out = evolution._rhs(p[:-2], p[2:], v, taps, np.empty(n + 4), np.empty(n))
+        assert out.tobytes() == (np.correlate(gap, taps, "valid") * v * v * v).tobytes()
+
+
+class TestStepCap:
+    """dt max(v)^3 is capped at STABLE_RADIUS over the spectral radius of the
+    fused operator, which binds only on coarse grids."""
+
+    @pytest.mark.parametrize("n", [7, 8, 12, 33, 64])
+    @pytest.mark.parametrize("dx", [0.05, 0.3, 2.5])
+    def test_spectral_radius_matches_the_operator_matrix(self, n, dx):
+        # column j: the kernel (v = 1, so no v^3) applied to unit vector j
+        taps = evolution._taps(dx)
+        matrix = np.empty((n, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = 1.0
+            p = np.concatenate((e[-3:], e, e[:3]))
+            evolution._rhs(p[:-2], p[2:], np.ones(n), taps, np.empty(n + 4), matrix[:, j])
+        oracle = np.max(np.abs(np.linalg.eigvals(matrix)))
+        assert evolution._spectral_radius(taps, n) == pytest.approx(oracle, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(8, 4096), dx=st.floats(1e-3, 0.3))
+    @example(n=2048, dx=80.0 / 2048)  # acceptance criteria 4 and 5, CLI default n
+    @example(n=1024, dx=80.0 / 1024)  # benchmark persist
+    @example(n=512, dx=80.0 / 512)  # benchmark dense
+    def test_no_cap_at_dx_up_to_0_3(self, n, dx):
+        # every cfl the config allows keeps dt = cfl dx^3 / max(v)^3 here
+        rho = evolution._spectral_radius(evolution._taps(dx), n)
+        assert 0.5 * dx**3 <= evolution.STABLE_RADIUS / rho
+
+    @pytest.mark.parametrize("x_max, n, cfl", [
+        (40.0, 128, 0.4), (40.0, 256, 0.4), (40.0, 64, 0.1), (30.0, 64, 0.2)])
+    def test_no_cap_on_the_coarse_test_grids(self, x_max, n, cfl):
+        dx = 2.0 * x_max / n
+        rho = evolution._spectral_radius(evolution._taps(dx), n)
+        assert cfl * dx**3 <= evolution.STABLE_RADIUS / rho
+
+    def test_cap_sets_dt_on_a_coarse_grid(self):
+        # n=32 on [-40, 40]: cfl 0.4 alone would put dt max(v)^3 rho at 5.1
+        f = soliton_field(n=32)
+        dx, vmax = f.grid.dx, f.values.max()
+        rho = evolution._spectral_radius(evolution._taps(dx), 32)
+        traj = evolve(f, EvolveConfig(t_final=10.0, cfl_constant=0.4, output_stride=1))
+        assert 0.4 * dx**3 * rho > 5.0
+        assert traj.times[1] == evolution.STABLE_RADIUS / rho / vmax**3
+
 
 class TestConservedFunctional:
     def test_constant_value(self):
@@ -420,6 +482,77 @@ class TestMeasureSpeed:
         traj = Trajectory(f.grid, np.arange(4.0), frames)
         pos = minimum_positions(traj)
         assert np.all(np.diff(pos) > 0)
+
+
+def looped_minimum_positions(trajectory):
+    """Oracle: the parabola vertices of each frame, and those vertices
+    unwrapped by a loop that moves each frame to within L/2 of the last."""
+    grid, values = trajectory.grid, trajectory.values
+    rows = np.arange(len(values))
+    i = values.argmin(axis=1)
+    f0 = values[rows, i]
+    fm = values[rows, (i - 1) % grid.n]
+    fp = values[rows, (i + 1) % grid.n]
+    raw = grid.x[i] + 0.5 * (fm - fp) / (fm - 2.0 * f0 + fp) * grid.dx
+    out = raw.copy()
+    length = grid.length
+    for k in range(1, out.size):
+        jump = raw[k] - out[k - 1]
+        out[k] = out[k - 1] + jump - length * np.round(jump / length)
+    return raw, out
+
+
+def dip_trajectory(n, length, origin, width, centres):
+    """Frames of 1 - 0.5 sech^2 dips of the given width at the given centres,
+    periodic on [origin, origin + length)."""
+    grid = make_grid(origin, origin + length, n)
+    frames = []
+    for c in centres:
+        d = (grid.x - c + 0.5 * length) % length - 0.5 * length
+        frames.append(1.0 - 0.5 / np.cosh(d / width) ** 2)
+    return Trajectory(grid, np.arange(float(len(centres))), frames)
+
+
+@st.composite
+def moving_dips(draw):
+    """A dip that moves by up to 0.4 L between frames, either way, so that
+    its minimum crosses the periodic seam in both directions."""
+    n = draw(st.integers(24, 256))
+    length = draw(st.floats(5.0, 200.0))
+    origin = draw(st.sampled_from([0.0, -0.5, draw(st.floats(-1.0, 1.0))])) * length
+    width = draw(st.floats(3.0, n / 8.0)) * length / n
+    start = origin + draw(st.floats(0.0, 1.0)) * length
+    moves = draw(st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=30))
+    centres = start + length * np.cumsum([0.0] + moves)
+    return dip_trajectory(n, length, origin, width, centres)
+
+
+class TestMinimumPositions:
+    @settings(max_examples=200, deadline=None)
+    @given(traj=moving_dips())
+    @example(traj=dip_trajectory(64, 80.0, -40.0, 3.0, 30.0 + 7.0 * np.arange(12)))
+    @example(traj=dip_trajectory(64, 80.0, -40.0, 3.0, -30.0 - 7.0 * np.arange(12)))
+    @example(traj=dip_trajectory(97, 10.0, 0.0, 0.5, [0.3, 0.1, 9.9, 0.2, 9.8, 0.35]))
+    def test_one_pass_unwrap_matches_the_loop(self, traj):
+        raw, looped = looped_minimum_positions(traj)
+        positions = minimum_positions(traj)
+        assert np.max(np.abs(positions - looped)) <= 1e-12 * traj.grid.length
+        if np.all(np.abs(np.diff(raw)) < 0.5 * traj.grid.length):
+            # no frame wraps: the vertices themselves. The loop adds
+            # fl(b - a) back to a, which can miss b by an ulp where the
+            # minimum moves toward 0 (0.3 + (0.1 - 0.3) = 0.10000000000000003)
+            assert positions.tobytes() == raw.tobytes()
+
+    def test_reads_the_trajectory_row_by_row(self):
+        # argmin(axis=1) would copy the read-only (T, n) array
+        f = soliton_field(n=512)
+        traj = Trajectory(f.grid, np.arange(200.0),
+                          [np.roll(f.values, k) for k in range(200)])
+        tracemalloc.start()
+        minimum_positions(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 0.25 * traj.values.nbytes
 
 
 class TestShapeTools:
