@@ -34,11 +34,10 @@ from .lax import (
 )
 from .pseudopotential import (
     ExistenceReport,
-    TurningPoints,
     eval_S,
     existence_check,
     phase_branch,
-    turning_points,
+    turning_point,
 )
 from .profiles import (
     Profile,
@@ -74,11 +73,10 @@ __all__ = [
     "reduction_check",
     "zc_residual",
     "ExistenceReport",
-    "TurningPoints",
     "eval_S",
     "existence_check",
     "phase_branch",
-    "turning_points",
+    "turning_point",
     "Profile",
     "ProfileMetrics",
     "decay_rate",

@@ -39,10 +39,14 @@ from .profiles import (
     profile_by_quadrature,
     profile_by_shooting,
     profile_metrics,
-    require_admissible,
     translated_trajectory,
 )
-from .pseudopotential import existence_check, phase_samples, potential_samples
+from .pseudopotential import (
+    existence_check,
+    phase_samples,
+    potential_samples,
+    require_admissible,
+)
 
 # command -> its one-line purpose, shown by ``fhdlab --help`` and by the
 # command's own ``--help``
@@ -195,6 +199,13 @@ def _file_value(document: dict, field: str, path: tuple) -> object:
         raise ValueError(
             f"config value {'.'.join(path)} must be {expected}, got {value!r}"
         )
+    if type(value) is int and float in types:
+        # a JSON integer for a float field: the float its flag would give
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"config value {'.'.join(path)} lies outside "
+                             "the float range") from None
     return value
 
 
@@ -419,6 +430,11 @@ def run_evolve(config: RunConfig) -> dict:
 def run_verify_lax(config: RunConfig) -> dict:
     require_admissible(config.params)
     grid = make_grid(config.x_min, config.x_max, config.n, periodic=True)
+    # the frames shift by lambda*t, which must stay finite
+    last = config.lax_frame_dt * max(config.lax_frames - 1, 0)
+    if not (config.lax_frame_dt > 0.0 and math.isfinite(config.lambda_speed * last)):
+        raise ValueError(f"lax.frame_dt must be positive with lambda*t finite at "
+                         f"the last frame, got {config.lax_frame_dt}")
     times = config.lax_frame_dt * np.arange(config.lax_frames)
     trajectory = translated_trajectory(config.params, grid, times)
     report = zc_residual(trajectory, config.lambda_spec)

@@ -30,7 +30,7 @@ class SolitonParams:
     ``lambda_speed`` is the speed of the moving frame xi = x - lambda*t,
     ``v0`` the constant value the field approaches far from the excitation.
     Soliton existence (0 < lambda_speed < v0**3) is deliberately *not*
-    enforced here; it is checked by ``pseudopotential.existence_check``.
+    enforced here; ``pseudopotential.require_admissible`` is its one check.
     """
 
     lambda_speed: float

@@ -78,8 +78,9 @@ class EvolveConfig:
             raise ValueError("cfl_constant must lie in (0, 0.5]")
         if self.output_stride < 1:
             raise ValueError("output_stride must be at least 1")
-        if self.positivity_floor is not None and self.positivity_floor <= 0.0:
-            raise ValueError("positivity_floor must be positive")
+        floor = self.positivity_floor
+        if floor is not None and not (math.isfinite(floor) and floor > 0.0):
+            raise ValueError("positivity_floor must be positive and finite")
 
 
 class EvolutionAborted(NumericalError):

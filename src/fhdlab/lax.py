@@ -172,9 +172,10 @@ def zc_residual(trajectory: Trajectory, lambda_spec: float) -> LaxResidualReport
         raise NumericalError(f"4 lambda_spec^2/v overflows for lambda_spec {lambda_spec}")
     dx = trajectory.grid.dx
     coarse, order = np.full((2, 2), np.nan), float("nan")
-    # an intermediate that overflows leaves a non-finite norm, which fails
-    # the check and is reported as such
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an intermediate that overflows, or an M_t weight that divides by the
+    # underflowed square of a frame spacing, leaves a non-finite norm where
+    # it is used, which fails the check and is reported as such
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fine = _patch_norms(values, times, dx, lambda_spec)
         if trajectory.grid.n % 2 == 0 and len(times) >= 5:
             coarse = _patch_norms(values[::2, ::2], times[::2], 2.0 * dx, lambda_spec)

@@ -20,8 +20,9 @@ TAIL_SWITCH_REL of the background and the same linearized tail takes over;
 integrating further would let the accumulated error grow like
 exp(+kappa*xi) and contaminate the tail.
 
-The two constructions share no machinery beyond the turning point, which
-makes their pointwise agreement a strong cross-validation.
+Both routes start from ``pseudopotential.turning_point`` and extend their
+flank evenly with the same tail; beyond that they share no machinery,
+which makes their pointwise agreement a strong cross-validation.
 
 Shooting runs the DOP853 pair of ``_dop853`` in Python floats, with
 SciPy's tableau, step-size controller, dense output and event root search.
@@ -39,7 +40,7 @@ from typing import Literal
 import numpy as np
 
 from .core import Grid1D, NumericalError, SolitonParams, Trajectory
-from .pseudopotential import eval_S, existence_check, turning_points
+from .pseudopotential import eval_S, require_admissible, turning_point
 
 #: Default truncation of the quadrature table, relative to the orbit depth.
 TAIL_CUT_REL = 1e-8
@@ -61,21 +62,9 @@ MIN_DECAY_LENGTHS = 20.0
 
 def decay_rate(params: SolitonParams) -> float:
     """Linearized tail decay rate sqrt((v0^3 - lambda)/v0^3) about v = v0."""
+    require_admissible(params)
     lam, v0 = params.lambda_speed, params.v0
-    if not 0.0 < lam < v0**3:
-        raise ValueError("decay rate undefined outside the existence domain")
     return float(np.sqrt((v0**3 - lam) / v0**3))
-
-
-def require_admissible(params: SolitonParams) -> None:
-    """Raise ValueError unless a soliton exists, i.e. 0 < lambda < v0^3."""
-    report = existence_check(params)
-    if not report.admissible:
-        raise ValueError(
-            f"soliton existence violated: lambda={params.lambda_speed}, "
-            f"v0={params.v0} needs 0 < lambda < v0^3 = {params.v0**3:.6g} "
-            f"(S''(v0) = {report.s_second_at_v0:.6g})"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +100,29 @@ class ProfileMetrics:
     fwhm: float
 
 
-class QuadratureSolution:
+class _EvenProfile:
+    """Callable v(xi), even: the subclass's ``_flank(|xi|)`` up to ``xi_end``,
+    then the linearized tail v0 - (v0 - v_end)*exp(-kappa*(|xi| - xi_end))."""
+
+    def __init__(self, params: SolitonParams, xi_end: float, v_end: float):
+        self.params = params
+        self.kappa = decay_rate(params)
+        self._xi_end = xi_end
+        self._v_end = v_end
+
+    def __call__(self, xi) -> np.ndarray:
+        w = np.abs(np.asarray(xi, dtype=float))
+        inside = w <= self._xi_end
+        out = np.empty_like(w)
+        out[inside] = self._flank(w[inside])
+        v0 = self.params.v0
+        out[~inside] = v0 - (v0 - self._v_end) * np.exp(
+            -self.kappa * (w[~inside] - self._xi_end)
+        )
+        return out
+
+
+class QuadratureSolution(_EvenProfile):
     """Callable v(xi), even, on the closed-form table of the first integral.
 
     Inside the table v = v_turn + u^2, where u solves ``_flank_xi(u) = |xi|``
@@ -121,19 +132,12 @@ class QuadratureSolution:
 
     def __init__(self, params: SolitonParams, xi: np.ndarray, v: np.ndarray,
                  u: np.ndarray):
-        self.params = params
+        super().__init__(params, xi[-1], v[-1])
         self.xi = xi
         self.v = v
-        self.kappa = decay_rate(params)
         self.u = u
-        self._xi_end = xi[-1]
-        self._v_end = v[-1]
 
-    def __call__(self, xi) -> np.ndarray:
-        w = np.abs(np.asarray(xi, dtype=float))
-        inside = w <= self._xi_end
-        out = np.empty_like(w)
-        w_in = w[inside]
+    def _flank(self, w_in: np.ndarray) -> np.ndarray:
         j = np.clip(np.searchsorted(self.xi, w_in), 1, self.u.size - 1)
         lo, hi = self.u[j - 1], self.u[j]
         u = np.interp(w_in, self.xi, self.u)
@@ -144,11 +148,7 @@ class QuadratureSolution:
             gap = depth - u * u
             slope = 2.0 * np.sqrt(v_turn + u * u) / gap
             u = np.clip(u - (_flank_xi(u, gap, v_turn, v0) - w_in) / slope, lo, hi)
-        out[inside] = v_turn + u * u
-        out[~inside] = v0 - (v0 - self._v_end) * np.exp(
-            -self.kappa * (w[~inside] - self._xi_end)
-        )
-        return out
+        return v_turn + u * u
 
 
 def _flank_xi(u: np.ndarray, gap: np.ndarray, v_turn: float,
@@ -170,9 +170,7 @@ def solve_quadrature(
     params: SolitonParams, n_points: int = 800, tail_cut: float | None = None
 ) -> QuadratureSolution:
     """Tabulate the closed-form xi(v) of the flank up to v0 - tail_cut."""
-    require_admissible(params)
-    tp = turning_points(params)
-    v0, v_turn = params.v0, tp.v_turn
+    v0, v_turn = params.v0, turning_point(params)
     depth = v0 - v_turn
     if tail_cut is None:
         tail_cut = TAIL_CUT_REL * depth
@@ -211,7 +209,7 @@ def profile_by_quadrature(
     return Profile(xi=xi, v=v, params=params, method="quadrature")
 
 
-class ShootingSolution:
+class ShootingSolution(_EvenProfile):
     """Callable v(xi) from outward integration of the profile ODE.
 
     ``steps_xi`` / ``steps_v`` / ``steps_vp`` hold the accepted solver steps,
@@ -223,12 +221,10 @@ class ShootingSolution:
 
     def __init__(self, params: SolitonParams, steps: list, dense: list,
                  rejected_steps: int):
-        self.params = params
-        self.kappa = decay_rate(params)
         self.steps_xi, self.steps_v, self.steps_vp = np.array(steps).T
         self.rejected_steps = rejected_steps
         self.xi_switch = float(self.steps_xi[-1])
-        self._v_switch = float(self.steps_v[-1])
+        super().__init__(params, self.xi_switch, float(self.steps_v[-1]))
         # one row per step: start, length, v at the start, 7 coefficients
         self._dense = np.array(dense)
 
@@ -242,22 +238,13 @@ class ShootingSolution:
             "first_integral_residual": float(np.max(np.abs(energy))),
         }
 
-    def __call__(self, xi) -> np.ndarray:
+    def _flank(self, w_in: np.ndarray) -> np.ndarray:
         from ._dop853 import interpolate
 
-        w = np.abs(np.asarray(xi, dtype=float))
-        inside = w <= self.xi_switch
-        out = np.empty_like(w)
-        w_in = w[inside]
         # the step whose span holds w; a step boundary goes to the earlier
         step = np.maximum(np.searchsorted(self._dense[:, 0], w_in) - 1, 0)
         start, h, v_start, *coefficients = self._dense[step].T
-        out[inside] = interpolate(coefficients, (w_in - start) / h) + v_start
-        v0 = self.params.v0
-        out[~inside] = v0 - (v0 - self._v_switch) * np.exp(
-            -self.kappa * (w[~inside] - self.xi_switch)
-        )
-        return out
+        return interpolate(coefficients, (w_in - start) / h) + v_start
 
 
 def solve_shooting(params: SolitonParams, xi_max: float) -> ShootingSolution:
@@ -270,10 +257,9 @@ def solve_shooting(params: SolitonParams, xi_max: float) -> ShootingSolution:
     """
     from ._dop853 import dop853
 
-    require_admissible(params)
+    v_turn = turning_point(params)
     if not xi_max > 0.0:
         raise ValueError(f"xi_max must be positive, got {xi_max}")
-    v_turn = float(turning_points(params).v_turn)
     lam, v0 = params.lambda_speed, params.v0
     half_lam, inv_v0_sq = 0.5 * lam, 1.0 / v0**2
 
@@ -292,7 +278,9 @@ def solve_shooting(params: SolitonParams, xi_max: float) -> ShootingSolution:
     return ShootingSolution(params, steps, dense, rejected)
 
 
-def _check_shooting_grid(params: SolitonParams, grid: Grid1D) -> None:
+def _shoot_on_grid(params: SolitonParams, grid: Grid1D) -> ShootingSolution:
+    """The shooting solution across a symmetric grid wide enough for the
+    tails to relax."""
     if abs(grid.x_min + grid.x_max) > 1e-9 * grid.length:
         raise ValueError("shooting grid must be symmetric about xi = 0")
     half_width = 0.5 * grid.length
@@ -303,12 +291,12 @@ def _check_shooting_grid(params: SolitonParams, grid: Grid1D) -> None:
             f"{kappa * half_width:.1f} decay lengths; need at least "
             f"{MIN_DECAY_LENGTHS:g} for the tails to relax"
         )
+    return solve_shooting(params, xi_max=half_width)
 
 
 def profile_by_shooting(params: SolitonParams, grid: Grid1D) -> Profile:
     """Shooting profile resampled onto a symmetric grid (even extension)."""
-    _check_shooting_grid(params, grid)
-    sol = solve_shooting(params, xi_max=0.5 * grid.length)
+    sol = _shoot_on_grid(params, grid)
     return Profile(xi=grid.x, v=sol(grid.x), params=params, method="shooting",
                    diagnostics=sol.diagnostics())
 
@@ -359,8 +347,7 @@ def translated_trajectory(
     """
     if not grid.periodic:
         raise ValueError("translated trajectories require a periodic grid")
-    _check_shooting_grid(params, grid)
-    sol = solve_shooting(params, xi_max=0.5 * grid.length)
+    sol = _shoot_on_grid(params, grid)
     times = np.asarray(times, dtype=float)
     shifted = (
         np.mod(grid.x - params.lambda_speed * times[:, None] - grid.x_min, grid.length)

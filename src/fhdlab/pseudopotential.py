@@ -8,6 +8,8 @@ integral (1/2) (dv/dxi)^2 + S(v) = 0 with
 S has a double root at the background v0 and a simple root at
 v_turn = lambda / v0^2. A localized depression orbit exists exactly when
 0 < lambda < v0^3, in which case S < 0 on the open interval (v_turn, v0).
+``require_admissible`` is the one gate on that domain; ``turning_point``
+passes it before it returns v_turn.
 """
 
 from __future__ import annotations
@@ -16,10 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SolitonParams
-
-#: |lambda - v0^3| below this relative tolerance counts as the triple-root case.
-DEGENERACY_RTOL = 1e-10
+from .core import NumericalError, SolitonParams
 
 #: Step (relative to v0) for the finite-difference diagnostics at the background.
 _FD_STEP_REL = 1e-5
@@ -59,19 +58,10 @@ class ExistenceReport:
     s_second_predicted: float
 
 
-def _richardson_pair(coarse: float, fine: float) -> float:
-    # one Richardson step for an O(h^2) central-difference estimate
-    return (4.0 * fine - coarse) / 3.0
-
-
-def existence_check(params: SolitonParams) -> ExistenceReport:
-    """Decide whether params admit a localized depression orbit.
-
-    Admissible iff 0 < lambda < v0^3. The report carries central
-    finite-difference values of S, S' and S'' at v0 (step 1e-5*v0, one
-    Richardson extrapolation) so the decision can be audited numerically.
-    """
-    lam, v0 = params.lambda_speed, params.v0
+def _derivatives_at_v0(params: SolitonParams) -> tuple[float, float, float]:
+    """S, S' and S'' at v0: central differences with step 1e-5*v0 and its
+    half, combined by one Richardson extrapolation."""
+    v0 = params.v0
     h = _FD_STEP_REL * v0
     s0 = eval_S(v0, params)
 
@@ -81,9 +71,38 @@ def existence_check(params: SolitonParams) -> ExistenceReport:
         return (plus - minus) / (2.0 * step), (plus - 2.0 * s0 + minus) / step**2
 
     (d1_h, d2_h), (d1_half, d2_half) = central(h), central(h / 2.0)
-    s1 = _richardson_pair(d1_h, d1_half)
-    s2 = _richardson_pair(d2_h, d2_half)
-    admissible = 0.0 < lam < v0**3
+    # one Richardson step for each O(h^2) central difference
+    return s0, (4.0 * d1_half - d1_h) / 3.0, (4.0 * d2_half - d2_h) / 3.0
+
+
+def require_admissible(params: SolitonParams) -> None:
+    """Raise ValueError unless a soliton exists, i.e. 0 < lambda < v0^3.
+
+    The package's one test of that domain; every other check calls it.
+    """
+    lam, v0 = params.lambda_speed, params.v0
+    if not 0.0 < lam < v0**3:
+        raise ValueError(
+            f"soliton existence violated: lambda={lam}, "
+            f"v0={v0} needs 0 < lambda < v0^3 = {v0**3:.6g} "
+            f"(S''(v0) = {_derivatives_at_v0(params)[2]:.6g})"
+        )
+
+
+def existence_check(params: SolitonParams) -> ExistenceReport:
+    """Decide whether params admit a localized depression orbit.
+
+    Admissible iff ``require_admissible`` passes. The report carries the
+    finite-difference values of S, S' and S'' at v0 (step 1e-5*v0, one
+    Richardson extrapolation) so the decision can be audited numerically.
+    """
+    s0, s1, s2 = _derivatives_at_v0(params)
+    try:
+        require_admissible(params)
+        admissible = True
+    except ValueError:
+        admissible = False
+    lam, v0 = params.lambda_speed, params.v0
     return ExistenceReport(
         admissible=admissible,
         s_at_v0=s0,
@@ -93,61 +112,28 @@ def existence_check(params: SolitonParams) -> ExistenceReport:
     )
 
 
-@dataclass(frozen=True)
-class TurningPoints:
-    """Roots of S: the double root v0 and the simple root lambda/v0^2."""
-
-    v_equilibrium: float
-    v_turn: float
-    degenerate: bool
-
-
-def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(
-            f"root bracket [{lo}, {hi}] does not straddle a sign change"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+def _confirm_root(params: SolitonParams, v_turn: float) -> None:
+    """Raise NumericalError unless S changes sign, or vanishes, at the ends of
+    [v_turn - delta, v_turn + delta], delta = 1e-12*max(1, v0), clipped to
+    [v_turn/2, (v_turn + v0)/2]. (S underflows to zero near v0 at the
+    smallest backgrounds.)"""
+    v0 = params.v0
+    delta = 1e-12 * max(1.0, v0)
+    lo = max(v_turn - delta, 0.5 * v_turn)
+    hi = min(v_turn + delta, 0.5 * (v_turn + v0))
+    s_lo, s_hi = eval_S(lo, params), eval_S(hi, params)
+    if min(s_lo, s_hi) > 0.0 or max(s_lo, s_hi) < 0.0:
+        raise NumericalError(f"S does not change sign across [{lo}, {hi}]: "
+                             f"{v_turn} is not its simple root")
 
 
-def turning_points(params: SolitonParams) -> TurningPoints:
-    """Locate the orbit's turning points, confirming the simple root by bisection.
-
-    The analytic simple root lambda/v0^2 is cross-checked against a bracketed
-    bisection of S on (0, v0); a mismatch above 1e-12 is an internal error.
-    Within DEGENERACY_RTOL of lambda = v0^3 the roots coalesce (triple root)
-    and the degenerate flag is set instead.
-    """
-    lam, v0 = params.lambda_speed, params.v0
-    if lam <= 0.0 or lam > v0**3 * (1.0 + DEGENERACY_RTOL):
-        raise ValueError(
-            f"no turning points: lambda={lam} outside (0, v0^3={v0**3}]"
-        )
-    if abs(lam - v0**3) < DEGENERACY_RTOL * v0**3:
-        return TurningPoints(v_equilibrium=v0, v_turn=lam / v0**2, degenerate=True)
-
-    v_turn = lam / v0**2
-    lo, hi = 0.5 * v_turn, 0.5 * (v_turn + v0)
-    confirmed = _bisect_root(lambda v: eval_S(v, params), lo, hi, tol=1e-14 * v0)
-    if abs(confirmed - v_turn) > 1e-12 * max(1.0, v0):
-        raise ValueError(
-            f"bisection root {confirmed} disagrees with analytic turning point {v_turn}"
-        )
-    return TurningPoints(v_equilibrium=v0, v_turn=v_turn, degenerate=False)
+def turning_point(params: SolitonParams) -> float:
+    """The simple root v_turn = lambda/v0^2 of S, past ``require_admissible``
+    and confirmed by ``_confirm_root``."""
+    require_admissible(params)
+    v_turn = params.lambda_speed / params.v0**2
+    _confirm_root(params, v_turn)
+    return v_turn
 
 
 def phase_branch(v, params: SolitonParams):
@@ -171,9 +157,9 @@ def potential_samples(
     params: SolitonParams, n: int = 1000, span: float = 0.25
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tabulate (v, S(v)) across the orbit with a margin of span*(v0 - v_turn)."""
-    tp = turning_points(params)
-    width = params.v0 - tp.v_turn
-    lo = max(tp.v_turn - span * width, 0.05 * tp.v_turn)
+    v_turn = turning_point(params)
+    width = params.v0 - v_turn
+    lo = max(v_turn - span * width, 0.05 * v_turn)
     hi = params.v0 + span * width
     v = np.linspace(lo, hi, n)
     return v, np.asarray(eval_S(v, params))
@@ -183,7 +169,6 @@ def phase_samples(
     params: SolitonParams, n: int = 1000
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tabulate (v, v'_plus, v'_minus) along the orbit between the roots."""
-    tp = turning_points(params)
-    v = np.linspace(tp.v_turn, params.v0, n)
+    v = np.linspace(turning_point(params), params.v0, n)
     plus, minus = phase_branch(v, params)
     return v, plus, minus

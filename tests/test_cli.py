@@ -461,6 +461,35 @@ class TestUsageAndExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: config value params.lambda must be a number")
 
+    def test_integer_for_a_float_key_reads_as_its_flag(self, tmp_path, capsys):
+        # the same output bytes as the flag; an integer no float holds is
+        # invalid
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"params": {"v0": 1}}')
+        outputs = []
+        for extra in (["--config", str(cfg)], ["--v0", "1"]):
+            assert main(["potential", *extra, "--output-dir", str(tmp_path)]) == 0
+            outputs.append((capsys.readouterr().out,
+                            (tmp_path / "potential.meta.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        cfg.write_text('{"params": {"v0": 1' + 400 * "0" + '}}')
+        assert main(["potential", "--config", str(cfg),
+                     "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config value params.v0 lies outside the float range\n")
+
+    @pytest.mark.parametrize("floor", ["NaN", "Infinity", "-Infinity"])
+    def test_floor_that_is_not_finite_exits_2(self, tmp_path, capsys, floor):
+        # a NaN floor would never trigger, an infinite one at the first step
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"evolve": {{"positivity_floor": {floor}}}}}')
+        code = main(["evolve", "--lambda", "0.5", "--n", "128", "--t-final", "0.01",
+                     "--config", str(cfg), "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: positivity_floor must be positive and finite\n")
+        assert not (tmp_path / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("argv, code, stream, text", [
         (["profile", "--n", "abc"], 2, "err", "invalid int value: 'abc'"),
         (["profile", "--bogus", "1"], 2, "err", "unrecognized arguments: --bogus 1"),
@@ -938,6 +967,25 @@ sys.exit(main(["verify-lax", "--lambda", "0.5", "--lambda-spec", "3e153",
         assert len(lines) == 1 and lines[0].startswith(
             "numerical failure: verify-lax check failed"), done.stderr
 
+    @pytest.mark.parametrize("frame_dt, code", [
+        ("5e-324", 3), ("1e308", 2), ("Infinity", 2), ("NaN", 2), ("0", 2),
+        ("-1", 2), ("-9223372036854775809", 2),
+    ])
+    def test_frame_spacing_at_its_edges(self, tmp_path, capsys, frame_dt, code):
+        # a spacing whose square underflows fails the check; one that is not
+        # positive, or whose last frame's shift lambda*t overflows, is
+        # invalid; neither prints a NumPy warning
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"lax": {{"frame_dt": {frame_dt}}}}}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify-lax", "--n", "512", "--config", str(cfg),
+                         "--output-dir", str(tmp_path)]) == code
+        assert not caught, [str(w.message) for w in caught]
+        if code == 2:
+            assert capsys.readouterr().err.startswith(
+                "error: lax.frame_dt must be positive")
+
     def test_under_resolved_check_exits_3(self, tmp_path, capsys):
         code = main(["verify-lax", "--lambda", "0.5", "--v0", "1", "--n", "64",
                      "--output-dir", str(tmp_path)])
@@ -1020,14 +1068,15 @@ _FUZZ_FLAGS = {flag: field for field, (_, flag) in _OPTIONS.items()
 
 
 @st.composite
-def _fuzzed_argv(draw):
-    """A command and up to four flags with fuzzed values."""
-    command = draw(st.sampled_from(sorted(COMMANDS)))
+def _fuzzed_argv(draw, commands=tuple(sorted(COMMANDS)), max_optional=4):
+    """One of ``commands`` and up to ``max_optional`` flags with fuzzed
+    values, besides the ones that bound the run's size."""
+    command = draw(st.sampled_from(commands))
     # the defaults n = 2048 and t_final = 5 make runs of seconds
     required = {"evolve": ["--n", "--t-final"], "verify-lax": ["--n"]}
     optional = sorted(set(_FUZZ_FLAGS) - set(required.get(command, [])))
     flags = required.get(command, []) + draw(
-        st.lists(st.sampled_from(optional), max_size=4, unique=True))
+        st.lists(st.sampled_from(optional), max_size=max_optional, unique=True))
     argv = [command]
     for flag in flags:
         kind = _kind(_FUZZ_FLAGS[flag])[0]
@@ -1075,3 +1124,37 @@ class TestExitCodeProperty:
             assert json.loads(out, parse_constant=_reject_constant)["status"] == "ok"
         else:
             assert out == "", out
+
+
+# the config-file keys that no flag sets, read by evolve, profile and
+# verify-lax, and values for them: the flag fuzz's numbers (with NaN and
+# Infinity, which JSON decoding accepts) and values of each other JSON type
+_CONFIG_ONLY = [path for path, flag in _OPTIONS.values() if flag is None]
+_FUZZ_JSON = ([float(x) for x in _FUZZ_FLOATS] + [int(x) for x in _FUZZ_INTS]
+              + ["", "0.5", [], [1.0], {}, {"n": 1}, True, None])
+
+
+class TestConfigFileProperty:
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_fuzzed_argv(("evolve", "profile", "verify-lax"), max_optional=0),
+           values=st.dictionaries(st.sampled_from(_CONFIG_ONLY),
+                                  st.sampled_from(_FUZZ_JSON), min_size=1))
+    def test_config_only_keys_exit_with_a_contract_code(self, tmp_path_factory,
+                                                        capfd, argv, values):
+        # whatever the five config-only keys hold: 0 ok, 2 validation or
+        # 3 numerical, and never a traceback or a warning
+        work = tmp_path_factory.mktemp("fuzz")
+        document = {}
+        for (section, key), value in values.items():
+            document.setdefault(section, {})[key] = value
+        cfg = work / "run.json"
+        cfg.write_text(json.dumps(document))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--config", str(cfg),
+                                "--output-dir", str(work / "out")])
+        out, err = capfd.readouterr()
+        assert code in (0, 2, 3), (code, err)
+        assert "Traceback" not in out + err
+        assert not caught, [str(w.message) for w in caught]

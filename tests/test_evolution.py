@@ -86,6 +86,12 @@ class TestEvolveConfig:
         with pytest.raises(ValueError):
             EvolveConfig(t_final=1.0, positivity_floor=-0.5)
 
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf, 0.0])
+    def test_floor_that_is_not_positive_and_finite_is_rejected(self, floor):
+        # NaN compares False with everything, so "floor <= 0" misses it
+        with pytest.raises(ValueError, match="positivity_floor must be positive"):
+            EvolveConfig(t_final=1.0, positivity_floor=floor)
+
 
 class TestEvolve:
     def test_constant_field_is_a_fixed_point(self):

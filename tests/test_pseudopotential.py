@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fhdlab.core import SolitonParams
+from fhdlab.core import V0_MAX, V0_MIN, NumericalError, SolitonParams
 from fhdlab.pseudopotential import (
-    DEGENERACY_RTOL,
+    _confirm_root,
     eval_S,
     existence_check,
     phase_branch,
-    turning_points,
+    turning_point,
 )
 
 
@@ -133,41 +133,55 @@ class TestExistenceCheck:
 
 class TestTurningPoints:
     def test_basic_case(self):
-        tp = turning_points(SolitonParams(0.5, 1.0))
-        assert tp.v_turn == pytest.approx(0.5, abs=1e-12)
-        assert tp.v_equilibrium == 1.0
-        assert not tp.degenerate
+        assert turning_point(SolitonParams(0.5, 1.0)) == pytest.approx(0.5, abs=1e-12)
 
     def test_second_case(self):
-        tp = turning_points(SolitonParams(0.2, 1.0))
-        assert tp.v_turn == pytest.approx(0.2, abs=1e-12)
+        assert turning_point(SolitonParams(0.2, 1.0)) == pytest.approx(0.2, abs=1e-12)
 
     def test_scaled_background(self):
-        tp = turning_points(SolitonParams(0.5, 0.9))
-        assert tp.v_turn == pytest.approx(0.5 / 0.81, rel=1e-12)
-        assert tp.v_turn < 0.9
-
-    def test_degenerate_triple_root(self):
-        tp = turning_points(SolitonParams(1.0, 1.0))
-        assert tp.degenerate
-        assert tp.v_turn == pytest.approx(1.0)
-
-    def test_near_degenerate_tolerance(self):
-        lam = 1.0 - 0.5 * DEGENERACY_RTOL
-        assert turning_points(SolitonParams(lam, 1.0)).degenerate
+        v_turn = turning_point(SolitonParams(0.5, 0.9))
+        assert v_turn == pytest.approx(0.5 / 0.81, rel=1e-12)
+        assert v_turn < 0.9
 
     def test_out_of_domain_raises(self):
         with pytest.raises(ValueError):
-            turning_points(SolitonParams(1.5, 1.0))
+            turning_point(SolitonParams(1.5, 1.0))
         with pytest.raises(ValueError):
-            turning_points(SolitonParams(-0.1, 1.0))
+            turning_point(SolitonParams(-0.1, 1.0))
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 1.0 + 5e-11])
+    def test_edges_of_the_domain_raise(self, lam):
+        # at lambda = v0^3 the roots merge into a triple root: no orbit
+        with pytest.raises(ValueError, match="soliton existence violated"):
+            turning_point(SolitonParams(lam, 1.0))
 
     @settings(max_examples=40, deadline=None)
     @given(params=admissible_params())
-    def test_bisection_confirms_analytic_root(self, params):
-        tp = turning_points(params)
-        assert tp.v_turn < params.v0
-        assert abs(eval_S(tp.v_turn, params)) <= 1e-14 * max(1.0, params.v0)
+    def test_sign_check_confirms_analytic_root(self, params):
+        v_turn = turning_point(params)
+        assert v_turn < params.v0
+        assert abs(eval_S(v_turn, params)) <= 1e-14 * max(1.0, params.v0)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(log_frac=st.floats(-12.0, math.log10(0.5)), upper=st.booleans(),
+           log_v0=st.floats(math.log10(V0_MIN), math.log10(V0_MAX)))
+    @example(log_frac=-8.0, upper=True, log_v0=-60.0)  # S(hi) underflows to 0
+    def test_whole_existence_domain(self, log_frac, upper, log_v0):
+        # lambda/v0^3 log-uniform toward either end, to within 1e-12 of it,
+        # and v0 log-uniform over its whole range
+        v0 = min(max(10.0**log_v0, V0_MIN), V0_MAX)
+        frac = 1.0 - 10.0**log_frac if upper else 10.0**log_frac
+        params = SolitonParams(frac * v0**3, v0)
+        v_turn = turning_point(params)
+        assert v_turn == params.lambda_speed / v0**2
+        assert 0.0 < v_turn < v0
+
+    @pytest.mark.parametrize("moved", [1.0 - 1e-9, 1.0 + 1e-9])
+    def test_sign_check_rejects_a_moved_root(self, moved):
+        params = SolitonParams(0.5, 1.0)
+        _confirm_root(params, 0.5)
+        with pytest.raises(NumericalError, match="does not change sign"):
+            _confirm_root(params, 0.5 * moved)
 
 
 class TestPhaseBranch:
