@@ -223,12 +223,12 @@ def dop853(accel, v_turn: float, xi_max: float, v_stop: float,
 
     The steps, the controller, the dense output and the events are those of
     ``scipy.integrate.DOP853`` at rtol and atol, with a terminal event on
-    each of v_stop and v_collapse, in Python floats. The run stops at
-    xi_max, or at the root of v = v_stop on the step where v rises through
-    it. Returns the accepted (xi, v, v') from xi = 0 to the end, one
-    dense-output row per step and the number of rejected steps. Raises
-    NumericalError when v falls through v_collapse or the step size
-    underflows.
+    each of v_stop and v_collapse, in Python floats. The run stops at the
+    root of v = v_stop on the step where v rises through it. Returns the
+    accepted (xi, v, v') from xi = 0 to the end, one dense-output row per
+    step and the number of rejected steps. Raises NumericalError when v
+    falls through v_collapse, the step size underflows or the run reaches
+    xi_max first.
     """
     t, v, p = 0.0, v_turn, 0.0
     fv, fp = p, accel(v)
@@ -278,5 +278,7 @@ def dop853(accel, v_turn: float, xi_max: float, v_stop: float,
             return steps, dense, rejected
         steps.append((t_new, v_new, p_new))
         if t_new >= xi_max:
-            return steps, dense, rejected
+            raise NumericalError(
+                f"profile shooting reached xi = {xi_max:g} before the tail switch "
+                f"at v = {v_stop:.10g}: the orbit did not relax to v0 in the window")
         t, v, p, fv, fp = t_new, v_new, p_new, kv[12], kp[12]

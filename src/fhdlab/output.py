@@ -9,8 +9,10 @@ self-describing.
 Every writer formats through ``_format_g17``, a NumPy formatter whose bytes
 equal those of ``%`` for every float64, about 2^14 values at a time:
 ``write_csv`` a block of rows, the trajectory writers x once per file, t once
-per frame and v a block of frames. So every file holds the bytes that ``%``
-applied value by value would write.
+per frame and v a block of frames. Its digits come from the error-free
+(Dekker) two-product of |x| and an exact power of ten, rows of negative values
+move up one byte for the "-", and values outside 1e-4 <= |x| < 1e14 pass as
+1.0 and then get, by index, the text of one ``%`` call.
 
 Each block is laid out as one uint8 matrix of 24-byte NUL-padded fields
 and their separators, and its NULs are dropped once. For the trajectory
@@ -32,158 +34,156 @@ import numpy as np
 
 _FRAME_BLOCK_VALUES = 1 << 14
 
-# Exact "%.17g" in bulk, after the fixed-precision conversion of Adams, "Ryu
-# revisited: printf floating point conversion" (OOPSLA 2019). For
-# 1e-4 <= |x| < 1e14 the text is positional and its 17 digits are
-# N = round_half_even(|x| 10^(16-E)), E = floor(log10|x|), computed exactly
-# in integers from x = m 2^(e2-53). A row is 24 bytes, NUL-padded; while it
-# is laid out it is held as three uint64 words whose bit 8i + j is bit j of
-# byte i, so that moving bytes is shifting words.
+# Exact "%.17g" in bulk. For 1e-4 <= |x| < 1e14 the text is positional, and
+# its exponent E = floor(log10|x|) indexes the per-E tables as s = E + 4. A
+# row is 24 bytes, NUL-padded; while it is laid out it is held as three uint64
+# words, a column of a (3, n) array, whose bit 8i + j is bit j of byte i, so
+# that moving bytes is shifting words.
 _U64 = np.uint64
+_E = np.arange(-4, 14)
+_HIGH = -(1 << 27)  # masks the bits of a double to its top 26 significant bits
 
 
-def _words(rows: list[bytes]) -> tuple[np.ndarray, ...]:
-    """The three uint64 words of each 24-byte row, one array per word."""
+def _words(rows: list[bytes]) -> np.ndarray:
+    """The (3, len(rows)) uint64 words of rows of up to 24 bytes."""
     w = np.frombuffer(b"".join(r.ljust(24, b"\0") for r in rows), "<u8")
-    return tuple(w[j::3].astype(_U64) for j in range(3))
-
-
-_POW5 = 5.0 ** np.arange(23)  # exact below 2^53
+    return w.reshape(-1, 3).T.astype(_U64)
 
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """Lookup tables, built on first use so that commands that write no
-    trajectory do not pay for them.
-
-    quad[q], q < 10^4: the four ASCII digits of q as bytes 0-3 of a word;
-    quad_zeros[q]: how many of them are trailing zeros (4 for q = 0);
-    keep[j][k]: word j of the first k bytes; point[j][E + 4]: word j of
-    "0." and zeros for E < 0, else of the point after E + 1 integer digits.
+    """Lookup tables, built on first use. For the biased binary exponent b of
+    |x|, s0[b] is s at the bottom of the binade and rise[b] the bits of the
+    double 10^(E+1), the least double >= 10^(E+1), from which s is one more;
+    s is -1 below 1e-4 and 18 from 1e14 on, nan and inf included. By s:
+    pow10 = 10^(16-E), exact, and by_s the words that keep the first
+    p = max(E+1, 0) digits, 8 h for the h bytes that the others move up, and
+    those bytes ("." or "0.0..."). keep[:, 17 s + last] keeps the text up to
+    the last digit that is not 0. quad[q]: the ASCII digits of q < 10^4.
     """
+    b = np.arange(2048)
+    e0 = np.floor((b - 1023) * np.log10(2.0)).astype(np.int64)
+    live = (b >= 1009) & (b < 1070)  # the binades that meet [1e-4, 1e14)
+    s0 = np.where(live, e0 + 4, np.where(b < 1009, -1, 18))
+    rise = np.full(2048, 2**63 - 1)
+    rise[live] = np.array([float(f"1e{e + 1}") for e in e0[live]]).view(np.int64)
+    pow10 = np.array([float(10 ** (16 - e)) for e in _E.tolist()])
+    p = np.maximum(_E + 1, 0)
+    h = 1 + np.maximum(-_E, 0)
+    keep = _words([b"\xff" * k for k in range(25)])
+    point = _words([b"0." + b"0" * (-e - 1) if e < 0 else b"\0" * (e + 1) + b"."
+                    for e in _E])
+    by_s = np.concatenate([keep[:2, p], [(8 * h).astype(_U64)], point[:2]])
+    last = np.maximum(np.arange(17), _E[:, None])
+    length = np.where(last > _E[:, None], last + h[:, None], last) + 1
     q = np.arange(10000, dtype=_U64)
     quad = sum((q // _U64(10**k) % _U64(10) + _U64(48)) << _U64(8 * (3 - k))
                for k in range(4))
-    quad_zeros = sum((q % _U64(10**k) == 0).astype(np.int64) for k in range(1, 5))
-    keep = _words([b"\xff" * k for k in range(25)])
-    point = _words([b"0." + b"0" * (-e - 1) if e < 0 else b"\0" * (e + 1) + b"."
-                    for e in range(-4, 14)])
-    return quad, quad_zeros, keep, point
+    return s0, rise, pow10, by_s, keep[:, length.ravel()], quad
 
 
-def _scaled(mant: np.ndarray, e2: np.ndarray, e: np.ndarray):
-    """floor and round-half-even of mant 2^(e2-53) 10^(16-e), exactly.
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """s = E + 4 and the 17 digits N = round_half_even(|x| 10^(16-E)) of each
+    x, and the indices of the x outside 1e-4 <= |x| < 1e14 (given those of 1.0).
 
-    The product of the 53-bit mantissa and 5^(16-e) needs up to 102 bits: its
-    low word is the wrapped uint64 product, its high word the float product
-    less the low word, which is exact after rounding. The shift is >= 2 for
-    every 1e-4 <= x < 1e14 and e within one of floor(log10 x).
+    hi = a P is an even integer (hi >= 1e16 > 2^53) and lo = a P - hi exactly,
+    from halves of a = |x| and P whose products are exact. N < 1e17: the
+    largest double below 10^k, -4 <= k <= 14, is 8.3 units of digit 17 below.
     """
-    c = _POW5[16 - e]
-    low = mant.astype(_U64) * c.astype(_U64)
-    high = np.rint((mant * c - low.astype(float)) * 2.0**-64).astype(_U64)
-    shift = (37 - e2 + e).astype(_U64)
-    floor = (high << (_U64(64) - shift)) | (low >> shift)
-    half = _U64(1) << (shift - _U64(1))
-    rest = low & (half + half - _U64(1))
-    return floor, floor + (rest + (floor & _U64(1)) > half)
+    s0, rise, pow10 = _tables()[:3]
+    bits = x.view(np.int64) & (2**63 - 1)
+    b = bits >> 52
+    s = s0.take(b)
+    s += bits >= rise.take(b, out=b)
+    rest = np.flatnonzero(s.view(_U64) >= 18)
+    bits[rest] = np.float64(1.0).view(np.int64)
+    s[rest] = 4
+    a = bits.view(float)
+    P = pow10.take(s)
+    hi = a * P
+    ph = (P.view(np.int64) & _HIGH).view(float)
+    P -= ph
+    ah = (bits & _HIGH).view(float)
+    al = a - ah
+    lo = ah * ph
+    lo -= hi
+    ph *= al
+    lo += ph
+    ah *= P
+    lo += ah
+    al *= P
+    lo += al
+    n = hi.astype(_U64)
+    n += np.rint(lo, out=lo).astype(np.int64).view(_U64)
+    return s, n, rest
 
 
-def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E and the 17 digits N of each a = N 10^(E-16) rounded, 1e-4 <= a < 1e14."""
-    mant, e2 = np.frexp(a)
-    mant *= 2.0**53
-    e2 = e2.astype(np.int64)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    floor, n = _scaled(mant, e2, e)
-    # log10 may miss E by one next to a power of ten; then the digits
-    # (before rounding) leave [1e16, 1e17): move E and compute them again
-    off = (floor >= _U64(10**17)).astype(np.int64) - (floor < _U64(10**16))
-    wrong = np.flatnonzero(off)
-    if wrong.size:
-        e[wrong] += off[wrong]
-        n[wrong] = _scaled(mant[wrong], e2[wrong], e[wrong])[1]
-    # rounding never carries into an 18th digit: the largest double below
-    # each 10^k, -4 <= k <= 14, is at least 8.3 units of the 17th digit below
-    return e, n
-
-
-def _digit_words(n: np.ndarray):
-    """The 17 ASCII digits of n as bytes 0-16 of three words, and the index
-    of the last digit that is not 0."""
-    quad, quad_zeros, _, _ = _tables()
-    upper = n // _U64(10**8)
-    lower = n - upper * _U64(10**8)
-    lead = upper // _U64(10**8)
-    upper -= lead * _U64(10**8)
-    groups = []  # four groups of four digits after the leading one
-    for part in (upper, lower):
-        top = part // _U64(10**4)
-        groups += [top.astype(np.intp), (part - top * _U64(10**4)).astype(np.intp)]
-    last = np.full(n.size, 16)
-    run = np.ones(n.size, bool)  # the digits after this group are all 0
-    for g in reversed(groups):
-        last -= run * quad_zeros[g]
-        run &= g == 0
-    c1, c2, c3, c4 = (quad[g] for g in groups)
-    words = ((lead + _U64(48)) | (c1 << _U64(8)) | (c2 << _U64(40)),
-             (c2 >> _U64(24)) | (c3 << _U64(8)) | (c4 << _U64(40)),
-             c4 >> _U64(24))
-    return words, last
-
-
-def _shift_bytes(words, k: np.ndarray):
-    """Move 24-byte rows k bytes up (k < 8), dropping what passes byte 23."""
-    b = k * _U64(8)
-    c = _U64(64) - b
-    w0, w1, w2 = words
-    return w0 << b, (w1 << b) | (w0 >> c), (w2 << b) | (w1 >> c)
-
-
-def _positional_rows(x: np.ndarray) -> np.ndarray:
-    """``"%.17g" % x`` as 24-byte uint8 rows, for 1e-4 <= |x| < 1e14."""
-    e, n = _decimal(np.abs(x))
-    digits, last = _digit_words(n)
-    del n
-    _, _, keep, point = _tables()
-    # digits [0, p) stay, "." or "0.0..." goes between, [p, 17) move by h
-    p = np.maximum(e + 1, 0)
-    h = 1 + np.maximum(-e, 0)
-    low = [d & k[p] for d, k in zip(digits, keep)]
-    high = _shift_bytes([d ^ lo for d, lo in zip(digits, low)], h.astype(_U64))
-    del digits
-    # strip trailing zeros, and the point when no digit follows it
-    last = np.maximum(last, e)
-    length = np.where(last < p, last, last + h) + 1
-    rows = np.empty((x.size, 3), _U64)
-    for j in range(3):
-        rows[:, j] = (point[j][e + 4] | low[j] | high[j]) & keep[j][length]
-    neg = np.signbit(x)
-    if neg.any():
-        signed = _shift_bytes(rows.T, _U64(1))
-        for j, (word, sign) in enumerate(zip(signed, (ord("-"), 0, 0))):
-            rows[:, j] = np.where(neg, word | _U64(sign), rows[:, j])
-    return rows.astype("<u8", copy=False).view(np.uint8)
+def _digit_words(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of n as bytes 0-16 of (3, n.size) words, and the
+    index of the last digit that is not 0. Overwrites n."""
+    quad = _tables()[5]
+    top = n // 10**8
+    m = np.stack([top, n])
+    m -= m // 10**8 * 10**8  # digits 1-8 and 9-16
+    n //= 10**16
+    high = m // 10**4  # digits 1-4 and 9-12; m keeps 5-8 and 13-16
+    m -= high * 10**4
+    d = np.empty((3, n.size), _U64)
+    c = quad.take(high.view(np.int64))
+    np.left_shift(c, 8, out=d[:2])
+    quad.take(m.view(np.int64), out=c)
+    np.right_shift(c[1], 24, out=d[2])
+    d[1] |= c[0] >> 24
+    c <<= 40
+    d[:2] |= c
+    n += 48
+    d[0] |= n
+    del top, m, high, c  # freed before the float copies below: a lower peak
+    # the top nonzero byte of the digits less "0", from the exponent of each
+    # word as a float (exact, as no such byte exceeds 9); negative if none
+    t = (d ^ np.array([[0x3030303030303030] * 2 + [0x30]], _U64).T).astype(float)
+    t = t.view(np.int64) >> 52
+    t += np.array([[-1023], [64 - 1023], [128 - 1023]])
+    t >>= 3
+    return d, t.max(axis=0)
 
 
 def _format_g17(values: np.ndarray) -> np.ndarray:
     """``"%.17g" % x`` for each x of a float64 array, exactly.
 
-    Returns uint8 rows of 24 bytes: the ASCII text, padded with NULs. Values
-    outside 1e-4 <= |x| < 1e14 (zeros, subnormals, large values, nan and
-    inf) are formatted by one ``%`` call.
+    Returns uint8 rows of 24 bytes: the ASCII text, padded with NULs.
     """
+    by_s, keep = _tables()[3:5]
     x = np.asarray(values, dtype=float).ravel()
-    a = np.abs(x)
-    with np.errstate(invalid="ignore"):
-        fast = (a >= 1e-4) & (a < 1e14)
-    if fast.all():
-        return _positional_rows(x)
-    rows = np.empty((x.size, 24), np.uint8)
-    rest = x[~fast].tolist()
-    text = ("%.17g\n" * len(rest) % tuple(rest)).split("\n")[:-1]
-    rows[~fast] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
-    rows[fast] = _positional_rows(x[fast])
+    s, n, rest = _decimal(x)
+    d, last = _digit_words(n)
+    # digits [0, p) stay, the others move up by h bytes for "." or "0.0..."
+    kp, shift, point = np.split(by_s.take(s, axis=1), [2, 3])
+    kp &= d[:2]
+    d[:2] ^= kp
+    high = d[:2] >> 64 - shift  # the bytes that cross into the next word
+    d <<= shift
+    d[1:] |= high
+    d[:2] |= kp
+    d[:2] |= point
+    s *= 17
+    s += last
+    kept = keep.take(s, axis=1)
+    rows = np.empty((x.size, 3), _U64)
+    sign = x.view(_U64) >> 63
+    if sign.any():  # the row of a negative value moves up one byte for "-"
+        d &= kept
+        np.left_shift(sign, 3, out=shift[0])
+        np.left_shift(d, shift, out=rows.T)
+        np.subtract(64, shift, out=shift)
+        rows.T[1:] |= d[:2] >> shift
+        rows.T[0] |= sign * ord("-")
+    else:
+        np.bitwise_and(d, kept, out=rows.T)
+    rows = rows.view(np.uint8)
+    if rest.size:
+        text = ("%.17g\n" * rest.size % tuple(x[rest].tolist())).split("\n")[:-1]
+        rows[rest] = np.array(text, "S24").view(np.uint8).reshape(-1, 24)
     return rows
 
 

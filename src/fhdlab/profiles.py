@@ -248,12 +248,14 @@ class ShootingSolution(_EvenProfile):
 
 
 def solve_shooting(params: SolitonParams, xi_max: float) -> ShootingSolution:
-    """Integrate the profile ODE outward from the minimum up to xi_max.
+    """Integrate the profile ODE outward from the minimum to the tail switch.
 
     Initial data v(0) = v_turn, v'(0) = 0 sit exactly on the first-integral
     level set. A terminal event at v = v0 - TAIL_SWITCH_REL*depth hands over
     to the analytic tail before the saddle's unstable direction can amplify
-    the accumulated error; a second one stops a collapse toward v = 0.
+    the accumulated error; a second one stops a collapse toward v = 0. A run
+    that reaches xi_max before the switch raises NumericalError: near
+    lambda = v0^3 the first-integral error can turn the orbit back first.
     """
     from ._dop853 import dop853
 

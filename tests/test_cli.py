@@ -17,6 +17,7 @@ import fhdlab
 from fhdlab import output
 from fhdlab.cli import (
     COMMANDS,
+    LAX_MAX_VALUES,
     USAGE,
     _OPTIONS,
     RunConfig,
@@ -246,6 +247,26 @@ class TestFormatG17:
         rng = np.random.default_rng(9)
         assert_formats_as_percent(
             rng.integers(0, 2**64, size=50_000, dtype=np.uint64).view(float))
+
+    def test_positional_values_in_bulk(self):
+        # 200k values with 1e-4 <= |x| < 1e14, where the digits come from the
+        # two-product: log-uniform magnitudes, binary fractions k 2^-j (among
+        # them halfway cases), and the neighbours of each power of ten
+        rng = np.random.default_rng(16)
+        magnitudes = 10.0 ** rng.uniform(-4.0, 14.0, 150_000)
+        powers = np.array([float(f"1e{e}") for e in range(-4, 14)])
+        up = np.nextafter(powers, np.inf)
+        down = np.nextafter(powers, 0.0)
+        neighbours = np.concatenate([powers, up, np.nextafter(up, np.inf), down,
+                                     np.nextafter(down, 0.0)])
+        neighbours = neighbours[neighbours >= 1e-4]
+        k = rng.integers(1, 2**53, 60_000).astype(float)
+        fractions = np.ldexp(k, -rng.integers(0, 64, k.size))
+        fractions = fractions[(fractions >= 1e-4) & (fractions < 1e14)]
+        values = np.concatenate(
+            [magnitudes, neighbours, fractions[: 50_000 - neighbours.size]])
+        assert values.size == 200_000
+        assert_formats_as_percent(values * rng.choice([-1.0, 1.0], values.size))
 
     def test_powers_of_ten_and_their_neighbours(self):
         # log10 can round to the wrong side of these, which moves E by one
@@ -607,13 +628,14 @@ class TestProfileCommand:
                                 "depth", "fwhm_quadrature", "fwhm_shooting"}
 
     def test_unbracketed_half_depth_exits_3(self, tmp_path, capsys):
-        # near lambda = v0^3 the shooting profile does not rise back through
-        # its half-depth level inside the window: a numerical failure
+        # near lambda = v0^3 the shooting orbit turns back before its tail
+        # switch, so its profile would not rise back through the half-depth
+        # level inside the window: the shooting itself is a numerical failure
         code = main(["profile", "--lambda", "0.9999", "--output-dir", str(tmp_path)])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: half-depth level is not "
-                              "bracketed inside the window of half-width 2199.93")
+        assert err.startswith("numerical failure: profile shooting reached "
+                              "xi = 2201 before the tail switch")
         assert "Traceback" not in err
 
     def test_meta_sidecars_embed_config(self, tmp_path, capsys):
@@ -838,6 +860,16 @@ class TestEvolveCommand:
         assert code == 0
         assert summary["conservation_drift"] <= 1e-3
 
+    def test_seed_that_misses_its_tail_switch_exits_3(self, tmp_path, capsys):
+        # at lambda = 0.9999 the shooting orbit turns back before its tail
+        # switch; seeding evolve from it once gave "ok" with a speed of 4230
+        code = main(["evolve", "--lambda", "0.9999", "--n", "2048", "--t-final", "0.5",
+                     "--output-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("numerical failure: profile shooting reached xi")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_trajectory_files_match_write_csv(self, tmp_path, capsys):
         # oracle: the same run through the library, written value by value
         # with "%.17g"; write_csv must give the same bytes
@@ -985,6 +1017,17 @@ sys.exit(main(["verify-lax", "--lambda", "0.5", "--lambda-spec", "3e153",
         if code == 2:
             assert capsys.readouterr().err.startswith(
                 "error: lax.frame_dt must be positive")
+
+    @pytest.mark.parametrize("frames", [10**12, LAX_MAX_VALUES // 64 + 1])
+    def test_frame_count_is_bounded_before_allocating(self, tmp_path, capsys, frames):
+        # 10^12 frames once died in np.arange with a MemoryError traceback
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"lax": {"frames": frames}}))
+        assert main(["verify-lax", "--n", "64", "--config", str(cfg),
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: lax.frames times n may be at most {LAX_MAX_VALUES}, "
+                       f"got {frames} x 64\n")
 
     def test_under_resolved_check_exits_3(self, tmp_path, capsys):
         code = main(["verify-lax", "--lambda", "0.5", "--v0", "1", "--n", "64",
@@ -1140,6 +1183,7 @@ class TestConfigFileProperty:
     @given(argv=_fuzzed_argv(("evolve", "profile", "verify-lax"), max_optional=0),
            values=st.dictionaries(st.sampled_from(_CONFIG_ONLY),
                                   st.sampled_from(_FUZZ_JSON), min_size=1))
+    @example(argv=["verify-lax", "--n", "64"], values={("lax", "frames"): 10**12})
     def test_config_only_keys_exit_with_a_contract_code(self, tmp_path_factory,
                                                         capfd, argv, values):
         # whatever the five config-only keys hold: 0 ok, 2 validation or

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
 
 from fhdlab import _dop853
-from fhdlab.core import Field, SolitonParams, derivative, make_grid
+from fhdlab.core import Field, NumericalError, SolitonParams, derivative, make_grid
 from fhdlab.pseudopotential import eval_S
 from fhdlab.profiles import (
     MIN_DECAY_LENGTHS,
@@ -391,6 +391,12 @@ class TestProfileMetrics:
         w_quad = profile_metrics(profile_by_quadrature(params)).fwhm
         w_shoot = profile_metrics(profile_by_shooting(params, grid)).fwhm
         assert abs(w_quad - w_shoot) / w_quad < 0.01
+
+    def test_unbracketed_half_depth_is_numerical(self):
+        xi = np.linspace(-1.0, 1.0, 64)
+        prof = Profile(xi=xi, v=0.5 + 0.125 * xi**2, params=P05, method="shooting")
+        with pytest.raises(NumericalError, match="not bracketed inside the window"):
+            profile_metrics(prof)
 
     def test_flat_profile_rejected(self):
         prof = Profile(
