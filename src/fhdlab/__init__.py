@@ -10,7 +10,6 @@ from .core import (
     NumericalError,
     SolitonParams,
     Trajectory,
-    derivative,
     make_grid,
 )
 from .evolution import (
@@ -55,7 +54,6 @@ __all__ = [
     "NumericalError",
     "SolitonParams",
     "Trajectory",
-    "derivative",
     "make_grid",
     "EvolutionAborted",
     "EvolveConfig",

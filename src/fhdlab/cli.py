@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Field, NumericalError, SolitonParams, make_grid
+from .core import MAX_VALUES, Field, NumericalError, SolitonParams, make_grid
 from .evolution import (
     EvolveConfig,
     conservation_drift,
@@ -96,9 +96,8 @@ class RunConfig:
         return {"config": dict(vars(self))}
 
 
-#: Largest lax.frames times n that verify-lax accepts: its trajectory holds
-#: that many values (32 MiB), about 120 times the default 17 x 2048.
-LAX_MAX_VALUES = 1 << 22
+#: Largest lax.frames times n that verify-lax accepts (the default is 17 x 2048)
+LAX_MAX_VALUES = MAX_VALUES
 
 
 # RunConfig field -> (config-file key path, command-line flag or None);
@@ -303,9 +302,12 @@ def run_scan_existence(config: RunConfig) -> dict:
                              f"got {getattr(config, field)}")
     if not math.isfinite(config.lambda_max - config.lambda_min):
         raise ValueError("--lambda-max minus --lambda-min overflows")
+    path, flag = _OPTIONS["steps"]
     if config.steps < 1:
-        path, flag = _OPTIONS["steps"]
         raise ValueError(f"{flag} ({'.'.join(path)}) must be at least 1, "
+                         f"got {config.steps}")
+    if config.steps > MAX_VALUES:
+        raise ValueError(f"{flag} ({'.'.join(path)}) may be at most {MAX_VALUES}, "
                          f"got {config.steps}")
     lambdas = np.linspace(config.lambda_min, config.lambda_max, config.steps)
     admissible = np.zeros(lambdas.size)
@@ -358,7 +360,7 @@ def run_profile(config: RunConfig) -> dict:
     quad = profile_by_quadrature(
         params, n_points=config.n_points, tail_cut=config.tail_cut
     )
-    grid = make_grid(config.x_min, config.x_max, config.n, periodic=True)
+    grid = make_grid(config.x_min, config.x_max, config.n)
     shoot = profile_by_shooting(params, grid)
     mq = profile_metrics(quad)
     ms = profile_metrics(shoot)
@@ -395,7 +397,7 @@ def run_profile(config: RunConfig) -> dict:
 def run_evolve(config: RunConfig) -> dict:
     require_admissible(config.params)
     params = config.params
-    grid = make_grid(config.x_min, config.x_max, config.n, periodic=True)
+    grid = make_grid(config.x_min, config.x_max, config.n)
     initial = Field(grid, profile_by_shooting(params, grid).v)
     evolve_config = EvolveConfig(
         t_final=config.t_final,
@@ -434,7 +436,7 @@ def run_evolve(config: RunConfig) -> dict:
 
 def run_verify_lax(config: RunConfig) -> dict:
     require_admissible(config.params)
-    grid = make_grid(config.x_min, config.x_max, config.n, periodic=True)
+    grid = make_grid(config.x_min, config.x_max, config.n)
     # the frames shift by lambda*t, which must stay finite
     last = config.lax_frame_dt * max(config.lax_frames - 1, 0)
     if not (config.lax_frame_dt > 0.0 and math.isfinite(config.lambda_speed * last)):
@@ -461,7 +463,7 @@ def run_verify_lax(config: RunConfig) -> dict:
 
 def run_reduce_check(config: RunConfig) -> dict:
     v0 = config.params.v0
-    grid = make_grid(config.x_min, config.x_max, config.n, periodic=True)
+    grid = make_grid(config.x_min, config.x_max, config.n)
     k = 2.0 * np.pi / grid.length
     field = Field(
         grid, v0 * (1.0 + 0.3 * np.sin(k * grid.x) + 0.1 * np.cos(3 * k * grid.x))

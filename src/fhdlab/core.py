@@ -1,9 +1,9 @@
 """Shared domain types, grid construction and discrete derivative operators.
 
-The volatility field v(x, t) lives on a uniform 1D mesh. Every discrete
-operator in the package (first and third x-derivatives, the PDE right-hand
-side, the zero-curvature residuals) is built on top of the periodic
-4th-order central stencils defined here.
+The volatility field v(x, t) lives on a uniform periodic 1D mesh. The
+4th-order central stencils defined here give the first and third
+x-derivatives that the zero-curvature residuals and the tests use; the RK4
+right-hand side builds the same stencils as taps in ``evolution._taps``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ class NumericalError(RuntimeError):
 #: Range of the background level: the terms of S(v), of size up to v0^5,
 #: stay normal floats.
 V0_MIN, V0_MAX = 1e-60, 1e60
+
+#: Largest count of values a single array may hold: grid nodes, scan steps,
+#: quadrature nodes, and lax.frames times n (32 MiB of floats).
+MAX_VALUES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -46,17 +50,15 @@ class SolitonParams:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform 1D mesh.
+    """Uniform periodic 1D mesh.
 
-    Periodic grids identify x_max with x_min and therefore exclude the right
-    endpoint: node i sits at x_min + i*dx with dx = (x_max - x_min)/n.
-    Non-periodic grids include both endpoints, dx = (x_max - x_min)/(n - 1).
+    Every grid is periodic: x_max is identified with x_min and excluded, so
+    node i sits at x_min + i*dx with dx = (x_max - x_min)/n.
     """
 
     x_min: float
     x_max: float
     n: int
-    periodic: bool = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
@@ -65,6 +67,8 @@ class Grid1D:
             raise ValueError("x_max must exceed x_min")
         if self.n < 8:
             raise ValueError(f"need at least 8 nodes, got {self.n}")
+        if self.n > MAX_VALUES:
+            raise ValueError(f"need at most {MAX_VALUES} nodes, got {self.n}")
         try:
             cube = self.dx**3
         except OverflowError:
@@ -74,8 +78,7 @@ class Grid1D:
 
     @property
     def dx(self) -> float:
-        cells = self.n if self.periodic else self.n - 1
-        return (self.x_max - self.x_min) / cells
+        return (self.x_max - self.x_min) / self.n
 
     @property
     def length(self) -> float:
@@ -86,9 +89,10 @@ class Grid1D:
         return self.x_min + self.dx * np.arange(self.n)
 
 
-def make_grid(x_min: float, x_max: float, n: int, periodic: bool = True) -> Grid1D:
-    """Build a uniform grid; rejects non-finite bounds, n < 8, x_max <= x_min."""
-    return Grid1D(float(x_min), float(x_max), int(n), bool(periodic))
+def make_grid(x_min: float, x_max: float, n: int) -> Grid1D:
+    """Build a periodic grid, dx = (x_max - x_min)/n; rejects non-finite
+    bounds, x_max <= x_min and n outside [8, MAX_VALUES]."""
+    return Grid1D(float(x_min), float(x_max), int(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,17 +179,3 @@ def d3_periodic(values: np.ndarray, dx: float) -> np.ndarray:
         + 8.0 * p[..., 5 : n + 5]
         - p[..., 6 : n + 6]
     ) / (8.0 * dx**3)
-
-
-def derivative(field: Field, order: int) -> Field:
-    """4th-order accurate spatial derivative of order 1 or 3.
-
-    Only periodic grids are supported; the wraparound stencil is exact for
-    fields whose tails have relaxed to a constant before the boundary.
-    """
-    if order not in (1, 3):
-        raise ValueError(f"derivative order must be 1 or 3, got {order}")
-    if not field.grid.periodic:
-        raise ValueError("derivatives are only supported on periodic grids")
-    op = d1_periodic if order == 1 else d3_periodic
-    return Field(field.grid, op(field.values, field.grid.dx))

@@ -144,8 +144,6 @@ def _spectral_radius(taps: np.ndarray, n: int) -> float:
 
 def rhs_fhd(field: Field) -> Field:
     """Pointwise v^3 (v_xxx - v_x) on a positive periodic field."""
-    if not field.grid.periodic:
-        raise ValueError("the evolution operator requires a periodic grid")
     if np.any(field.values <= 0.0):
         raise ValueError("field must be strictly positive")
     v = field.values
@@ -209,8 +207,6 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
     or turning non-finite. Recorded steps go to rows of one frame buffer;
     the trajectory is a view of it.
     """
-    if not field.grid.periodic:
-        raise ValueError("evolve requires a periodic grid")
     if np.any(field.values <= 0.0):
         raise ValueError("initial field must be strictly positive")
     grid, n = field.grid, field.grid.n
@@ -311,8 +307,6 @@ def _inverse_integrals(grid: Grid1D, values: np.ndarray) -> np.ndarray:
     are those of the rows, bit for bit, and no (T, n) reciprocal is built
     (at T=264, n=1024 one would raise a run's peak memory by 2 MB).
     """
-    if not grid.periodic:
-        raise ValueError("the conserved functional is defined on periodic grids")
     if values.min() <= 0.0:
         raise ValueError("field must be strictly positive")
     rows = np.atleast_2d(values)
@@ -338,8 +332,6 @@ def shift_field(field: Field, shift: float) -> Field:
     Spectrally accurate for smooth fields; the shift need not be a grid
     multiple.
     """
-    if not field.grid.periodic:
-        raise ValueError("Fourier shift requires a periodic grid")
     n = field.grid.n
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=field.grid.dx)
     spectrum = np.fft.rfft(field.values) * np.exp(-1j * k * shift)

@@ -39,7 +39,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import Grid1D, NumericalError, SolitonParams, Trajectory
+from .core import MAX_VALUES, Grid1D, NumericalError, SolitonParams, Trajectory
 from .pseudopotential import eval_S, require_admissible, turning_point
 
 #: Default truncation of the quadrature table, relative to the orbit depth.
@@ -178,6 +178,8 @@ def solve_quadrature(
         raise ValueError("tail_cut must lie strictly between 0 and half the depth")
     if n_points < 32:
         raise ValueError("need at least 32 quadrature nodes")
+    if n_points > MAX_VALUES:
+        raise ValueError(f"need at most {MAX_VALUES} quadrature nodes, got {n_points}")
 
     # Lower half of the orbit: uniform in u (dense xi resolution around the
     # minimum). Upper half: geometric ladder in t = (v0 - v)/depth down to
@@ -347,8 +349,6 @@ def translated_trajectory(
     equation up to profile accuracy alone (no time stepping involved). All
     (time, node) positions are evaluated in one call.
     """
-    if not grid.periodic:
-        raise ValueError("translated trajectories require a periodic grid")
     sol = _shoot_on_grid(params, grid)
     times = np.asarray(times, dtype=float)
     shifted = (

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fhdlab.cli import main
-from fhdlab.core import Field, SolitonParams, derivative, make_grid
+from fhdlab.core import Field, SolitonParams, d1_periodic, d3_periodic, make_grid
 from fhdlab.evolution import (
     EvolveConfig,
     conservation_drift,
@@ -54,7 +54,7 @@ def persistence_run():
     0.61 for these stencils) and keeps the run fast; temporal error is
     negligible against the spatial one at this resolution.
     """
-    grid = make_grid(-40.0, 40.0, 2048, periodic=True)
+    grid = make_grid(-40.0, 40.0, 2048)
     initial = Field(grid, profile_by_shooting(P05, grid).v)
     config = EvolveConfig(t_final=5.0, cfl_constant=0.4, output_stride=10000)
     start = time.perf_counter()
@@ -106,7 +106,7 @@ def test_criterion_3_profile_construction():
     shoot = solve_shooting(P05, xi_max=40.0)
 
     min_quad = float(quad.v.min())
-    grid = make_grid(-40.0, 40.0, 2048, periodic=True)
+    grid = make_grid(-40.0, 40.0, 2048)
     v_shoot_grid = shoot(grid.x)
     min_shoot = float(v_shoot_grid.min())
 
@@ -156,7 +156,7 @@ def test_criterion_5_conservation(persistence_run):
 
 def test_criterion_6_zero_curvature():
     start = time.perf_counter()
-    grid = make_grid(-40.0, 40.0, 512, periodic=True)
+    grid = make_grid(-40.0, 40.0, 512)
     times = 0.05 * np.arange(17)
     trajectory = translated_trajectory(P05, grid, times)
     checks = {}
@@ -175,7 +175,7 @@ def test_criterion_6_zero_curvature():
 
 
 def test_criterion_7_reduction_check():
-    grid = make_grid(-20.0, 20.0, 512, periodic=True)
+    grid = make_grid(-20.0, 20.0, 512)
     k = 2.0 * np.pi / grid.length
     x = grid.x
     fields = [
@@ -206,19 +206,20 @@ def test_criterion_8_convergence_orders():
     for order in (1, 3):
         errs = []
         for n in (128, 256):
-            grid = make_grid(0.0, 2.0 * np.pi, n, periodic=True)
-            f = Field(grid, np.sin(k * grid.x))
+            grid = make_grid(0.0, 2.0 * np.pi, n)
+            stencil = d1_periodic if order == 1 else d3_periodic
             exact = (
                 k * np.cos(k * grid.x)
                 if order == 1
                 else -(k**3) * np.cos(k * grid.x)
             )
-            errs.append(np.max(np.abs(derivative(f, order).values - exact)))
+            got = stencil(np.sin(k * grid.x), grid.dx)
+            errs.append(np.max(np.abs(got - exact)))
         measured = np.log2(errs[0] / errs[1])
         checks[f"spatial_order_{order}>=3.5"] = measured >= 3.5
 
     # temporal: step halving on a short soliton run, fixed grid
-    grid = make_grid(-40.0, 40.0, 256, periodic=True)
+    grid = make_grid(-40.0, 40.0, 256)
     initial = Field(grid, profile_by_shooting(P05, grid).v)
     final = {}
     for cfl in (0.4, 0.2, 0.1):

@@ -26,7 +26,7 @@ from fhdlab.cli import (
     main,
     resolve_config,
 )
-from fhdlab.core import Field, SolitonParams, make_grid
+from fhdlab.core import MAX_VALUES, Field, SolitonParams, make_grid
 from fhdlab.evolution import EvolveConfig, evolve
 from fhdlab.output import (
     read_csv,
@@ -1071,6 +1071,34 @@ class TestReduceCheckCommand:
         assert not (tmp_path / "reduce_report.json").exists()
 
 
+_HUGE = 10**12
+
+
+@pytest.mark.parametrize("argv, config, err", [
+    (["scan-existence", "--steps", str(_HUGE)], None,
+     f"--steps (scan.steps) may be at most {MAX_VALUES}, got {_HUGE}"),
+    (["evolve", "--n", str(_HUGE), "--t-final", "0.1"], None,
+     f"need at most {MAX_VALUES} nodes, got {_HUGE}"),
+    (["profile", "--n", str(_HUGE)], None,
+     f"need at most {MAX_VALUES} nodes, got {_HUGE}"),
+    (["reduce-check", "--n", str(_HUGE)], None,
+     f"need at most {MAX_VALUES} nodes, got {_HUGE}"),
+    (["profile"], {"profile": {"n_points": _HUGE}},
+     f"need at most {MAX_VALUES} quadrature nodes, got {_HUGE}"),
+], ids=["scan.steps", "evolve-n", "profile-n", "reduce-check-n", "profile.n_points"])
+def test_counts_are_bounded_before_allocating(tmp_path, capfd, argv, config, err):
+    # each of these once died in NumPy with a MemoryError traceback
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+    out, got = capfd.readouterr()
+    assert out == ""
+    assert got == f"error: {err}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _reject_constant(name):
     raise AssertionError(f"non-standard JSON constant {name}")
 
@@ -1099,12 +1127,14 @@ def test_outputs_are_standard_json(tmp_path, capsys, argv, code):
 
 # values a flag is fuzzed with, per kind: the edges of the float range, values
 # on either side of each option's domain, non-finite values, and text that
-# is no number. Integers stop at 64, and 512 outside evolve, and evolve runs
-# to t_final <= 0.1, so that every run stays small.
+# is no number. Integers stop at 64 (512 outside evolve), besides 10^12,
+# which every count rejects before it allocates, and evolve runs to
+# t_final <= 0.1, so that every run stays small.
 _FUZZ_FLOATS = ["0", "-0", "-1", "5e-324", "1e-300", "1e-12", "0.1", "0.5", "1",
                 "2", "1e12", "5e102", "1e200", "1.7976931348623157e308", "-1e308",
                 "nan", "inf", "-inf"]
-_FUZZ_INTS = ["-9223372036854775809", "-1", "0", "1", "7", "8", "9", "63", "64"]
+_FUZZ_INTS = ["-9223372036854775809", "-1", "0", "1", "7", "8", "9", "63", "64",
+              "1000000000000"]
 _FUZZ_TEXT = ["", "abc", "1e", "0x1p3", "1,5", "--"]
 _FUZZ_FLAGS = {flag: field for field, (_, flag) in _OPTIONS.items()
                if flag is not None and flag != "--output-dir"}
@@ -1184,6 +1214,7 @@ class TestConfigFileProperty:
            values=st.dictionaries(st.sampled_from(_CONFIG_ONLY),
                                   st.sampled_from(_FUZZ_JSON), min_size=1))
     @example(argv=["verify-lax", "--n", "64"], values={("lax", "frames"): 10**12})
+    @example(argv=["profile"], values={("profile", "n_points"): 10**12})
     def test_config_only_keys_exit_with_a_contract_code(self, tmp_path_factory,
                                                         capfd, argv, values):
         # whatever the five config-only keys hold: 0 ok, 2 validation or

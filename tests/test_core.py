@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhdlab.core import Field, Grid1D, SolitonParams, Trajectory, derivative, make_grid
+from fhdlab.core import (
+    Field,
+    SolitonParams,
+    Trajectory,
+    d1_periodic,
+    d3_periodic,
+    make_grid,
+)
 from fhdlab.lax import LaxResidualReport
 from fhdlab.profiles import Profile
 
@@ -14,11 +21,7 @@ class TestMakeGrid:
             make_grid(0.0, 10.0, 5)
 
     def test_periodic_spacing(self):
-        grid = make_grid(0.0, 10.0, 10, periodic=True)
-        assert grid.dx == 1.0
-
-    def test_nonperiodic_spacing(self):
-        grid = make_grid(0.0, 10.0, 11, periodic=False)
+        grid = make_grid(0.0, 10.0, 10)
         assert grid.dx == 1.0
 
     def test_rejects_inverted_bounds(self):
@@ -34,15 +37,10 @@ class TestMakeGrid:
             make_grid(np.nan, 1.0, 16)
 
     def test_nodes_start_at_xmin_and_skip_right_endpoint(self):
-        grid = make_grid(-3.0, 5.0, 16, periodic=True)
+        grid = make_grid(-3.0, 5.0, 16)
         assert grid.x[0] == -3.0
         assert grid.x[-1] < 5.0
         assert np.allclose(np.diff(grid.x), grid.dx)
-
-    def test_nonperiodic_includes_both_endpoints(self):
-        grid = make_grid(-3.0, 5.0, 17, periodic=False)
-        assert grid.x[0] == -3.0
-        assert grid.x[-1] == pytest.approx(5.0, abs=1e-14)
 
 
 class TestField:
@@ -141,23 +139,26 @@ def test_array_records_compare_and_hash_by_identity(make):
     assert len({a, b, a}) == 2
 
 
-def _sin_field(n, k=3):
-    grid = make_grid(0.0, 2.0 * np.pi, n, periodic=True)
-    return grid, Field(grid, np.sin(k * grid.x))
+_STENCILS = {1: d1_periodic, 3: d3_periodic}
+
+
+def _sin_values(n, k=3):
+    grid = make_grid(0.0, 2.0 * np.pi, n)
+    return grid, np.sin(k * grid.x)
 
 
 class TestDerivative:
+    # the two periodic stencils, checked against analytic derivatives
     def test_constant_field_has_zero_derivatives(self):
         grid = make_grid(-5.0, 5.0, 64)
-        f = Field(grid, np.full(64, 2.7))
-        for order in (1, 3):
-            assert np.max(np.abs(derivative(f, order).values)) < 1e-12
+        for stencil in _STENCILS.values():
+            assert np.max(np.abs(stencil(np.full(64, 2.7), grid.dx))) < 1e-12
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_sin_oracle(self, order):
         k, n = 3, 128
-        grid, f = _sin_field(n, k)
-        got = derivative(f, order).values
+        grid, values = _sin_values(n, k)
+        got = _STENCILS[order](values, grid.dx)
         # analytic derivatives of sin(kx)
         expected = k * np.cos(k * grid.x) if order == 1 else -(k**3) * np.cos(k * grid.x)
         err = np.max(np.abs(got - expected))
@@ -168,24 +169,13 @@ class TestDerivative:
         k = 3
         errs = []
         for n in (64, 128, 256):
-            grid, f = _sin_field(n, k)
+            grid, values = _sin_values(n, k)
             expected = (
                 k * np.cos(k * grid.x) if order == 1 else -(k**3) * np.cos(k * grid.x)
             )
-            errs.append(np.max(np.abs(derivative(f, order).values - expected)))
+            errs.append(np.max(np.abs(_STENCILS[order](values, grid.dx) - expected)))
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine >= 12.0
-
-    def test_rejects_bad_order(self):
-        _, f = _sin_field(64)
-        with pytest.raises(ValueError):
-            derivative(f, 2)
-
-    def test_rejects_nonperiodic_grid(self):
-        grid = make_grid(0.0, 1.0, 64, periodic=False)
-        f = Field(grid, np.ones(64))
-        with pytest.raises(ValueError):
-            derivative(f, 3)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -194,13 +184,11 @@ class TestDerivative:
         order=st.sampled_from([1, 3]),
     )
     def test_linearity(self, a, b, order):
-        grid = make_grid(0.0, 2.0 * np.pi, 64, periodic=True)
+        grid = make_grid(0.0, 2.0 * np.pi, 64)
         f = np.sin(grid.x) + 0.3 * np.cos(4 * grid.x)
         g = np.cos(2 * grid.x) - 0.1 * np.sin(5 * grid.x)
-        lhs = derivative(Field(grid, a * f + b * g), order).values
-        rhs = (
-            a * derivative(Field(grid, f), order).values
-            + b * derivative(Field(grid, g), order).values
-        )
+        stencil = _STENCILS[order]
+        lhs = stencil(a * f + b * g, grid.dx)
+        rhs = a * stencil(f, grid.dx) + b * stencil(g, grid.dx)
         scale = (abs(a) + abs(b) + 1.0) / grid.dx**order
         assert np.max(np.abs(lhs - rhs)) < 1e-13 * scale

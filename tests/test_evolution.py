@@ -32,7 +32,7 @@ P05 = SolitonParams(0.5, 1.0)
 
 
 def soliton_field(n=512, half_width=40.0):
-    grid = make_grid(-half_width, half_width, n, periodic=True)
+    grid = make_grid(-half_width, half_width, n)
     return Field(grid, profile_by_shooting(P05, grid).v)
 
 
@@ -68,11 +68,6 @@ class TestRhs:
         values[5] = -0.1
         with pytest.raises(ValueError):
             rhs_fhd(Field(grid, values))
-
-    def test_rejects_nonperiodic_grid(self):
-        grid = make_grid(0.0, 1.0, 32, periodic=False)
-        with pytest.raises(ValueError):
-            rhs_fhd(Field(grid, np.ones(32)))
 
 
 class TestEvolveConfig:

@@ -25,7 +25,7 @@ P05 = SolitonParams(0.5, 1.0)
 
 
 def smooth_field(n=256, length=20.0, amplitude=0.3):
-    grid = make_grid(-0.5 * length, 0.5 * length, n, periodic=True)
+    grid = make_grid(-0.5 * length, 0.5 * length, n)
     k = 2.0 * np.pi / length
     v = 1.0 + amplitude * np.sin(k * grid.x) + 0.1 * np.cos(3 * k * grid.x)
     return Field(grid, v)
@@ -157,7 +157,7 @@ class TestPatchNorms:
                                                   steps, amplitude):
         # the one-pass entries must give the oracle's norms bit for bit, on
         # the fine patch and on the coarse one subsampled by two
-        grid = make_grid(-120.0, 120.0, n, periodic=True)
+        grid = make_grid(-120.0, 120.0, n)
         times = np.concatenate(([0.0], np.cumsum(steps)))
         values = translated_trajectory(SolitonParams(lam, 1.0), grid, times).values
         # a perturbation that is not a solution keeps the (2,1) entry large
@@ -174,7 +174,7 @@ class TestPatchNorms:
 
 @pytest.fixture(scope="module")
 def exact_trajectory():
-    grid = make_grid(-40.0, 40.0, 512, periodic=True)
+    grid = make_grid(-40.0, 40.0, 512)
     times = 0.05 * np.arange(17)
     return translated_trajectory(P05, grid, times)
 
@@ -194,7 +194,7 @@ class TestZcResidual:
         assert report.passed
 
     def test_static_bump_is_not_a_solution(self):
-        grid = make_grid(-20.0, 20.0, 512, periodic=True)
+        grid = make_grid(-20.0, 20.0, 512)
         v = 1.0 + 0.3 * np.exp(-(grid.x**2))
         frozen = Trajectory(grid, 0.1 * np.arange(9), np.tile(v, (9, 1)))
         report = zc_residual(frozen, 1.0)
@@ -226,7 +226,7 @@ class TestZcResidual:
             zc_residual(exact_trajectory, lambda_spec)
 
     def test_requires_three_frames(self):
-        grid = make_grid(-20.0, 20.0, 64, periodic=True)
+        grid = make_grid(-20.0, 20.0, 64)
         traj = Trajectory(grid, np.array([0.0, 1.0]), np.ones((2, 64)))
         with pytest.raises(ValueError):
             zc_residual(traj, 1.0)
@@ -257,7 +257,7 @@ class TestReductionCheck:
         assert report.max_discrepancy > 1e-2
 
     def test_rejects_nonpositive_field(self):
-        grid = make_grid(-5.0, 5.0, 64, periodic=True)
+        grid = make_grid(-5.0, 5.0, 64)
         with pytest.raises(ValueError):
             reduction_check(Field(grid, np.linspace(-1.0, 1.0, 64)), 1.0)
 

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
 
 from fhdlab import _dop853
-from fhdlab.core import Field, NumericalError, SolitonParams, derivative, make_grid
+from fhdlab.core import NumericalError, SolitonParams, d1_periodic, make_grid
 from fhdlab.pseudopotential import eval_S
 from fhdlab.profiles import (
     MIN_DECAY_LENGTHS,
@@ -28,7 +28,7 @@ from fhdlab.profiles import (
 )
 
 P05 = SolitonParams(0.5, 1.0)
-WIDE = make_grid(-40.0, 40.0, 2048, periodic=True)
+WIDE = make_grid(-40.0, 40.0, 2048)
 
 
 class TestDecayRate:
@@ -210,12 +210,12 @@ class TestShootingProfile:
             solve_shooting(P05, xi_max=xi_max)
 
     def test_asymmetric_grid_rejected(self):
-        grid = make_grid(-30.0, 50.0, 1024, periodic=True)
+        grid = make_grid(-30.0, 50.0, 1024)
         with pytest.raises(ValueError):
             profile_by_shooting(P05, grid)
 
     def test_narrow_grid_rejected(self):
-        grid = make_grid(-10.0, 10.0, 512, periodic=True)
+        grid = make_grid(-10.0, 10.0, 512)
         with pytest.raises(ValueError):
             profile_by_shooting(P05, grid)
 
@@ -268,7 +268,7 @@ def _oracle_profile(params, grid):
 def _window(params):
     """The CLI's default grid for these parameters, at n = 1024."""
     half = max(40.0, np.ceil(1.1 * MIN_DECAY_LENGTHS / decay_rate(params)))
-    return make_grid(-half, half, 1024, periodic=True)
+    return make_grid(-half, half, 1024)
 
 
 class TestShootingOracle:
@@ -300,7 +300,7 @@ class TestShootingOracle:
     @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
     def test_matches_oracle_at_reference_speeds(self, lam):
         params = SolitonParams(lam, 1.0)
-        grid = make_grid(-40.0, 40.0, 2048, periodic=True)
+        grid = make_grid(-40.0, 40.0, 2048)
         v_ref, steps_ref = _oracle_profile(params, grid)
         sol = solve_shooting(params, xi_max=40.0)
         assert np.max(np.abs(sol(grid.x) - v_ref)) <= 1e-10
@@ -359,10 +359,9 @@ class TestOdeResidual:
         quad = solve_quadrature(P05)
         errs = []
         for n in (256, 512, 1024):
-            grid = make_grid(-40.0, 40.0, n, periodic=True)
+            grid = make_grid(-40.0, 40.0, n)
             v = quad(grid.x)
-            f = Field(grid, v)
-            v_xx = derivative(derivative(f, 1), 1).values
+            v_xx = d1_periodic(d1_periodic(v, grid.dx), grid.dx)
             residual = v_xx - 0.25 * (1.0 / v**2 - 1.0) - (v - 1.0)
             errs.append(np.max(np.abs(residual)))
         assert errs[0] / errs[1] >= 12.0
@@ -387,7 +386,7 @@ class TestProfileMetrics:
     @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
     def test_widths_agree_between_methods(self, lam):
         params = SolitonParams(lam, 1.0)
-        grid = make_grid(-50.0, 50.0, 4096, periodic=True)
+        grid = make_grid(-50.0, 50.0, 4096)
         w_quad = profile_metrics(profile_by_quadrature(params)).fwhm
         w_shoot = profile_metrics(profile_by_shooting(params, grid)).fwhm
         assert abs(w_quad - w_shoot) / w_quad < 0.01
