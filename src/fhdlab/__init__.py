@@ -41,6 +41,7 @@ from .pseudopotential import (
 from .profiles import (
     Profile,
     ProfileMetrics,
+    closed_form_field,
     decay_rate,
     profile_by_quadrature,
     profile_by_shooting,
@@ -77,6 +78,7 @@ __all__ = [
     "turning_point",
     "Profile",
     "ProfileMetrics",
+    "closed_form_field",
     "decay_rate",
     "profile_by_quadrature",
     "profile_by_shooting",

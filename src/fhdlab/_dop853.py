@@ -1,4 +1,4 @@
-"""DOP853 for the shooting route: the profile ODE v'' = accel(v) in floats.
+"""DOP853 for the shooting route: the profile ODE y'' = accel(y) in floats.
 
 The explicit Runge-Kutta pair of order 8(5,3) of Hairer, Norsett & Wanner,
 *Solving ODEs I*, section II.10, as ``scipy.integrate.DOP853`` runs it:
@@ -6,7 +6,7 @@ its tableau (``scipy.integrate._ivp.dop853_coefficients``, bit for
 bit), initial-step rule, step-size controller (safety 0.9, step ratio in
 [0.2, 10], exponent -1/8) and error norm, the 7th-degree dense output from
 three extra stages, and Brent's method to 4 eps for the terminal events.
-The state (v, v') has two components, so each step is a few hundred float
+The state (y, y') has two components, so each step is a few hundred float
 operations; in NumPy, per-call overhead on 2-element arrays would cost more
 than the arithmetic. ``profiles`` imports this module when it first shoots
 a profile, so a command that never shoots does not load it.
@@ -217,20 +217,20 @@ def brentq(f, xa: float, xb: float) -> float:
     raise NumericalError("profile shooting could not locate the tail switch")
 
 
-def dop853(accel, v_turn: float, xi_max: float, v_stop: float,
-           v_collapse: float, rtol: float, atol: float):
-    """DOP853 on (v, v') with v'' = accel(v), from (v_turn, 0) at xi = 0.
+def dop853(accel, xi_max: float, y_stop: float, y_collapse: float,
+           rtol: float, atol: float):
+    """DOP853 on (y, y') with y'' = accel(y), from (0, 0) at xi = 0.
 
     The steps, the controller, the dense output and the events are those of
     ``scipy.integrate.DOP853`` at rtol and atol, with a terminal event on
-    each of v_stop and v_collapse, in Python floats. The run stops at the
-    root of v = v_stop on the step where v rises through it. Returns the
-    accepted (xi, v, v') from xi = 0 to the end, one dense-output row per
-    step and the number of rejected steps. Raises NumericalError when v
-    falls through v_collapse, the step size underflows or the run reaches
+    each of y_stop and y_collapse, in Python floats. The run stops at the
+    root of y = y_stop on the step where y rises through it. Returns the
+    accepted (xi, y, y') from xi = 0 to the end, one dense-output row per
+    step and the number of rejected steps. Raises NumericalError when y
+    falls through y_collapse, the step size underflows or the run reaches
     xi_max first.
     """
-    t, v, p = 0.0, v_turn, 0.0
+    t, v, p = 0.0, 0.0, 0.0
     fv, fp = p, accel(v)
     h_abs = _initial_step(accel, v, p, fv, fp, xi_max, rtol, atol)
     steps, dense, rejected = [(t, v, p)], [], 0
@@ -264,13 +264,13 @@ def dop853(accel, v_turn: float, xi_max: float, v_stop: float,
             _stage(accel, v, p, h, kv, kp, s)
         cv = _dense_coefficients(v, v_new, kv, h)
         dense.append((t, h, v, *cv))
-        if v >= v_collapse >= v_new:
+        if v >= y_collapse >= v_new:
             raise NumericalError(
                 "profile shooting collapsed toward v = 0; parameters or "
                 "tolerances are inconsistent"
             )
-        if v <= v_stop <= v_new:
-            root = brentq(lambda xi: interpolate(cv, (xi - t) / h) + v - v_stop,
+        if v <= y_stop <= v_new:
+            root = brentq(lambda xi: interpolate(cv, (xi - t) / h) + v - y_stop,
                           t, t_new)
             x = (root - t) / h
             cp = _dense_coefficients(p, p_new, kp, h)
@@ -279,6 +279,6 @@ def dop853(accel, v_turn: float, xi_max: float, v_stop: float,
         steps.append((t_new, v_new, p_new))
         if t_new >= xi_max:
             raise NumericalError(
-                f"profile shooting reached xi = {xi_max:g} before the tail switch "
-                f"at v = {v_stop:.10g}: the orbit did not relax to v0 in the window")
+                f"profile shooting reached xi = {xi_max:g} before the tail switch: "
+                "the orbit did not relax to v0 in the window")
         t, v, p, fv, fp = t_new, v_new, p_new, kv[12], kp[12]

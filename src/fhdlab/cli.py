@@ -35,6 +35,7 @@ from .lax import reduction_check, zc_residual
 from .output import write_csv, write_frame_files, write_frames_csv, write_json
 from .profiles import (
     MIN_DECAY_LENGTHS,
+    closed_form_field,
     decay_rate,
     profile_by_quadrature,
     profile_by_shooting,
@@ -398,7 +399,7 @@ def run_evolve(config: RunConfig) -> dict:
     require_admissible(config.params)
     params = config.params
     grid = make_grid(config.x_min, config.x_max, config.n)
-    initial = Field(grid, profile_by_shooting(params, grid).v)
+    initial = closed_form_field(params, grid)
     evolve_config = EvolveConfig(
         t_final=config.t_final,
         cfl_constant=config.cfl_constant,

@@ -25,10 +25,14 @@ row s+1. One gather refreshes the halo of v once per step (for n < 12 it
 wraps the grid more than once). dt is folded into the taps: one multiply
 scales the stored taps/2 and taps by dt, so the right-hand sides write
 dt/2 k1, dt/2 k2, dt k3 and dt k4, which one matmul with the weights
-(1/3, 2/3, 1/3, 1/6) and one add combine into v. One minimum and one
-maximum reduction per step follow; that max sets the next dt. Recorded
-steps are copied into one (frames, n) buffer, sized from the first dt and
-doubled only if max(v) rises enough to need more.
+(1/3, 2/3, 1/3, 1/6) and one add combine into v. The loop around the step
+reads min(v) and max(v) as v.item(v.argmin()) and v.item(v.argmax()),
+about 0.5 us each against 1.2 us for a ufunc reduction, and both stop at
+the first NaN as the reductions do. t, dt and the extremes stay Python
+floats, and one comparison tests both the floor and finiteness; the max
+sets the next dt. Recorded steps are copied into one (frames, n) buffer,
+sized from the first dt and doubled only if max(v) rises enough to need
+more.
 
 The fused 7-point stencil c3(p0-p6) - c2(p1-p5) + c1(p2-p4) of a stage
 window p is evaluated through the gap-2 difference g_j = p_j - p_{j+2}:
@@ -217,41 +221,43 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
     # dt max(v)^3 times the spectral radius stays inside RK4's stable interval
     rho = _spectral_radius(_taps(grid.dx), n)
     dt_scale = min(config.cfl_constant * grid.dx**3, STABLE_RADIUS / rho)
-    t, steps = 0.0, 0
-    vmax = np.maximum.reduce(v)
-    dt_first = dt_scale / vmax**3
+    t_final, stride = config.t_final, config.output_stride
+    t, steps, last = 0.0, 0, False
+    vmax = v.item(v.argmax())
+    try:
+        dt_first = dt_scale / vmax**3
+    except OverflowError:  # a Python float's cube raises where NumPy's is inf
+        dt_first = 0.0
     # a step that t_final + dt rounds away could never end the run
-    if not config.t_final + dt_first > config.t_final:
+    if not t_final + dt_first > t_final:
         raise ValueError(f"dt = cfl*dx^3/max(v)^3 = {dt_first:.3g} is below the "
-                         f"float resolution at t_final {config.t_final:g}")
+                         f"float resolution at t_final {t_final:g}")
     # enough rows for every recorded step unless max(v) rises during the run;
     # at most 2**24 values up front, however many steps a tiny dx implies
-    rows = int(config.t_final / dt_first) // config.output_stride + 2
+    rows = int(t_final / dt_first) // stride + 2
     frames = np.empty((min(rows, max(2, 2**24 // n)), n))
     frames[0] = v
     times = [t]
-    while t < config.t_final:
+    while not last:
         dt = dt_scale / vmax**3
         # end on t_final from within 1e-6 dt, so round-off adds no ~1e-17 step
-        last = t + dt * (1.0 + 1e-6) >= config.t_final
+        last = t + dt * (1.0 + 1e-6) >= t_final
         if last:
-            dt = config.t_final - t
+            dt = t_final - t
         step(dt)
-        t = config.t_final if last else t + dt
+        t = t_final if last else t + dt
         steps += 1
-        vmin, vmax = np.minimum.reduce(v), np.maximum.reduce(v)
-        if not (math.isfinite(vmin) and math.isfinite(vmax)):
-            raise EvolutionAborted(
-                f"non-finite values at t={t:.6g} (step {steps})",
-                Trajectory(grid, times, frames[: len(times)]),
-            )
-        if vmin < floor:
-            raise EvolutionAborted(
-                f"positivity floor {floor:.6g} crossed at t={t:.6g} "
-                f"(min v = {vmin:.6g}, step {steps})",
-                Trajectory(grid, times, frames[: len(times)]),
-            )
-        if steps % config.output_stride == 0 or t >= config.t_final:
+        # argmin and argmax stop at the first NaN, as the reductions do
+        vmin, vmax = v.item(v.argmin()), v.item(v.argmax())
+        # False for NaN and for either infinity, so one test covers each abort
+        if not (vmin >= floor and vmax < math.inf):
+            if not (math.isfinite(vmin) and math.isfinite(vmax)):
+                message = f"non-finite values at t={t:.6g} (step {steps})"
+            else:
+                message = (f"positivity floor {floor:.6g} crossed at t={t:.6g} "
+                           f"(min v = {vmin:.6g}, step {steps})")
+            raise EvolutionAborted(message, Trajectory(grid, times, frames[: len(times)]))
+        if last or steps % stride == 0:
             if len(times) == len(frames):
                 frames = np.concatenate((frames, np.empty_like(frames)))
             frames[len(times)] = v

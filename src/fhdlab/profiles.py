@@ -18,7 +18,15 @@ embedded Runge-Kutta pair. Shooting outward rides the unstable manifold of
 the saddle at v0, so the integration is stopped once v comes within
 TAIL_SWITCH_REL of the background and the same linearized tail takes over;
 integrating further would let the accumulated error grow like
-exp(+kappa*xi) and contaminate the tail.
+exp(+kappa*xi) and contaminate the tail. The state is the rise
+r = v - v_turn, with an absolute tolerance scaled by the depth b, and with
+lambda = v_turn v0^2 the right-hand side factors as
+
+    r'' = (r - b)(r^2 + (3/2) v_turn r - v_turn b/2)/v^2,
+
+where nothing cancels at either end of the orbit. So the error is a fixed
+fraction of the depth at every lambda; error control on v itself allows
+errors of a fixed fraction of v0, a million depths at lambda/v0^3 = 1 - 1e-6.
 
 Both routes start from ``pseudopotential.turning_point`` and extend their
 flank evenly with the same tail; beyond that they share no machinery,
@@ -39,7 +47,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import MAX_VALUES, Grid1D, NumericalError, SolitonParams, Trajectory
+from .core import MAX_VALUES, Field, Grid1D, NumericalError, SolitonParams, Trajectory
 from .pseudopotential import eval_S, require_admissible, turning_point
 
 #: Default truncation of the quadrature table, relative to the orbit depth.
@@ -51,8 +59,9 @@ TAIL_SWITCH_REL = 1e-4
 #: Newton steps that refine the interpolated root of xi(u) = |xi|.
 NEWTON_STEPS = 3
 
-#: Shooting solver tolerances; the profile error budget must sit far below
-#: the tolerances of the PDE runs it seeds.
+#: Shooting solver tolerances, the absolute one in units of the depth; the
+#: profile error budget must sit far below the tolerances of the PDE runs it
+#: seeds.
 SHOOT_RTOL = 1e-10
 SHOOT_ATOL = 1e-12
 
@@ -217,17 +226,19 @@ class ShootingSolution(_EvenProfile):
     ``steps_xi`` / ``steps_v`` / ``steps_vp`` hold the accepted solver steps,
     the last one ending at the tail switch ``xi_switch``, so the first
     integral can be audited along the actual solution. ``rejected_steps``
-    counts the steps the error control refused. Between steps, v is the
-    DOP853 dense output of the step that covers xi.
+    counts the steps the error control refused. Between steps, v is v_turn
+    plus the DOP853 dense output of the rise over the step that covers xi.
     """
 
-    def __init__(self, params: SolitonParams, steps: list, dense: list,
-                 rejected_steps: int):
-        self.steps_xi, self.steps_v, self.steps_vp = np.array(steps).T
+    def __init__(self, params: SolitonParams, v_turn: float, steps: list,
+                 dense: list, rejected_steps: int):
+        self.steps_xi, rise, self.steps_vp = np.array(steps).T
+        self.steps_v = v_turn + rise
+        self.v_turn = v_turn
         self.rejected_steps = rejected_steps
         self.xi_switch = float(self.steps_xi[-1])
         super().__init__(params, self.xi_switch, float(self.steps_v[-1]))
-        # one row per step: start, length, v at the start, 7 coefficients
+        # one row per step: start, length, rise at the start, 7 coefficients
         self._dense = np.array(dense)
 
     def diagnostics(self) -> dict:
@@ -245,8 +256,8 @@ class ShootingSolution(_EvenProfile):
 
         # the step whose span holds w; a step boundary goes to the earlier
         step = np.maximum(np.searchsorted(self._dense[:, 0], w_in) - 1, 0)
-        start, h, v_start, *coefficients = self._dense[step].T
-        return interpolate(coefficients, (w_in - start) / h) + v_start
+        start, h, rise, *coefficients = self._dense[step].T
+        return (interpolate(coefficients, (w_in - start) / h) + rise) + self.v_turn
 
 
 def solve_shooting(params: SolitonParams, xi_max: float) -> ShootingSolution:
@@ -256,35 +267,36 @@ def solve_shooting(params: SolitonParams, xi_max: float) -> ShootingSolution:
     level set. A terminal event at v = v0 - TAIL_SWITCH_REL*depth hands over
     to the analytic tail before the saddle's unstable direction can amplify
     the accumulated error; a second one stops a collapse toward v = 0. A run
-    that reaches xi_max before the switch raises NumericalError: near
-    lambda = v0^3 the first-integral error can turn the orbit back first.
+    that reaches xi_max before the switch, 10 to 10.6 decay lengths out,
+    raises NumericalError. The state is the rise
+    v - v_turn, as the module docstring sets out.
     """
     from ._dop853 import dop853
 
     v_turn = turning_point(params)
     if not xi_max > 0.0:
         raise ValueError(f"xi_max must be positive, got {xi_max}")
-    lam, v0 = params.lambda_speed, params.v0
-    half_lam, inv_v0_sq = 0.5 * lam, 1.0 / v0**2
+    v0 = params.v0
+    depth = v0 - v_turn
+    half_turn_depth = 0.5 * v_turn * depth
 
-    def accel(v):
-        return half_lam * (1.0 / (v * v) - inv_v0_sq) + (v - v0)
+    def accel(rise):
+        v = v_turn + rise
+        return (rise - depth) * (rise * (rise + 1.5 * v_turn) - half_turn_depth) / (v * v)
 
     v_collapse = 0.1 * v_turn
     if v_collapse * v_collapse < 1.0 / np.finfo(float).max:
         raise NumericalError(f"turning point v_turn = {v_turn:.6g} is too deep to "
-                             "shoot: 1/v^2 overflows at v_turn/10")
-    v_stop = v0 - TAIL_SWITCH_REL * (v0 - v_turn)
-    steps, dense, rejected = dop853(accel, v_turn, float(xi_max), v_stop,
-                                    v_collapse, SHOOT_RTOL, SHOOT_ATOL)
-    if steps[-1][1] > v0:
+                             "shoot: v^2 underflows at v_turn/10")
+    steps, dense, rejected = dop853(accel, float(xi_max), depth - TAIL_SWITCH_REL * depth,
+                                    v_collapse - v_turn, SHOOT_RTOL, SHOOT_ATOL * depth)
+    if steps[-1][1] > depth:
         raise NumericalError("profile shooting overshot the background v0")
-    return ShootingSolution(params, steps, dense, rejected)
+    return ShootingSolution(params, v_turn, steps, dense, rejected)
 
 
-def _shoot_on_grid(params: SolitonParams, grid: Grid1D) -> ShootingSolution:
-    """The shooting solution across a symmetric grid wide enough for the
-    tails to relax."""
+def _half_width(params: SolitonParams, grid: Grid1D) -> float:
+    """Half the width of a symmetric grid wide enough for the tails to relax."""
     if abs(grid.x_min + grid.x_max) > 1e-9 * grid.length:
         raise ValueError("shooting grid must be symmetric about xi = 0")
     half_width = 0.5 * grid.length
@@ -295,14 +307,33 @@ def _shoot_on_grid(params: SolitonParams, grid: Grid1D) -> ShootingSolution:
             f"{kappa * half_width:.1f} decay lengths; need at least "
             f"{MIN_DECAY_LENGTHS:g} for the tails to relax"
         )
-    return solve_shooting(params, xi_max=half_width)
+    return half_width
 
 
 def profile_by_shooting(params: SolitonParams, grid: Grid1D) -> Profile:
-    """Shooting profile resampled onto a symmetric grid (even extension)."""
-    sol = _shoot_on_grid(params, grid)
-    return Profile(xi=grid.x, v=sol(grid.x), params=params, method="shooting",
+    """Shooting profile resampled onto a symmetric grid (even extension).
+
+    The first integral is audited only at the solver's steps, and a few
+    steps can span a whole flank, so a sample that the dense output puts
+    below the turning point, the profile's minimum, raises NumericalError.
+    """
+    sol = solve_shooting(params, xi_max=_half_width(params, grid))
+    v = sol(grid.x)
+    if v.min() < sol.v_turn:
+        dip = (sol.v_turn - v.min()) / (params.v0 - sol.v_turn)
+        raise NumericalError(f"profile shooting dips {dip:.3g} depths below the "
+                             "turning point between its steps")
+    return Profile(xi=grid.x, v=v, params=params, method="shooting",
                    diagnostics=sol.diagnostics())
+
+
+def closed_form_field(params: SolitonParams, grid: Grid1D) -> Field:
+    """The closed-form soliton on a symmetric grid, its minimum at x = 0.
+
+    The grid must pass the window checks of ``profile_by_shooting``.
+    """
+    _half_width(params, grid)
+    return Field(grid, solve_quadrature(params)(grid.x))
 
 
 def profile_metrics(profile: Profile) -> ProfileMetrics:
@@ -344,12 +375,14 @@ def translated_trajectory(
 ) -> Trajectory:
     """Exact travelling-wave trajectory v(x, t) = profile(x - lambda*t).
 
-    Frames are direct evaluations of the shooting solution at the shifted,
+    Frames are direct evaluations of the closed form at the shifted,
     periodically wrapped positions, so the trajectory solves the evolution
-    equation up to profile accuracy alone (no time stepping involved). All
-    (time, node) positions are evaluated in one call.
+    equation up to profile accuracy alone (no time stepping involved), at
+    every admissible lambda. All (time, node) positions are evaluated in one
+    call. The grid must pass the window checks of ``profile_by_shooting``.
     """
-    sol = _shoot_on_grid(params, grid)
+    _half_width(params, grid)
+    sol = solve_quadrature(params)
     times = np.asarray(times, dtype=float)
     shifted = (
         np.mod(grid.x - params.lambda_speed * times[:, None] - grid.x_min, grid.length)

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fhdlab
-from fhdlab import output
+from fhdlab import output, profiles
 from fhdlab.cli import (
     COMMANDS,
     LAX_MAX_VALUES,
@@ -26,7 +26,7 @@ from fhdlab.cli import (
     main,
     resolve_config,
 )
-from fhdlab.core import MAX_VALUES, Field, SolitonParams, make_grid
+from fhdlab.core import MAX_VALUES, SolitonParams, make_grid
 from fhdlab.evolution import EvolveConfig, evolve
 from fhdlab.output import (
     read_csv,
@@ -35,7 +35,7 @@ from fhdlab.output import (
     write_frames_csv,
     write_json,
 )
-from fhdlab.profiles import profile_by_shooting, solve_shooting
+from fhdlab.profiles import closed_form_field, solve_shooting
 
 SPECIAL = [-0.0, 5e-324, 1e300, 1.0 / 3.0, 5.0]
 BLOCK_N = 97
@@ -364,7 +364,7 @@ class TestUsageAndExitCodes:
         (["profile", "--lambda", "1e-300"], 3,
          "numerical failure: closed-form xi overflows at lambda=1e-300"),
         (["evolve", "--lambda", "1e-300", "--n", "64"], 3,
-         "numerical failure: turning point v_turn = 1e-300 is too deep to shoot"),
+         "numerical failure: closed-form xi overflows at lambda=1e-300"),
         (["reduce-check", "--xmax", "1e200"], 2, "error: grid spacing dx"),
         (["reduce-check", "--lambda-spec", "1e308"], 3,
          "numerical failure: the reduction check overflows"),
@@ -372,6 +372,9 @@ class TestUsageAndExitCodes:
          "error: dt = cfl*dx^3/max(v)^3 = 9.88e-324 is below the float"),
         (["evolve", "--n", "64", "--t-final", "1e-300"], 2,
          "error: frames span too short a time"),
+        # a closed form that still holds, where shooting's v^2 would underflow
+        (["profile", "--lambda", "1e-200"], 3,
+         "numerical failure: turning point v_turn = 1e-200 is too deep to shoot"),
     ])
     def test_extreme_values_exit_with_one_line(self, tmp_path, capfd, argv, code,
                                                message):
@@ -627,16 +630,44 @@ class TestProfileCommand:
         assert set(summary) == {"command", "status", "output_dir", "min_v",
                                 "depth", "fwhm_quadrature", "fwhm_shooting"}
 
-    def test_unbracketed_half_depth_exits_3(self, tmp_path, capsys):
-        # near lambda = v0^3 the shooting orbit turns back before its tail
-        # switch, so its profile would not rise back through the half-depth
-        # level inside the window: the shooting itself is a numerical failure
+    def test_unbracketed_half_depth_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a shooting orbit that misses its tail switch inside the window
+        # would not rise back through the half-depth level there: the
+        # shooting itself is a numerical failure. A switch 1e-12 depths below
+        # v0 lies about 29 decay lengths out, beyond the default window's 22
+        monkeypatch.setattr(profiles, "TAIL_SWITCH_REL", 1e-12)
         code = main(["profile", "--lambda", "0.9999", "--output-dir", str(tmp_path)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: profile shooting reached "
                               "xi = 2201 before the tail switch")
         assert "Traceback" not in err
+
+    def test_widths_agree_near_the_edge(self, tmp_path, capsys):
+        # shooting in v once sank 4.46 depths below the turning point between
+        # its steps here, and gave a width of 187901
+        code, summary = run_cli(
+            ["profile", "--lambda", "0.999999999", "--output-dir", str(tmp_path)], capsys
+        )
+        assert code == 0
+        assert summary["fwhm_quadrature"] == pytest.approx(111485.92, rel=1e-6)
+        assert summary["fwhm_shooting"] == pytest.approx(summary["fwhm_quadrature"],
+                                                         rel=1e-5)
+
+    def test_shooting_below_the_turning_point_exits_3(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # the dense output, sunk by a quarter of the depth everywhere
+        flank = profiles.ShootingSolution._flank
+
+        def sunk(sol, w):
+            return flank(sol, w) - 0.25 * (sol.params.v0 - sol.v_turn)
+
+        monkeypatch.setattr(profiles.ShootingSolution, "_flank", sunk)
+        code = main(["profile", "--lambda", "0.5", "--output-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("numerical failure: profile shooting dips 0.25 depths "
+                                "below the turning point between its steps\n")
 
     def test_meta_sidecars_embed_config(self, tmp_path, capsys):
         code, _ = run_cli(
@@ -860,15 +891,17 @@ class TestEvolveCommand:
         assert code == 0
         assert summary["conservation_drift"] <= 1e-3
 
-    def test_seed_that_misses_its_tail_switch_exits_3(self, tmp_path, capsys):
-        # at lambda = 0.9999 the shooting orbit turns back before its tail
-        # switch; seeding evolve from it once gave "ok" with a speed of 4230
-        code = main(["evolve", "--lambda", "0.9999", "--n", "2048", "--t-final", "0.5",
-                     "--output-dir", str(tmp_path)])
-        captured = capsys.readouterr()
-        assert code == 3 and captured.out == ""
-        assert captured.err.startswith("numerical failure: profile shooting reached xi")
-        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    def test_seed_near_the_edge_moves_at_lambda(self, tmp_path, capsys):
+        # seeded from shooting, this run once reported "ok" with a speed of
+        # 4230, then exited 3 when the orbit missed its tail switch; the
+        # closed form is exact at every lambda
+        code, summary = run_cli(
+            ["evolve", "--lambda", "0.9999", "--n", "2048", "--t-final", "0.5",
+             "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert abs(summary["speed_measured"] - 0.9999) <= 1e-3
 
     def test_trajectory_files_match_write_csv(self, tmp_path, capsys):
         # oracle: the same run through the library, written value by value
@@ -880,7 +913,7 @@ class TestEvolveCommand:
         assert main(argv + ["--per-frame", "--output-dir", str(tmp_path / "each")]) == 0
         capsys.readouterr()
         grid = make_grid(-40.0, 40.0, 256)
-        initial = Field(grid, profile_by_shooting(SolitonParams(0.5, 1.0), grid).v)
+        initial = closed_form_field(SolitonParams(0.5, 1.0), grid)
         trajectory = evolve(initial, EvolveConfig(
             t_final=0.2, cfl_constant=0.4, output_stride=10))
         header = ["t", "x", "v"]

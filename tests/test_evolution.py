@@ -147,6 +147,12 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(Field(grid, values), EvolveConfig(t_final=0.1))
 
+    def test_field_whose_cube_overflows_gives_no_step(self):
+        # max(v)^3 = inf in floats: dt = 0, which no t_final can resolve
+        grid = make_grid(-5.0, 5.0, 64)
+        with pytest.raises(ValueError, match="is below the float resolution"):
+            evolve(Field(grid, np.full(64, 1e200)), EvolveConfig(t_final=1.0))
+
 
 def allocating_rk4(field, config):
     """Oracle: the allocating RK4 loop with the sum-form fused stencil.
@@ -258,6 +264,71 @@ class TestInPlaceStepper:
         # every earlier frame still holds its own step, not the final state
         assert np.allclose(values, frames, rtol=1e-12, atol=0.0)
         assert not np.array_equal(values[1], values[-1])
+
+
+def poisoning_rk4(at_step, writes):
+    """``evolution._rk4`` whose stepper, after its ``at_step``-th step,
+    writes ``writes`` ({node: value}) into v."""
+    rk4 = evolution._rk4
+
+    def poisoning(values, dx):
+        v, step = rk4(values, dx)
+        taken = []
+
+        def stepper(dt):
+            step(dt)
+            taken.append(dt)
+            if len(taken) == at_step:
+                for node, value in writes.items():
+                    v[node] = value
+
+        return v, stepper
+
+    return poisoning
+
+
+class TestAbort:
+    """Each abort of the step loop: its message and the frames before it."""
+
+    STRIDE_2 = EvolveConfig(t_final=1.0, cfl_constant=0.4, output_stride=2)
+
+    def aborted(self, monkeypatch, at_step, writes, config=STRIDE_2):
+        f = soliton_field(n=128)
+        monkeypatch.setattr(evolution, "_rk4", poisoning_rk4(at_step, writes))
+        with pytest.raises(EvolutionAborted) as excinfo:
+            evolve(f, config)
+        monkeypatch.undo()
+        every_step = evolve(f, EvolveConfig(t_final=1.0, cfl_constant=0.4, output_stride=1))
+        return excinfo.value, every_step
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at_step", [1, 5])
+    def test_non_finite_value(self, monkeypatch, value, at_step):
+        error, every_step = self.aborted(monkeypatch, at_step, {7: value})
+        t = every_step.times[at_step]
+        assert str(error) == f"non-finite values at t={t:.6g} (step {at_step})"
+        # the frames recorded before the abort, bit for bit
+        kept = list(range(0, at_step, 2))
+        assert np.array_equal(error.trajectory.times, every_step.times[kept])
+        assert np.array_equal(error.trajectory.values, every_step.values[kept])
+
+    def test_non_finite_value_is_reported_before_a_floor_crossing(self, monkeypatch):
+        error, _ = self.aborted(monkeypatch, 3, {7: 0.004, 90: np.nan})
+        assert str(error).startswith("non-finite values at t=")
+
+    def test_floor_crossing(self, monkeypatch):
+        # the default floor is 1% of the initial maximum, 1 - 1e-8
+        error, every_step = self.aborted(monkeypatch, 5, {7: 0.004})
+        assert every_step.times[5] == pytest.approx(5 * 0.4 * 0.625**3)
+        assert str(error) == ("positivity floor 0.01 crossed at t=0.488281 "
+                              "(min v = 0.004, step 5)")
+        assert np.array_equal(error.trajectory.values, every_step.values[[0, 2, 4]])
+
+    def test_a_value_on_the_floor_does_not_abort(self, monkeypatch):
+        config = EvolveConfig(t_final=1.0, cfl_constant=0.4, positivity_floor=0.004)
+        monkeypatch.setattr(evolution, "_rk4", poisoning_rk4(5, {7: 0.004}))
+        traj = evolve(soliton_field(n=128), config)
+        assert traj.times[-1] == 1.0
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.interpolate import BPoly
 
 from fhdlab import _dop853
 from fhdlab.core import NumericalError, SolitonParams, d1_periodic, make_grid
-from fhdlab.pseudopotential import eval_S
+from fhdlab.pseudopotential import eval_S, turning_point
 from fhdlab.profiles import (
     MIN_DECAY_LENGTHS,
     SHOOT_ATOL,
@@ -29,6 +30,10 @@ from fhdlab.profiles import (
 
 P05 = SolitonParams(0.5, 1.0)
 WIDE = make_grid(-40.0, 40.0, 2048)
+# lambda/v0^3 from 1e-4 to 1 - 1e-6, log-uniform in it and in 1 - lambda/v0^3
+# so that both edges are drawn
+EDGE_FRACTIONS = st.one_of(st.floats(-4.0, np.log10(0.5)).map(lambda e: 10.0**e),
+                           st.floats(-6.0, np.log10(0.5)).map(lambda e: 1.0 - 10.0**e))
 
 
 class TestDecayRate:
@@ -226,25 +231,29 @@ class TestShootingProfile:
 
 
 def _oracle(params, xi_max):
-    """The shooting problem as SciPy's solve_ivp(method="DOP853") solves it."""
-    lam, v0 = params.lambda_speed, params.v0
-    v_turn = lam / v0**2
-    v_stop = v0 - TAIL_SWITCH_REL * (v0 - v_turn)
+    """The shooting problem as SciPy's solve_ivp(method="DOP853") solves it:
+    the rise r = v - v_turn, with r'' written as the ODE
+    v'' = (lambda/2)(1/v^2 - 1/v0^2) + (v - v0) (checked exactly in
+    ``test_rise_form_is_the_profile_ode``), and atol in units of the depth."""
+    v0 = params.v0
+    v_turn = turning_point(params)
+    depth = v0 - v_turn
 
     def rhs(_xi, y):
-        v = y[0]
-        return (y[1], 0.5 * lam * (1.0 / v**2 - 1.0 / v0**2) + (v - v0))
+        r = y[0]
+        v = v_turn + r
+        return (y[1], (r - depth) * (r * (r + 1.5 * v_turn) - 0.5 * v_turn * depth) / (v * v))
 
     def reach_background(_xi, y):
-        return y[0] - v_stop
+        return y[0] - (depth - TAIL_SWITCH_REL * depth)
 
     def collapse(_xi, y):
-        return y[0] - 0.1 * v_turn
+        return y[0] - (0.1 * v_turn - v_turn)
 
     reach_background.terminal = collapse.terminal = True
     reach_background.direction, collapse.direction = 1.0, -1.0
-    result = solve_ivp(rhs, (0.0, xi_max), (v_turn, 0.0), method="DOP853",
-                       rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense_output=True,
+    result = solve_ivp(rhs, (0.0, xi_max), (0.0, 0.0), method="DOP853",
+                       rtol=SHOOT_RTOL, atol=SHOOT_ATOL * depth, dense_output=True,
                        events=(reach_background, collapse))
     assert result.success and not result.t_events[1].size
     return result
@@ -253,11 +262,12 @@ def _oracle(params, xi_max):
 def _oracle_profile(params, grid):
     """The oracle's v on the grid, with the same tail, and its step count."""
     result = _oracle(params, 0.5 * grid.length)
+    v_turn = turning_point(params)
     w = np.abs(grid.x)
-    xi_switch, v_switch = result.t[-1], result.y[0, -1]
+    xi_switch, v_switch = result.t[-1], v_turn + result.y[0, -1]
     inside = w <= xi_switch
     v = np.empty_like(w)
-    v[inside] = result.sol(w[inside])[0]
+    v[inside] = v_turn + result.sol(w[inside])[0]
     v0 = params.v0
     v[~inside] = v0 - (v0 - v_switch) * np.exp(
         -decay_rate(params) * (w[~inside] - xi_switch)
@@ -306,18 +316,14 @@ class TestShootingOracle:
         assert np.max(np.abs(sol(grid.x) - v_ref)) <= 1e-10
         assert sol.steps_xi.size - 1 == steps_ref
 
-    # Above lambda/v0^3 = 0.999 the first-integral error that the
-    # tolerances allow exceeds |S| at the tail switch, so the orbit can turn
-    # back before it: there solve_ivp itself differs from the quadrature by
-    # up to 1e-4 and sometimes runs to xi_max, so it is no oracle. Near the
-    # lower edge the first steps' error estimates are rounding noise in both
-    # solvers (the acceleration at v_turn is about v0^4/(2 lambda)), their
-    # step sequences part, and the profiles differ by up to 1.14e-7 in 5,000
-    # draws; the oracle itself is about 1e-7 off the quadrature there.
+    # Near the lower edge the first steps' error estimates are rounding
+    # noise in both solvers (the acceleration at v_turn is about
+    # v0^4/(2 lambda)), their step sequences part, and the profiles differ by
+    # up to 1.14e-7 in 5,000 draws; the oracle itself is about 1e-7 off the
+    # quadrature there.
     @settings(max_examples=40, deadline=None)
-    @given(log_frac=st.floats(-4.0, np.log10(0.999)), v0=st.floats(0.5, 2.0))
-    def test_matches_oracle_over_the_domain(self, log_frac, v0):
-        frac = 10.0**log_frac
+    @given(frac=EDGE_FRACTIONS, v0=st.floats(0.5, 2.0))
+    def test_matches_oracle_over_the_domain(self, frac, v0):
         params = SolitonParams(frac * v0**3, v0)
         grid = _window(params)
         v_ref, steps_ref = _oracle_profile(params, grid)
@@ -350,6 +356,47 @@ class TestCrossValidation:
         shoot = solve_shooting(P05, xi_max=40.0)
         xi = np.linspace(0.0, 40.0, 8001)
         assert np.max(np.abs(quad(xi) - shoot(xi))) < 1e-6
+
+    # largest error seen 1.6e-7 depths, in a scan of 500 lambda/v0^3 from
+    # 1e-8 to 1 - 1e-12 at v0 = 1
+    @settings(max_examples=60, deadline=None)
+    @given(frac=EDGE_FRACTIONS, v0=st.floats(0.5, 2.0))
+    def test_shooting_agrees_in_depths_up_to_the_edge(self, frac, v0):
+        params = SolitonParams(frac * v0**3, v0)
+        grid = _window(params)
+        try:
+            shoot = profile_by_shooting(params, grid).v
+        except NumericalError:
+            return
+        depth = v0 - turning_point(params)
+        closed = solve_quadrature(params)(grid.x)
+        assert np.max(np.abs(shoot - closed)) <= 1e-6 * depth
+
+    @pytest.mark.parametrize("frac", [1.0 - 1e-9, 0.99999984, 0.999999996,
+                                      0.999999997, 0.999999998])
+    def test_shooting_keeps_above_the_turning_point(self, frac):
+        # shooting in v sank up to 4.46 depths below v_turn between its steps
+        # at these lambda, and its width was 69% off at 1 - 1e-9
+        params = SolitonParams(frac, 1.0)
+        grid = _window(params)
+        prof = profile_by_shooting(params, grid)
+        assert prof.v.min() == turning_point(params)
+        w_quad = profile_metrics(profile_by_quadrature(params)).fwhm
+        assert profile_metrics(prof).fwhm == pytest.approx(w_quad, rel=1e-5)
+
+    @pytest.mark.parametrize("lam, v0", [(0.5, 1.0), (1e-6, 2.0), (1.2, 1.1),
+                                         (1.0 - 1e-9, 1.0)])
+    def test_rise_form_is_the_profile_ode(self, lam, v0):
+        # in exact arithmetic, with lambda = v_turn v0^2 as the turning point
+        # defines it: r'' = (r - b)(r^2 + 3/2 v_turn r - v_turn b/2)/v^2 is
+        # v'' = (lambda/2)(1/v^2 - 1/v0^2) + (v - v0)
+        v_turn = Fraction(turning_point(SolitonParams(lam, v0)))
+        v0 = Fraction(v0)
+        b, lam = v0 - v_turn, v_turn * v0**2
+        for r in (0, b / 7, b / 2, b * Fraction(9999, 10000), b):
+            v = v_turn + r
+            rise_form = (r - b) * (r * (r + Fraction(3, 2) * v_turn) - v_turn * b / 2) / v**2
+            assert rise_form == lam / 2 * (1 / v**2 - 1 / v0**2) + (v - v0)
 
 
 class TestOdeResidual:
