@@ -16,7 +16,6 @@ from .evolution import (
     EvolutionAborted,
     EvolveConfig,
     conservation_drift,
-    conserved_functional,
     evolve,
     measure_speed,
     rhs_fhd,
@@ -26,8 +25,6 @@ from .evolution import (
 from .lax import (
     LaxResidualReport,
     ReductionReport,
-    build_M,
-    build_N,
     reduction_check,
     zc_residual,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "EvolutionAborted",
     "EvolveConfig",
     "conservation_drift",
-    "conserved_functional",
     "evolve",
     "measure_speed",
     "rhs_fhd",
@@ -67,8 +63,6 @@ __all__ = [
     "shift_field",
     "LaxResidualReport",
     "ReductionReport",
-    "build_M",
-    "build_N",
     "reduction_check",
     "zc_residual",
     "ExistenceReport",

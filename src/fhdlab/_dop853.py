@@ -127,18 +127,15 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(0.5 * (a * a + b * b))
 
 
-def _initial_step(accel, v, p, fv, fp, xi_max, rtol, atol):
-    """SciPy's ``select_initial_step`` (Hairer et al., section II.4)."""
-    sv, sp = atol + abs(v) * rtol, atol + abs(p) * rtol
-    d0, d1 = _rms(v / sv, p / sp), _rms(fv / sv, fp / sp)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, xi_max)
-    v1, p1 = v + h0 * fv, p + h0 * fp
-    d2 = _rms((p1 - fv) / sv, (accel(v1) - fp) / sp) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -ERROR_EXPONENT
-    return min(100.0 * h0, h1, xi_max)
+def _initial_step(fp, xi_max, atol):
+    """SciPy's ``select_initial_step`` (Hairer et al., section II.4) from
+    (y, y') = (0, 0) with y'' = fp: the state's norm is 0, so the trial step
+    is 1e-6 and leaves y'' at fp. d1 = |fp|/(sqrt(2) atol) is about 4e-5 or
+    more for every admissible lambda, so SciPy's fallback for d1, d2 <=
+    1e-15 cannot run."""
+    h0 = min(1e-6, xi_max)
+    d1, d2 = _rms(0.0, fp / atol), _rms(h0 * fp / atol, 0.0) / h0
+    return min(100.0 * h0, (0.01 / max(d1, d2)) ** -ERROR_EXPONENT, xi_max)
 
 
 def _error_norm(kv, kp, h, sv, sp) -> float:
@@ -232,7 +229,7 @@ def dop853(accel, xi_max: float, y_stop: float, y_collapse: float,
     """
     t, v, p = 0.0, 0.0, 0.0
     fv, fp = p, accel(v)
-    h_abs = _initial_step(accel, v, p, fv, fp, xi_max, rtol, atol)
+    h_abs = _initial_step(fp, xi_max, atol)
     steps, dense, rejected = [(t, v, p)], [], 0
     while True:
         min_step = 10.0 * math.ulp(t)

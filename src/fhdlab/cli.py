@@ -97,10 +97,6 @@ class RunConfig:
         return {"config": dict(vars(self))}
 
 
-#: Largest lax.frames times n that verify-lax accepts (the default is 17 x 2048)
-LAX_MAX_VALUES = MAX_VALUES
-
-
 # RunConfig field -> (config-file key path, command-line flag or None);
 # the flags, their types, USAGE, each command's help and the allowed config
 # keys derive from it
@@ -443,8 +439,8 @@ def run_verify_lax(config: RunConfig) -> dict:
     if not (config.lax_frame_dt > 0.0 and math.isfinite(config.lambda_speed * last)):
         raise ValueError(f"lax.frame_dt must be positive with lambda*t finite at "
                          f"the last frame, got {config.lax_frame_dt}")
-    if config.lax_frames * config.n > LAX_MAX_VALUES:
-        raise ValueError(f"lax.frames times n may be at most {LAX_MAX_VALUES}, got "
+    if config.lax_frames * config.n > MAX_VALUES:
+        raise ValueError(f"lax.frames times n may be at most {MAX_VALUES}, got "
                          f"{config.lax_frames} x {config.n}")
     times = config.lax_frame_dt * np.arange(config.lax_frames)
     trajectory = translated_trajectory(config.params, grid, times)

@@ -270,7 +270,8 @@ def minimum_positions(trajectory: Trajectory) -> np.ndarray:
     """Per-frame minimum locations, unwrapped across the periodic seam.
 
     Each frame's minimum sits at the vertex of the parabola through its
-    lowest node and that node's two neighbours, to sub-grid accuracy.
+    lowest node and that node's two neighbours, to sub-grid accuracy. A
+    frame whose depth is within 1e-12 of its scale is a NumericalError.
     """
     grid = trajectory.grid
     values = trajectory.values
@@ -280,7 +281,7 @@ def minimum_positions(trajectory: Trajectory) -> np.ndarray:
     f0 = values[rows, i]
     top = values.max(axis=1)
     if np.any(top - f0 <= 1e-12 * np.maximum(np.maximum(top, -f0), 1.0)):
-        raise ValueError("frame is flat: no localized structure to track")
+        raise NumericalError("frame is flat: no localized structure to track")
     fm = values[rows, (i - 1) % grid.n]
     fp = values[rows, (i + 1) % grid.n]
     denom = fm - 2.0 * f0 + fp
@@ -306,24 +307,18 @@ def measure_speed(trajectory: Trajectory) -> float:
     return float(slope)
 
 
-def _inverse_integrals(grid: Grid1D, values: np.ndarray) -> np.ndarray:
+def _inverse_integrals(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
     """Trapezoidal integrals of 1/v over the periodic cell, one per row.
 
     One reduction per block of about 2**13 values, not per row: the sums
     are those of the rows, bit for bit, and no (T, n) reciprocal is built
     (at T=264, n=1024 one would raise a run's peak memory by 2 MB).
     """
-    if values.min() <= 0.0:
+    if rows.min() <= 0.0:
         raise ValueError("field must be strictly positive")
-    rows = np.atleast_2d(values)
     step = max(1, 2**13 // rows.shape[1])
     sums = [np.sum(1.0 / rows[i : i + step], axis=1) for i in range(0, len(rows), step)]
     return grid.dx * np.concatenate(sums)
-
-
-def conserved_functional(field: Field) -> float:
-    """Trapezoidal integral of 1/v over the periodic cell."""
-    return float(_inverse_integrals(field.grid, field.values)[0])
 
 
 def conservation_drift(trajectory: Trajectory) -> float:

@@ -12,8 +12,8 @@ v_t = v^3 (v_xxx - v_x). The structure residual M_t + [M, N] - N_x then
 vanishes; three of its four entries vanish identically by construction of
 A, C, D (they hold off-shell), and only the (2,1) entry carries the
 evolution equation. ``zc_residual`` measures all four entrywise over a
-space-time patch, all frames in one pass, and fits a convergence order by
-coarsening the patch.
+space-time patch of evenly spaced frames, all frames in one pass, and
+fits a convergence order by coarsening the patch.
 """
 
 from __future__ import annotations
@@ -30,32 +30,6 @@ OFF_SHELL_TOL = 1e-10
 
 #: Minimum fitted convergence order for the evolution entry.
 MIN_ORDER = 2.0
-
-
-def build_M(v, lambda_spec: float) -> np.ndarray:
-    """Space part [[0, 1], [-lam/v^2, 1]]; v may be a scalar or an array."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0.0):
-        raise ValueError("M is only defined for v > 0")
-    zero = np.zeros_like(v)
-    one = np.ones_like(v)
-    return np.stack(
-        (np.stack((zero, one)), np.stack((-lambda_spec / v**2, one)))
-    )
-
-
-def build_N(v, v_x, v_xx, lambda_spec: float) -> np.ndarray:
-    """Time part [[A, B], [C, D]] under the ansatz B = -4*lam*v; trace-free."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0.0):
-        raise ValueError("N is only defined for v > 0")
-    v_x = np.asarray(v_x, dtype=float)
-    v_xx = np.asarray(v_xx, dtype=float)
-    lam = lambda_spec
-    a = 2.0 * lam * (v_x + v)
-    b = -4.0 * lam * v
-    c = 2.0 * lam * (v_xx + v_x) + 4.0 * lam**2 / v
-    return np.stack((np.stack((a, b)), np.stack((c, -a))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +89,8 @@ def _patch_norms(values: np.ndarray, times: np.ndarray, dx: float,
 
     The entries of ((M_t + M N) - N M) - N_x, M = [[0, 1], [q, 1]] and
     N = [[a, b], [c, -a]], are written out in the order of the 2x2 products,
-    without the products by 0 and 1; M_t is central, or 3-point nonuniform
-    where the frame spacing changes (a constant's is the sum of the weights).
+    without the products by 0 and 1; M_t is the central difference over the
+    two spacings around each frame, which ``zc_residual`` requires equal.
     """
     q = -lam / (values * values)
     v, q_mid = values[1:-1], q[1:-1]
@@ -127,18 +101,11 @@ def _patch_norms(values: np.ndarray, times: np.ndarray, dx: float,
     a_x, b_x, c_x = d1_periodic(np.stack((a, b, c)), dx)
 
     h = np.diff(times)[:, None]
-    h_left, h_right = h[:-1], h[1:]
-    w_prev = -h_right / (h_left * (h_left + h_right))
-    w_mid = (h_right - h_left) / (h_left * h_right)
-    w_next = h_left / (h_right * (h_left + h_right))
-    uniform = np.abs(h_right - h_left) <= 1e-12 * h_left
-    q_t = np.where(uniform, (q[2:] - q[:-2]) / (h_left + h_right),
-                   (w_prev * q[:-2] + w_mid * q_mid) + w_next * q[2:])
-    one_t = np.where(uniform, 0.0, (w_prev + w_mid) + w_next)
+    q_t = (q[2:] - q[:-2]) / (h[:-1] + h[1:])
 
     qa, qb = q_mid * a, q_mid * b
-    residual = ((c - qb) - a_x, ((one_t - a) - (a + b)) - b_x,
-                ((q_t + (qa + c)) + qa) - c_x, ((one_t + (qb - a)) - (c - a)) + a_x)
+    residual = ((c - qb) - a_x, (-a - (a + b)) - b_x,
+                ((q_t + (qa + c)) + qa) - c_x, ((qb - a) - (c - a)) + a_x)
     return np.array([np.abs(r).max() for r in residual]).reshape(2, 2)
 
 
@@ -151,6 +118,10 @@ def zc_residual(trajectory: Trajectory, lambda_spec: float) -> LaxResidualReport
     companion patch at (2dx, 2dt) from which the convergence order of the
     (2,1) entry is fitted.
 
+    Neighbouring frame spacings that differ by more than 1e-12 relative,
+    beyond 2 ulps of the later time (``dt * arange(k)`` exceeds 1e-12 from
+    rounding alone past k of about 5000), are a ValueError.
+
     The off-shell entries cancel terms as large as the ``4 lam^2/v`` of C,
     so their round-off grows with it: their bound is OFF_SHELL_TOL times
     ``max(1, max|4 lam^2/v|)`` over the frames. A lam for which that term
@@ -161,6 +132,10 @@ def zc_residual(trajectory: Trajectory, lambda_spec: float) -> LaxResidualReport
     if not (np.isfinite(lambda_spec) and lambda_spec != 0.0):
         raise ValueError(f"lambda_spec must be finite and nonzero, got {lambda_spec}")
     values, times = trajectory.values, trajectory.times
+    h = np.diff(times)
+    if not np.all(np.abs(np.diff(h)) <= 1e-12 * h[:-1] + 2.0 * np.spacing(times[2:])):
+        raise ValueError("frames must be evenly spaced: neighbouring spacings "
+                         "differ by more than 1e-12 relative")
     if np.any(values <= 0.0):
         raise ValueError("M is only defined for v > 0")
     # a float64 square overflows to inf, where a Python float's raises
@@ -170,9 +145,9 @@ def zc_residual(trajectory: Trajectory, lambda_spec: float) -> LaxResidualReport
         raise NumericalError(f"4 lambda_spec^2/v overflows for lambda_spec {lambda_spec}")
     dx = trajectory.grid.dx
     coarse, order = np.full((2, 2), np.nan), float("nan")
-    # an intermediate that overflows, or an M_t weight that divides by the
-    # underflowed square of a frame spacing, leaves a non-finite norm where
-    # it is used, which fails the check and is reported as such
+    # an intermediate that overflows, or a v whose square underflows to 0,
+    # leaves a non-finite norm where it is used, which fails the check and is
+    # reported as such
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fine = _patch_norms(values, times, dx, lambda_spec)
         if trajectory.grid.n % 2 == 0 and len(times) >= 5:
@@ -185,7 +160,7 @@ def zc_residual(trajectory: Trajectory, lambda_spec: float) -> LaxResidualReport
         entry_norms=fine,
         entry_norms_coarse=coarse,
         dx=dx,
-        dt=float(np.median(np.diff(times))),
+        dt=float(np.median(h)),
         convergence_order=order,
         off_shell_tol=OFF_SHELL_TOL * max(1.0, c_scale),
     )

@@ -302,11 +302,3 @@ def write_json(path: Path, payload, meta: dict | None = None) -> Path:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     _write_meta(path, meta)
     return path
-
-
-def read_csv(path: Path) -> dict[str, np.ndarray]:
-    """Read one of our CSV files back into named columns."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return {name: data[:, i] for i, name in enumerate(header)}

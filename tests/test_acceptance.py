@@ -25,7 +25,6 @@ from fhdlab.evolution import (
     shape_error,
 )
 from fhdlab.lax import reduction_check, zc_residual
-from fhdlab.output import read_csv
 from fhdlab.profiles import (
     profile_by_quadrature,
     profile_by_shooting,
@@ -72,7 +71,7 @@ def test_criterion_1_existence_domain(tmp_path, capsys):
     )
     elapsed = time.perf_counter() - start
     capsys.readouterr()
-    table = read_csv(tmp_path / "existence.csv")
+    table = np.genfromtxt(tmp_path / "existence.csv", delimiter=",", names=True)
     expected = (table["lambda"] > 0.0) & (table["lambda"] < 1.0)
     report(1, "existence domain", {
         "exit_code_0": code == 0,

@@ -17,7 +17,6 @@ import fhdlab
 from fhdlab import output, profiles
 from fhdlab.cli import (
     COMMANDS,
-    LAX_MAX_VALUES,
     USAGE,
     _OPTIONS,
     RunConfig,
@@ -29,7 +28,6 @@ from fhdlab.cli import (
 from fhdlab.core import MAX_VALUES, SolitonParams, make_grid
 from fhdlab.evolution import EvolveConfig, evolve
 from fhdlab.output import (
-    read_csv,
     write_csv,
     write_frame_files,
     write_frames_csv,
@@ -67,6 +65,14 @@ def assert_frames_match_write_csv(tmp_path, times, x, v):
     texts = [path.read_bytes() for path in write_frame_files(tmp_path, times, x, v)]
     assert len(texts) == frames and all(t.startswith(b"t,x,v\n") for t in texts)
     assert b"".join(t[6:] for t in texts) == written.read_bytes()[6:]
+
+
+def read_csv(path):
+    """Read a CSV file the CLI wrote back into named columns."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return {name: data[:, i] for i, name in enumerate(header)}
 
 
 def run_cli(argv, capsys):
@@ -375,6 +381,12 @@ class TestUsageAndExitCodes:
         # a closed form that still holds, where shooting's v^2 would underflow
         (["profile", "--lambda", "1e-200"], 3,
          "numerical failure: turning point v_turn = 1e-200 is too deep to shoot"),
+        # admissible, but a depression of 1e-12 is too shallow to measure or
+        # to track: a numerical limit, not invalid input
+        (["profile", "--lambda", "0.999999999999"], 3,
+         "numerical failure: profile is flat: no measurable depression"),
+        (["evolve", "--lambda", "0.999999999999", "--n", "2048", "--t-final", "0.5"], 3,
+         "numerical failure: frame is flat: no localized structure to track"),
     ])
     def test_extreme_values_exit_with_one_line(self, tmp_path, capfd, argv, code,
                                                message):
@@ -1051,7 +1063,7 @@ sys.exit(main(["verify-lax", "--lambda", "0.5", "--lambda-spec", "3e153",
             assert capsys.readouterr().err.startswith(
                 "error: lax.frame_dt must be positive")
 
-    @pytest.mark.parametrize("frames", [10**12, LAX_MAX_VALUES // 64 + 1])
+    @pytest.mark.parametrize("frames", [10**12, MAX_VALUES // 64 + 1])
     def test_frame_count_is_bounded_before_allocating(self, tmp_path, capsys, frames):
         # 10^12 frames once died in np.arange with a MemoryError traceback
         cfg = tmp_path / "run.json"
@@ -1059,7 +1071,7 @@ sys.exit(main(["verify-lax", "--lambda", "0.5", "--lambda-spec", "3e153",
         assert main(["verify-lax", "--n", "64", "--config", str(cfg),
                      "--output-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err == (f"error: lax.frames times n may be at most {LAX_MAX_VALUES}, "
+        assert err == (f"error: lax.frames times n may be at most {MAX_VALUES}, "
                        f"got {frames} x 64\n")
 
     def test_under_resolved_check_exits_3(self, tmp_path, capsys):

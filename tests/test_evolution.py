@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fhdlab import evolution
 from fhdlab.core import (
     Field,
+    NumericalError,
     SolitonParams,
     Trajectory,
     d1_periodic,
@@ -18,7 +19,6 @@ from fhdlab.evolution import (
     EvolutionAborted,
     EvolveConfig,
     conservation_drift,
-    conserved_functional,
     evolve,
     measure_speed,
     minimum_positions,
@@ -490,21 +490,23 @@ class TestStepCap:
 
 class TestConservedFunctional:
     def test_constant_value(self):
+        # the integrals of 1/2 and 1/4 over [0, 10] are 5 and 2.5
         grid = make_grid(0.0, 10.0, 64)
-        assert conserved_functional(Field(grid, np.full(64, 2.0))) == pytest.approx(
-            5.0, rel=1e-15
-        )
+        traj = Trajectory(grid, [0.0, 1.0], [np.full(64, 2.0), np.full(64, 4.0)])
+        assert conservation_drift(traj) == pytest.approx(0.5, rel=1e-15)
 
     def test_shift_invariance(self):
         f = soliton_field(n=256)
-        rolled = Field(f.grid, np.roll(f.values, 17))
-        a, b = conserved_functional(f), conserved_functional(rolled)
-        assert abs(a - b) <= 1e-13 * abs(a)
+        traj = Trajectory(f.grid, [0.0, 1.0], [f.values, np.roll(f.values, 17)])
+        assert conservation_drift(traj) <= 1e-13
 
     def test_rejects_nonpositive(self):
+        # in any frame, not only the first
         grid = make_grid(0.0, 1.0, 32)
-        with pytest.raises(ValueError):
-            conserved_functional(Field(grid, np.zeros(32) + np.linspace(-1, 1, 32)))
+        values = np.ones((2, 32))
+        values[1] = np.linspace(-1, 1, 32)
+        with pytest.raises(ValueError, match="strictly positive"):
+            conservation_drift(Trajectory(grid, [0.0, 1.0], values))
 
     @pytest.mark.parametrize("shape", [(264, 1024), (830, 512), (3, 8), (5, 4097)])
     def test_integrals_match_row_loop_bitwise(self, shape):
@@ -545,7 +547,7 @@ class TestMeasureSpeed:
     def test_flat_frames_rejected(self):
         grid = make_grid(-5.0, 5.0, 64)
         traj = Trajectory(grid, np.array([0.0, 1.0, 2.0]), np.ones((3, 64)))
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError, match="frame is flat"):
             measure_speed(traj)
 
     def test_minimum_positions_monotone_for_rightward_motion(self):

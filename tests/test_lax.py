@@ -12,16 +12,36 @@ from fhdlab.core import (
     d1_periodic,
     make_grid,
 )
-from fhdlab.lax import (
-    OFF_SHELL_TOL,
-    build_M,
-    build_N,
-    reduction_check,
-    zc_residual,
-)
+from fhdlab.lax import OFF_SHELL_TOL, reduction_check, zc_residual
 from fhdlab.profiles import translated_trajectory
 
 P05 = SolitonParams(0.5, 1.0)
+
+
+def build_M(v, lambda_spec):
+    """Space part [[0, 1], [-lam/v^2, 1]]; v may be a scalar or an array."""
+    v = np.asarray(v, dtype=float)
+    if np.any(v <= 0.0):
+        raise ValueError("M is only defined for v > 0")
+    zero = np.zeros_like(v)
+    one = np.ones_like(v)
+    return np.stack(
+        (np.stack((zero, one)), np.stack((-lambda_spec / v**2, one)))
+    )
+
+
+def build_N(v, v_x, v_xx, lambda_spec):
+    """Time part [[A, B], [C, D]] under the ansatz B = -4*lam*v; trace-free."""
+    v = np.asarray(v, dtype=float)
+    if np.any(v <= 0.0):
+        raise ValueError("N is only defined for v > 0")
+    v_x = np.asarray(v_x, dtype=float)
+    v_xx = np.asarray(v_xx, dtype=float)
+    lam = lambda_spec
+    a = 2.0 * lam * (v_x + v)
+    b = -4.0 * lam * v
+    c = 2.0 * lam * (v_xx + v_x) + 4.0 * lam**2 / v
+    return np.stack((np.stack((a, b)), np.stack((c, -a))))
 
 
 def smooth_field(n=256, length=20.0, amplitude=0.3):
@@ -105,7 +125,7 @@ def matmul2(x, y):
 
 def framewise_patch_norms(values, times, dx, lambda_spec):
     """Oracle for ``lax._patch_norms``: M_t + [M, N] - N_x frame by frame,
-    from build_M, build_N and 2x2 matrix products."""
+    from build_M, build_N and 2x2 matrix products, with the central M_t."""
     norms = np.zeros((2, 2))
     for j in range(1, len(times) - 1):
         v = values[j]
@@ -119,23 +139,18 @@ def framewise_patch_norms(values, times, dx, lambda_spec):
         h_right = times[j + 1] - times[j]
         m_prev = build_M(values[j - 1], lambda_spec)
         m_next = build_M(values[j + 1], lambda_spec)
-        if abs(h_right - h_left) <= 1e-12 * h_left:
-            m_t = (m_next - m_prev) / (h_left + h_right)
-        else:
-            # 3-point nonuniform central difference
-            w_prev = -h_right / (h_left * (h_left + h_right))
-            w_mid = (h_right - h_left) / (h_left * h_right)
-            w_next = h_left / (h_right * (h_left + h_right))
-            m_t = w_prev * m_prev + w_mid * m + w_next * m_next
+        m_t = (m_next - m_prev) / (h_left + h_right)
 
         residual = m_t + matmul2(m, n) - matmul2(n, m) - n_x
         norms = np.maximum(norms, np.abs(residual).max(axis=-1))
     return norms
 
 
-# frame spacings: equal ones, ones within the 1e-12 tolerance, and others
+# a frame spacing within the 1e-12 tolerance of 0.05
 NEARLY = 0.05 * (1.0 + 1e-13)
-STEPS = st.sampled_from([0.05, 0.05, NEARLY, 0.03, 0.08])
+# evenly spaced frames, the only ones zc_residual accepts
+STEPS = st.builds(lambda h, k: [h] * k, st.sampled_from([0.05, 0.03, 0.08, 0.003]),
+                  st.integers(2, 12))
 
 
 class TestPatchNorms:
@@ -144,13 +159,12 @@ class TestPatchNorms:
         lam=st.floats(0.05, 0.9),
         lambda_spec=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
         n=st.integers(16, 160),
-        steps=st.lists(STEPS, min_size=2, max_size=12),
+        steps=STEPS,
         amplitude=st.floats(0.0, 0.5),
     )
     @example(lam=0.5, lambda_spec=1.0, n=512, steps=[0.05] * 16, amplitude=0.0)
-    @example(lam=0.8, lambda_spec=-2.0, n=33, steps=[0.05, 0.08, 0.03, 0.05],
-             amplitude=0.3)
-    # spacings within the tolerance take the uniform difference
+    @example(lam=0.8, lambda_spec=-2.0, n=33, steps=[0.08] * 4, amplitude=0.3)
+    # spacings that differ within the tolerance keep the sum of the two
     @example(lam=0.5, lambda_spec=1.0, n=33, steps=[0.05, NEARLY] * 3,
              amplitude=0.3)
     def test_bitwise_equal_to_framewise_products(self, lam, lambda_spec, n,
@@ -224,6 +238,33 @@ class TestZcResidual:
         # 4*lam^2/v is not a float here (lam**2 itself overflows above ~1.3e154)
         with pytest.raises(NumericalError, match="overflows"):
             zc_residual(exact_trajectory, lambda_spec)
+
+    @pytest.mark.parametrize("rel, even", [(0.9e-12, True), (1.1e-12, False)])
+    def test_uneven_frames_rejected(self, rel, even):
+        # one spacing apart from the rest by rel: inside 1e-12 the frames
+        # take the central M_t, outside it they are refused
+        grid = make_grid(-40.0, 40.0, 64)
+        steps = [0.05] * 8
+        steps[5] *= 1.0 + rel
+        times = np.concatenate(([0.0], np.cumsum(steps)))
+        traj = translated_trajectory(P05, grid, times)
+        if even:
+            expected = framewise_patch_norms(traj.values, times, grid.dx, 1.0)
+            assert zc_residual(traj, 1.0).entry_norms.tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(ValueError, match="evenly spaced"):
+                zc_residual(traj, 1.0)
+
+    def test_rounded_even_times_accepted(self):
+        # past k = 5123 the spacings of 0.05 * arange(k) differ by more than
+        # 1e-12 relative from the rounding of the times alone, which the
+        # check allows for
+        times = 0.05 * np.arange(6000)
+        spacings = np.diff(times)
+        assert np.abs(np.diff(spacings)).max() > 1e-12 * 0.05
+        grid = make_grid(-5.0, 5.0, 16)
+        traj = Trajectory(grid, times, np.ones((times.size, 16)))
+        assert zc_residual(traj, 1.0).entry_norms[1, 0] == 0.0
 
     def test_requires_three_frames(self):
         grid = make_grid(-20.0, 20.0, 64)

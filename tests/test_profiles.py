@@ -451,7 +451,7 @@ class TestProfileMetrics:
             params=P05,
             method="quadrature",
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError, match="profile is flat"):
             profile_metrics(prof)
 
 
