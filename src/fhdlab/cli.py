@@ -6,8 +6,8 @@ verification and the flow-reduction check. Runs are configured by a JSON
 document, by flags, or both (flags win). All pipelines are deterministic:
 identical configurations produce bit-identical outputs.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 64 unknown
-command.
+Exit codes: 0 success, 2 validation error or an output file that cannot be
+written, 3 numerical failure, 64 unknown command.
 """
 
 from __future__ import annotations
@@ -32,7 +32,13 @@ from .evolution import (
     shape_error,
 )
 from .lax import reduction_check, zc_residual
-from .output import write_csv, write_frame_files, write_frames_csv, write_json
+from .output import (
+    _write_text,
+    write_csv,
+    write_frame_files,
+    write_frames_csv,
+    write_json,
+)
 from .profiles import (
     MIN_DECAY_LENGTHS,
     closed_form_field,
@@ -343,7 +349,7 @@ def run_potential(config: RunConfig) -> dict:
         meta=config.meta(),
     )
     if config.emit_plots:
-        (out / "plot_potential.py").write_text(_POTENTIAL_PLOT)
+        _write_text(out / "plot_potential.py", _POTENTIAL_PLOT)
     return {
         "v_turn": float(v_orb[0]),
         "s_min": float(s_pot.min()),
@@ -382,7 +388,7 @@ def run_profile(config: RunConfig) -> dict:
     ]
     write_json(out / "metrics.json", records, meta=config.meta())
     if config.emit_plots:
-        (out / "plot_profile.py").write_text(_PROFILE_PLOT)
+        _write_text(out / "plot_profile.py", _PROFILE_PLOT)
     return {
         "min_v": float(quad.v.min()),
         "depth": mq.depth,
@@ -427,7 +433,7 @@ def run_evolve(config: RunConfig) -> dict:
     }
     write_json(out / "summary.json", summary, meta=config.meta())
     if config.emit_plots:
-        (out / "plot_trajectory.py").write_text(_TRAJECTORY_PLOT)
+        _write_text(out / "plot_trajectory.py", _TRAJECTORY_PLOT)
     return summary
 
 
@@ -517,6 +523,9 @@ def main(argv: list[str] | None = None) -> int:
         summary = run(config)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except OSError as exc:  # the writers name the file they failed on
+        sys.stderr.write(f"error: cannot write {exc.filename}: {exc.strerror}\n")
         return 2
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

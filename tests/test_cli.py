@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -220,6 +221,63 @@ class TestOutputHelpers:
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a", "b"], [np.ones(3), np.ones(4)])
 
+    @staticmethod
+    def _write_all(directory, rows, frames, n):
+        """Write a CSV, a trajectory, frame files and a JSON document, each
+        with its side-car, whose lengths grow with the arguments."""
+        meta = {"config": {"n": n, "rows": rows}}
+        x = np.linspace(-1.0, 1.0, n)
+        times = np.arange(frames) / 3.0
+        v = 1.0 - np.outer(np.ones(frames), np.exp(-x * x)) / 7.0
+        write_csv(directory / "t.csv", ["a", "b"],
+                  [np.arange(rows) / 7.0, -np.arange(rows) / 3.0], meta=meta)
+        write_frames_csv(directory / "trajectory.csv", times, x, v, meta=meta)
+        write_frame_files(directory, times, x, v, meta=meta)
+        write_json(directory / "r.json", {"rows": list(range(rows))}, meta=meta)
+
+    def test_rewriting_a_longer_file_leaves_the_bytes_of_a_fresh_write(
+            self, tmp_path):
+        # every writer writes over the bytes of a longer file of an earlier
+        # run and cuts it where it stops, in place
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        used.mkdir(), fresh.mkdir()
+        self._write_all(used, rows=5000, frames=4, n=300)
+        inodes = {p.name: p.stat().st_ino for p in used.iterdir()}
+        self._write_all(used, rows=10, frames=2, n=5)
+        self._write_all(fresh, rows=10, frames=2, n=5)
+        written = sorted(p.name for p in fresh.iterdir())
+        assert len(written) == 10
+        for name in written:
+            assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+            assert (used / name).stat().st_ino == inodes[name], name
+
+    def test_new_files_get_the_mode_of_open_wb(self, tmp_path):
+        with open(tmp_path / "reference", "wb"):
+            pass
+        path = write_json(tmp_path / "r.json", [1], meta={"config": {}})
+        for written in (path, tmp_path / "r.meta.json"):
+            assert written.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs /dev/null")
+    def test_a_device_is_written_as_open_wb_writes_it(self, tmp_path):
+        # ftruncate fails on a device, which holds nothing to cut
+        (tmp_path / "r.json").symlink_to("/dev/null")
+        write_json(tmp_path / "r.json", {"a": 1})
+        assert (tmp_path / "r.json").is_symlink()
+
+    def test_a_failed_frame_leaves_the_blocks_written_before_it(self, tmp_path):
+        count, bad = 2 * BLOCK_FRAMES, BLOCK_FRAMES + 2  # inside the second block
+        times, x = np.arange(float(count)), np.linspace(0.0, 1.0, BLOCK_N)
+        frames = [np.full(BLOCK_N, 1.0 + k) for k in range(count)]
+        path = tmp_path / "f.csv"
+        write_frames_csv(path, times, x, frames)  # longer than what is left
+        frames[bad] = np.ones(BLOCK_N + 1)
+        with pytest.raises(TypeError, match=f"frame {bad} has shape"):
+            write_frames_csv(path, times, x, frames)
+        first = write_frames_csv(tmp_path / "e.csv", times[:BLOCK_FRAMES], x,
+                                 frames[:BLOCK_FRAMES])
+        assert path.read_bytes() == first.read_bytes()
+
 
 def assert_formats_as_percent(values):
     """_format_g17 gives the bytes of "%.17g" % x, NUL-padded to 24."""
@@ -434,6 +492,31 @@ class TestUsageAndExitCodes:
         for output in (tmp_path / "file", tmp_path / "file" / "sub"):
             assert main(["scan-existence", "--output-dir", str(output)]) == 2
             assert "error: cannot create output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["potential", "--lambda", "0.5"], "phase.csv"),
+        (["evolve", "--n", "64", "--t-final", "0.05", "--output-stride", "2",
+          "--per-frame"], "frame_00001.meta.json"),
+        (["verify-lax", "--n", "512"], "lax_report.json"),
+    ])
+    def test_output_file_that_cannot_be_written_exits_2(self, tmp_path, capfd,
+                                                        argv, name):
+        (tmp_path / name).mkdir()
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == (f"error: cannot write {tmp_path / name}: "
+                       f"{os.strerror(errno.EISDIR)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk_exits_2(self, tmp_path, capfd):
+        # every write to /dev/full fails with ENOSPC
+        (tmp_path / "reduce_report.json").symlink_to("/dev/full")
+        assert main(["reduce-check", "--n", "64", "--output-dir", str(tmp_path)]) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == (f"error: cannot write {tmp_path / 'reduce_report.json'}: "
+                       f"{os.strerror(errno.ENOSPC)}\n")
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["profile", "--config", str(tmp_path / "absent.json"),
