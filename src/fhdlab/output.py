@@ -23,11 +23,13 @@ drops the NULs of each frame's slice.
 
 Every file goes through ``_rewrite``, which writes over the old bytes of a
 file from an earlier run and then cuts it to the length written, instead of
-truncating it to zero on open, which frees the file's blocks: rewriting a
-60 KB file took 150 us of wall time that way and 20 us in place (ext4
-mounted with discard, 2-vCPU VM). New files are created as
-``open(path, "wb")`` creates them. Nothing is fsynced, so after a power
-loss a rewritten file may still hold the bytes of the run before.
+truncating it to zero on open, which frees the file's blocks (the gain on
+``lab`` is in BENCH_20.json). New files are created as ``open(path, "wb")``
+creates them. A file is cut only when its writer ends, also by an exception:
+a run killed while it writes (SIGKILL, an unhandled SIGTERM, the OOM killer)
+can leave the new bytes followed by the tail of the run before, where
+truncating on open left a file visibly short. Nothing is fsynced, so after a
+power loss a rewritten file may also still hold the bytes of the run before.
 """
 
 from __future__ import annotations
@@ -203,9 +205,11 @@ def _rewrite(path: Path) -> Iterator[BinaryIO]:
     on exit, also by an exception, cut it where the writing stopped, so that
     no byte of an earlier, longer file is left.
 
-    A file that held no more than was written is not cut: ``ftruncate``
-    fails on devices such as /dev/null, which ``open(path, "wb")`` writes
-    to. An ``OSError`` names ``path`` where the failing call did not.
+    The cut is at the kernel's file position after a flush, also when that
+    flush fails (EIO, ENOSPC), so bytes still buffered are not counted. A
+    file that was empty is not cut: ``ftruncate`` fails on devices such as
+    /dev/null and ``lseek`` on pipes, which ``open(path, "wb")`` writes to.
+    An ``OSError`` names ``path`` where the failing call did not.
     """
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
@@ -215,8 +219,13 @@ def _rewrite(path: Path) -> Iterator[BinaryIO]:
             try:
                 yield fh
             finally:
-                if fh.tell() < old_size:
-                    fh.truncate()
+                if old_size:
+                    try:
+                        fh.flush()
+                    finally:
+                        end = os.lseek(fd, 0, os.SEEK_CUR)
+                        if end < old_size:
+                            os.ftruncate(fd, end)
     except OSError as exc:
         if exc.filename is None:
             exc.filename = str(path)

@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -277,6 +278,30 @@ class TestOutputHelpers:
         first = write_frames_csv(tmp_path / "e.csv", times[:BLOCK_FRAMES], x,
                                  frames[:BLOCK_FRAMES])
         assert path.read_bytes() == first.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+    def test_a_failed_flush_cuts_a_longer_file_where_the_kernel_stopped(
+            self, tmp_path):
+        # the file size limit makes the kernel write the first `limit` bytes
+        # and then fail with EFBIG, in the flush that precedes the cut
+        import resource
+
+        path = write_json(tmp_path / "r.json", list(range(5000)))
+        text = json.dumps(list(range(300)), indent=2).encode()
+        limit = 1000
+        assert limit < len(text) < 4096  # one buffered write, flushed on exit
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+        try:
+            with pytest.raises(OSError) as raised:
+                write_json(path, list(range(300)))
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, handler)
+        assert raised.value.errno == errno.EFBIG
+        assert raised.value.filename == str(path)
+        assert path.read_bytes() == text[:limit]
 
 
 def assert_formats_as_percent(values):
