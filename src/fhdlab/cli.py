@@ -409,6 +409,16 @@ def run_evolve(config: RunConfig) -> dict:
         positivity_floor=config.positivity_floor,
     )
     trajectory = evolve(initial, evolve_config)
+    # the tracker unwraps the seam between stored frames, so the wave must
+    # move less than half the period from one frame to the next
+    gap = float(np.max(np.diff(trajectory.times), initial=0.0))
+    if config.lambda_speed * gap >= grid.length / 2:
+        path, flag = _OPTIONS["output_stride"]
+        raise NumericalError(
+            f"frames up to {gap:g} apart: the wave moves {config.lambda_speed * gap:g} "
+            f"between them, at least half the period {grid.length:g}; lower {flag} "
+            f"({'.'.join(path)})"
+        )
 
     out = _out_dir(config)
     if config.per_frame:
@@ -433,7 +443,8 @@ def run_evolve(config: RunConfig) -> dict:
     }
     write_json(out / "summary.json", summary, meta=config.meta())
     if config.emit_plots:
-        _write_text(out / "plot_trajectory.py", _TRAJECTORY_PLOT)
+        _write_text(out / "plot_trajectory.py",
+                    _trajectory_plot(config.per_frame, trajectory.times.size))
     return summary
 
 
@@ -596,14 +607,14 @@ print(here / "profile.png")
 
 _TRAJECTORY_PLOT = """\
 #!/usr/bin/env python3
-\"\"\"Surface and contour views of v(x, t) from trajectory.csv.\"\"\"
+\"\"\"Surface and contour views of v(x, t) from {source}.\"\"\"
 from pathlib import Path
 
 import matplotlib.pyplot as plt
 import numpy as np
 
 here = Path(__file__).parent
-data = np.genfromtxt(here / "trajectory.csv", delimiter=",", names=True)
+data = {load}
 times = np.unique(data["t"])
 x = np.unique(data["x"])
 v = data["v"].reshape(times.size, x.size)
@@ -624,6 +635,23 @@ fig.tight_layout()
 fig.savefig(here / "trajectory.png", dpi=160)
 print(here / "trajectory.png")
 """
+
+
+def _trajectory_plot(per_frame: bool, frames: int) -> str:
+    """The trajectory plot script. For a per-frame run it reads this run's
+    frame files by name: the directory may hold a longer run's as well."""
+    if not per_frame:
+        return _TRAJECTORY_PLOT.format(
+            source="trajectory.csv",
+            load='np.genfromtxt(here / "trajectory.csv", delimiter=",", names=True)',
+        )
+    return _TRAJECTORY_PLOT.format(
+        source=f"frame_00000.csv to frame_{frames - 1:05d}.csv",
+        load=f"""np.concatenate([
+    np.genfromtxt(here / f"frame_{{k:05d}}.csv", delimiter=",", names=True)
+    for k in range({frames})
+])""",
+    )
 
 
 if __name__ == "__main__":

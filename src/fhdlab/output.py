@@ -8,18 +8,19 @@ self-describing.
 
 Every writer formats through ``_format_g17``, a NumPy formatter whose bytes
 equal those of ``%`` for every float64, about 2^14 values at a time:
-``write_csv`` a block of rows, the trajectory writers x once per file, t once
+``write_csv`` a block of rows, the trajectory writers x once per call, t once
 per frame and v a block of frames. Its digits come from the error-free
 (Dekker) two-product of |x| and an exact power of ten, rows of negative values
 move up one byte for the "-", and values outside 1e-4 <= |x| < 1e14 pass as
 1.0 and then get, by index, the text of one ``%`` call.
 
 Each block is laid out as one uint8 matrix of 24-byte NUL-padded fields
-and their separators, and its NULs are dropped once. For the trajectory
-writers the block is (frames, n, 75): x is laid out once per file, t is
-broadcast over each frame's rows and v fills the last field, so
-``write_frames_csv`` writes a block with one call and ``write_frame_files``
-drops the NULs of each frame's slice.
+and their separators, and its NULs are dropped once. The trajectory
+writers take the (T, n) array of the frames and check its shape before they
+open a file; their block is (frames, n, 75), laid out from a slice of that
+array: x once per call, t broadcast over each frame's rows and v in the last
+field, so ``write_frames_csv`` writes a block with one call and
+``write_frame_files`` drops the NULs of each frame's slice.
 
 Every file goes through ``_rewrite``, which writes over the old bytes of a
 file from an earlier run and then cuts it to the length written, instead of
@@ -39,7 +40,7 @@ import functools
 import json
 import os
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -274,52 +275,50 @@ def write_csv(
 
 
 def _frame_blocks(
-    times: Sequence[float], x: np.ndarray, frames: Iterable[np.ndarray]
+    times: Sequence[float], x: np.ndarray, frames: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Yield the ``t,x,v`` rows of the frames, without the header, as
+    """The ``t,x,v`` rows of the (T, n) frames, without the header, as
     (frames, n, 75) NUL-padded uint8 blocks of about ``_FRAME_BLOCK_VALUES``
-    values of v, at least one frame each.
-
-    The block and its frame buffer are reused, so each block must be
-    consumed before the next is drawn.
+    values of v, at least one frame each, reused from block to block. The
+    shape is checked on the call: a T other than the number of times is a
+    ValueError, an n other than that of x a TypeError.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
     t_rows = _format_g17(times)
-    count = len(t_rows)
+    count, n = len(t_rows), np.size(x)
+    if np.shape(frames) != (count, n):
+        error = ValueError if np.shape(frames)[1:] == (n,) else TypeError
+        raise error(f"frames have shape {np.shape(frames)}, not ({count}, {n})")
     per_block = max(1, _FRAME_BLOCK_VALUES // max(n, 1))
     rows = np.empty((min(per_block, count), n, 75), np.uint8)
     rows[..., 24] = rows[..., 49] = ord(",")
     rows[..., 25:49] = _format_g17(x)
     rows[..., 74] = ord("\n")
-    block = np.empty((len(rows), n))
-    for k, v in zip(range(count), frames, strict=True):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (n,):
-            raise TypeError(f"frame {k} has shape {v.shape}, x has {n} points")
-        m = k % per_block + 1
-        block[m - 1] = v
-        if m == per_block or k == count - 1:
-            rows[:m, :, :24] = t_rows[k + 1 - m : k + 1, None]
-            rows[:m, :, 50:74] = _format_g17(block[:m]).reshape(m, n, 24)
-            yield rows[:m]
+
+    def block(k: int) -> np.ndarray:
+        m = min(per_block, count - k)
+        rows[:m, :, :24] = t_rows[k : k + m, None]
+        rows[:m, :, 50:74] = _format_g17(frames[k : k + m]).reshape(m, n, 24)
+        return rows[:m]
+
+    return map(block, range(0, count, per_block))
 
 
 def write_frames_csv(
     path: Path,
     times: Sequence[float],
     x: np.ndarray,
-    frames: Iterable[np.ndarray],
+    frames: np.ndarray,
     meta: dict | None = None,
 ) -> Path:
-    """Write frames of v(x, t) as ``t,x,v`` rows plus the metadata side-car.
+    """Write (T, n) frames of v(x, t) as ``t,x,v`` rows plus the side-car.
 
     The bytes are those of ``write_csv`` on the expanded columns, but no
     expanded column is held in memory.
     """
+    blocks = _frame_blocks(times, x, frames)
     with _rewrite(path) as fh:
         fh.write(b"t,x,v\n")
-        for rows in _frame_blocks(times, x, frames):
+        for rows in blocks:
             fh.write(rows[rows != 0])
     _write_meta(path, meta)
     return path
@@ -329,10 +328,10 @@ def write_frame_files(
     directory: Path,
     times: Sequence[float],
     x: np.ndarray,
-    frames: Iterable[np.ndarray],
+    frames: np.ndarray,
     meta: dict | None = None,
 ) -> list[Path]:
-    """Write frame k as ``frame_<k:05d>.csv``, each with its side-car.
+    """Write row k of the frames as ``frame_<k:05d>.csv``, each with its side-car.
 
     Each file holds the bytes that ``write_frames_csv`` writes for that
     frame alone.

@@ -4,11 +4,13 @@ import errno
 import json
 import os
 import re
+import runpy
 import signal
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,8 +53,8 @@ def percent_csv(header, columns):
 
 def assert_frames_match_write_csv(tmp_path, times, x, v):
     """write_frames_csv and write_csv on the long columns both give the
-    oracle's bytes, and the same side-car; so do frames from a generator,
-    and the bodies of the frame files, concatenated."""
+    oracle's bytes, and the same side-car; so do the bodies of the frame
+    files, concatenated."""
     n, frames = len(x), len(times)
     meta = {"config": {"n": n}}
     columns = [np.repeat(times, n), np.tile(x, frames), np.ravel(v)]
@@ -62,8 +64,6 @@ def assert_frames_match_write_csv(tmp_path, times, x, v):
     assert expected.read_bytes() == written.read_bytes()
     assert (tmp_path / "f.meta.json").read_bytes() == (
         tmp_path / "e.meta.json").read_bytes()
-    lazy = write_frames_csv(tmp_path / "g.csv", times, x, (row for row in v))
-    assert lazy.read_bytes() == written.read_bytes()
     texts = [path.read_bytes() for path in write_frame_files(tmp_path, times, x, v)]
     assert len(texts) == frames and all(t.startswith(b"t,x,v\n") for t in texts)
     assert b"".join(t[6:] for t in texts) == written.read_bytes()[6:]
@@ -184,37 +184,33 @@ class TestOutputHelpers:
                 tmp_path / "e.meta.json").read_bytes()
 
     def test_frames_csv_validation(self, tmp_path):
-        for v in (np.ones(2), np.ones(4)):
+        for v in (np.ones((1, 2)), np.ones((1, 4)), np.ones(3)):
             with pytest.raises(TypeError):
-                write_frames_csv(tmp_path / "f.csv", [0.0], np.ones(3), [v])
+                write_frames_csv(tmp_path / "f.csv", [0.0], np.ones(3), v)
         with pytest.raises(ValueError):
-            write_frames_csv(tmp_path / "f.csv", [0.0, 1.0], np.ones(3), [np.ones(3)])
+            write_frames_csv(tmp_path / "f.csv", [0.0, 1.0], np.ones(3), np.ones((1, 3)))
 
     @pytest.mark.parametrize("per_frame", [False, True])
-    def test_frame_errors_are_raised_at_the_offending_frame(self, tmp_path, per_frame):
-        count = 2 * BLOCK_FRAMES
+    def test_bad_frames_are_rejected_before_any_file_is_opened(
+            self, tmp_path, per_frame):
+        # the shape of the whole array is checked up front, so a run with
+        # frames spanning several blocks cuts no file of an earlier run
+        count = 2 * BLOCK_FRAMES + 3
         times, x = np.arange(float(count)), np.linspace(0.0, 1.0, BLOCK_N)
-        drawn = []
-
-        def write(frames):
-            drawn.clear()
-            supply = (drawn.append(k) or frame for k, frame in enumerate(frames))
-            if per_frame:
-                return write_frame_files(tmp_path, times, x, supply)
-            return write_frames_csv(tmp_path / "f.csv", times, x, supply)
-
-        frames = [np.ones(BLOCK_N)] * count
-        bad = BLOCK_FRAMES + 2  # inside the second block
-        frames[bad] = np.ones(BLOCK_N + 1)
-        with pytest.raises(TypeError, match=f"frame {bad} has shape"):
-            write(frames)
-        assert drawn[-1] == bad
-        # one frame short: raised when frame count - 1 is missing; one frame
-        # over: raised on drawing frame count, which has no time
-        for supplied, last in ((count - 1, count - 2), (count + 1, count)):
-            with pytest.raises(ValueError):
-                write([np.ones(BLOCK_N)] * supplied)
-            assert drawn[-1] == last
+        write_frames_csv(tmp_path / "f.csv", times, x, np.ones((count, BLOCK_N)))
+        write_frame_files(tmp_path, times, x, np.ones((count, BLOCK_N)))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for shape, error in (((count, BLOCK_N + 1), TypeError),
+                             ((count - 1, BLOCK_N), ValueError),
+                             ((count + 1, BLOCK_N), ValueError)):
+            with pytest.raises(error):
+                if per_frame:
+                    write_frame_files(tmp_path, times, x, np.ones(shape),
+                                      meta={"config": {}})
+                else:
+                    write_frames_csv(tmp_path / "f.csv", times, x, np.ones(shape),
+                                     meta={"config": {}})
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_column_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -265,19 +261,6 @@ class TestOutputHelpers:
         (tmp_path / "r.json").symlink_to("/dev/null")
         write_json(tmp_path / "r.json", {"a": 1})
         assert (tmp_path / "r.json").is_symlink()
-
-    def test_a_failed_frame_leaves_the_blocks_written_before_it(self, tmp_path):
-        count, bad = 2 * BLOCK_FRAMES, BLOCK_FRAMES + 2  # inside the second block
-        times, x = np.arange(float(count)), np.linspace(0.0, 1.0, BLOCK_N)
-        frames = [np.full(BLOCK_N, 1.0 + k) for k in range(count)]
-        path = tmp_path / "f.csv"
-        write_frames_csv(path, times, x, frames)  # longer than what is left
-        frames[bad] = np.ones(BLOCK_N + 1)
-        with pytest.raises(TypeError, match=f"frame {bad} has shape"):
-            write_frames_csv(path, times, x, frames)
-        first = write_frames_csv(tmp_path / "e.csv", times[:BLOCK_FRAMES], x,
-                                 frames[:BLOCK_FRAMES])
-        assert path.read_bytes() == first.read_bytes()
 
     @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
     def test_a_failed_flush_cuts_a_longer_file_where_the_kernel_stopped(
@@ -1055,6 +1038,84 @@ class TestEvolveCommand:
         for k, path in enumerate(frames):
             assert path.read_bytes() == header + b"".join(
                 rows[k * grid.n : (k + 1) * grid.n])
+
+    def test_frames_too_sparse_to_track_exit_3_before_writing(self, tmp_path, capsys):
+        # frames about 95 apart at lambda 0.5: the wave moves 47.5 between
+        # them, more than half the period 80, and the tracker unwrapped the
+        # wrong way and reported "ok" with a speed of -0.18
+        argv = ["evolve", "--lambda", "0.5", "--n", "128", "--cfl", "0.4",
+                "--t-final", "250"]
+        sparse = tmp_path / "sparse"
+        assert main(argv + ["--output-stride", "1000", "--output-dir", str(sparse)]) == 3
+        assert "--output-stride" in capsys.readouterr().err
+        assert not (sparse / "trajectory.csv").exists()
+        assert not (sparse / "summary.json").exists()
+        code, summary = run_cli(
+            argv + ["--output-stride", "10", "--output-dir", str(tmp_path / "dense")],
+            capsys,
+        )
+        assert code == 0
+        assert abs(summary["speed_measured"] - 0.5) <= 5e-3
+
+
+@pytest.fixture
+def pyplot(monkeypatch):
+    """matplotlib replaced by mocks, so that the emitted plot scripts run
+    without it; ``subplots`` gives one axis mock per panel."""
+    pyplot = mock.MagicMock()
+    pyplot.subplots.side_effect = lambda rows=1, cols=1, **_: (
+        mock.MagicMock(),
+        mock.MagicMock() if rows * cols == 1
+        else tuple(mock.MagicMock() for _ in range(rows * cols)),
+    )
+    monkeypatch.setitem(sys.modules, "matplotlib", mock.MagicMock(pyplot=pyplot))
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return pyplot
+
+
+class TestPlotScripts:
+    """Each emitted ``plot_*.py`` runs and plots the files of its own run."""
+
+    def test_potential_and_profile_scripts_read_their_tables(
+            self, tmp_path, capsys, pyplot):
+        for command, tables in (("potential", {"potential": "pot", "phase": "phase"}),
+                                ("profile", {"profile": "quad",
+                                             "profile_shooting": "shoot"})):
+            argv = [command, "--lambda", "0.5", "--emit-plots",
+                    "--output-dir", str(tmp_path)]
+            assert main(argv) == 0
+            names = runpy.run_path(str(tmp_path / f"plot_{command}.py"))
+            for table, name in tables.items():
+                for column, values in read_csv(tmp_path / f"{table}.csv").items():
+                    assert np.array_equal(names[name][column], values), table
+            names["fig"].savefig.assert_called_once_with(
+                tmp_path / f"{command}.png", dpi=160)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("per_frame", [False, True])
+    def test_trajectory_script_reads_exactly_this_runs_frames(
+            self, tmp_path, capsys, pyplot, per_frame):
+        # a larger run's trajectory.csv and frame files are in the
+        # directory first: more frames on a finer grid
+        argv = ["evolve", "--lambda", "0.5", "--xmin", "-40", "--xmax", "40",
+                "--t-final", "0.2", "--cfl", "0.4", "--emit-plots",
+                "--output-dir", str(tmp_path)]
+        larger = ["--n", "256", "--output-stride", "1"]
+        assert main(argv + larger) == 0
+        assert main(argv + larger + ["--per-frame"]) == 0
+        assert main(argv + ["--n", "128", "--output-stride", "50"]
+                    + ["--per-frame"] * per_frame) == 0
+        capsys.readouterr()
+        names = runpy.run_path(str(tmp_path / "plot_trajectory.py"))
+        grid = make_grid(-40.0, 40.0, 128)
+        trajectory = evolve(closed_form_field(SolitonParams(0.5, 1.0), grid),
+                            EvolveConfig(t_final=0.2, cfl_constant=0.4,
+                                         output_stride=50))
+        assert np.array_equal(names["times"], trajectory.times)
+        assert np.array_equal(names["x"], grid.x)
+        assert np.array_equal(names["v"], trajectory.values)
+        names["fig"].savefig.assert_called_once_with(
+            tmp_path / "trajectory.png", dpi=160)
 
 
 class TestVerifyLaxCommand:
