@@ -212,6 +212,25 @@ class TestOutputHelpers:
                                      meta={"config": {}})
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_a_rejected_rewrite_leaves_a_longer_file_of_an_earlier_run(
+            self, tmp_path):
+        # a frame array one value too wide fails before the file is opened,
+        # so the earlier run's file and side-car stay as a fresh write of
+        # its own frames, not cut after the first block
+        count = 2 * BLOCK_FRAMES
+        times, x = np.arange(float(count)), np.linspace(0.0, 1.0, BLOCK_N)
+        frames = 1.0 + np.arange(float(count))[:, None] + np.zeros(BLOCK_N)
+        path = tmp_path / "f.csv"
+        write_frames_csv(path, times, x, frames, meta={"config": {"run": 1}})
+        wide = np.ones((count, BLOCK_N + 1))
+        with pytest.raises(TypeError, match="frames have shape"):
+            write_frames_csv(path, times, x, wide, meta={"config": {"run": 2}})
+        fresh = write_frames_csv(tmp_path / "e.csv", times, x, frames,
+                                 meta={"config": {"run": 1}})
+        assert path.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "f.meta.json").read_bytes() == (
+            tmp_path / "e.meta.json").read_bytes()
+
     def test_column_validation(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a"], [np.ones(3), np.ones(3)])
