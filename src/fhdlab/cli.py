@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,31 +67,43 @@ COMMANDS = {
 }
 
 
+def _option(default, key: str, flag: str | None = None):
+    """A RunConfig option: its default, its config-file key (dotted) and its
+    command-line flag, or None for an option that only a config file sets."""
+    return dc_field(default=default,
+                    metadata={"path": tuple(key.split(".")), "flag": flag})
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration; one instance drives one workflow."""
+    """Fully resolved run configuration; one instance drives one workflow.
+
+    Every field but ``command`` is an option declared with ``_option``; the
+    flags, their types, USAGE, each command's help and the allowed config
+    keys derive from these declarations, in this order.
+    """
 
     command: str
-    lambda_speed: float = 0.5
-    v0: float = 1.0
-    lambda_spec: float = 1.0
-    x_min: float | None = None
-    x_max: float | None = None
-    n: int = 2048
-    t_final: float = 5.0
-    cfl_constant: float = 0.1
-    output_stride: int = 1000
-    positivity_floor: float | None = None
-    lambda_min: float = 0.0
-    lambda_max: float = 2.0
-    steps: int = 41
-    n_points: int = 800
-    tail_cut: float | None = None
-    lax_frames: int = 17
-    lax_frame_dt: float = 0.05
-    per_frame: bool = False
-    output_dir: str = "fhd_out"
-    emit_plots: bool = False
+    lambda_speed: float = _option(0.5, "params.lambda", "--lambda")
+    v0: float = _option(1.0, "params.v0", "--v0")
+    lambda_spec: float = _option(1.0, "lambda_spec", "--lambda-spec")
+    x_min: float | None = _option(None, "grid.x_min", "--xmin")
+    x_max: float | None = _option(None, "grid.x_max", "--xmax")
+    n: int = _option(2048, "grid.n", "--n")
+    t_final: float = _option(5.0, "evolve.t_final", "--t-final")
+    cfl_constant: float = _option(0.1, "evolve.cfl_constant", "--cfl")
+    output_stride: int = _option(1000, "evolve.output_stride", "--output-stride")
+    positivity_floor: float | None = _option(None, "evolve.positivity_floor")
+    lambda_min: float = _option(0.0, "scan.lambda_min", "--lambda-min")
+    lambda_max: float = _option(2.0, "scan.lambda_max", "--lambda-max")
+    steps: int = _option(41, "scan.steps", "--steps")
+    n_points: int = _option(800, "profile.n_points")
+    tail_cut: float | None = _option(None, "profile.tail_cut")
+    lax_frames: int = _option(17, "lax.frames")
+    lax_frame_dt: float = _option(0.05, "lax.frame_dt")
+    per_frame: bool = _option(False, "per_frame", "--per-frame")
+    output_dir: str = _option("fhd_out", "output_dir", "--output-dir")
+    emit_plots: bool = _option(False, "emit_plots", "--emit-plots")
 
     @property
     def params(self) -> SolitonParams:
@@ -103,31 +115,9 @@ class RunConfig:
         return {"config": dict(vars(self))}
 
 
-# RunConfig field -> (config-file key path, command-line flag or None);
-# the flags, their types, USAGE, each command's help and the allowed config
-# keys derive from it
-_OPTIONS = {
-    "lambda_speed": (("params", "lambda"), "--lambda"),
-    "v0": (("params", "v0"), "--v0"),
-    "lambda_spec": (("lambda_spec",), "--lambda-spec"),
-    "x_min": (("grid", "x_min"), "--xmin"),
-    "x_max": (("grid", "x_max"), "--xmax"),
-    "n": (("grid", "n"), "--n"),
-    "t_final": (("evolve", "t_final"), "--t-final"),
-    "cfl_constant": (("evolve", "cfl_constant"), "--cfl"),
-    "output_stride": (("evolve", "output_stride"), "--output-stride"),
-    "positivity_floor": (("evolve", "positivity_floor"), None),
-    "lambda_min": (("scan", "lambda_min"), "--lambda-min"),
-    "lambda_max": (("scan", "lambda_max"), "--lambda-max"),
-    "steps": (("scan", "steps"), "--steps"),
-    "n_points": (("profile", "n_points"), None),
-    "tail_cut": (("profile", "tail_cut"), None),
-    "lax_frames": (("lax", "frames"), None),
-    "lax_frame_dt": (("lax", "frame_dt"), None),
-    "per_frame": (("per_frame",), "--per-frame"),
-    "output_dir": (("output_dir",), "--output-dir"),
-    "emit_plots": (("emit_plots",), "--emit-plots"),
-}
+# RunConfig option -> (config-file key path, command-line flag or None)
+_OPTIONS = {f.name: (f.metadata["path"], f.metadata["flag"])
+            for f in fields(RunConfig) if f.metadata}
 
 
 # per RunConfig type: its name in errors, the JSON types a config file may
@@ -146,10 +136,16 @@ def _kind(field: str) -> tuple:
     return _KINDS[RunConfig.__annotations__[field].split(" |")[0]]
 
 
-# config paths that hold sub-keys, and every key path a config file may
-# hold (the command itself is always taken from the arguments)
-_SECTIONS = {path[:i] for path, _ in _OPTIONS.values() for i in range(1, len(path))}
-_CONFIG_KEYS = _SECTIONS | {path for path, _ in _OPTIONS.values()} | {("command",)}
+def _name(field: str) -> str:
+    """An option as messages name it: its flag and config key, or the key of
+    an option that has no flag."""
+    path, flag = _OPTIONS[field]
+    return ".".join(path) if flag is None else f"{flag} ({'.'.join(path)})"
+
+
+# every config path an option reads, and the paths that hold sub-keys
+_PATHS = {path for path, _ in _OPTIONS.values()}
+_SECTIONS = {path[:i] for path in _PATHS for i in range(1, len(path))}
 
 
 _ENV_NOTE = "env FHD_OUTPUT_DIR is the fallback for --output-dir"
@@ -175,44 +171,38 @@ flags, each with its config-file key (flags override file values):
 USAGE = _usage()
 
 
-def _check_keys(node: dict, prefix: tuple = ()) -> None:
-    """Reject, by dotted name, a config key that no option reads or a
-    section that is not an object, at any depth."""
+def _config_values(node: dict, prefix: tuple = ()) -> dict:
+    """The config document's values by key path, at any depth. A key that no
+    option reads, or a section that is not an object, is rejected by dotted
+    name; the command itself is always taken from the arguments."""
+    values = {}
     for key, value in node.items():
         path = prefix + (key,)
-        if path not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {'.'.join(path)}")
         if path in _SECTIONS:
             if not isinstance(value, dict):
-                raise ValueError(
-                    f"config section {'.'.join(path)} must be an object, "
-                    f"got {value!r}"
-                )
-            _check_keys(value, path)
+                raise ValueError(f"config section {'.'.join(path)} must be an object, "
+                                 f"got {value!r}")
+            values.update(_config_values(value, path))
+        elif path == ("command",) or path in _PATHS:
+            values[path] = value
+        else:
+            raise ValueError(f"unknown config key {'.'.join(path)}")
+    return values
 
 
-def _lookup(document: dict, path: tuple) -> object:
-    """The value at ``path`` (None if absent) of a document ``_check_keys`` passed."""
-    for section in path[:-1]:
-        document = document.get(section, {})
-    return document.get(path[-1])
-
-
-def _file_value(document: dict, field: str, path: tuple) -> object:
-    """The config file's value for ``field`` (None if absent), type-checked."""
-    value = _lookup(document, path)
+def _file_value(field: str, value: object) -> object:
+    """A config file's ``value`` for ``field`` (None: absent), type-checked."""
+    key = ".".join(_OPTIONS[field][0])
     expected, types, _, _ = _kind(field)
     if value is not None and type(value) not in types:
-        raise ValueError(
-            f"config value {'.'.join(path)} must be {expected}, got {value!r}"
-        )
+        raise ValueError(f"config value {key} must be {expected}, got {value!r}")
     if type(value) is int and float in types:
         # a JSON integer for a float field: the float its flag would give
         try:
             value = float(value)
         except OverflowError:
-            raise ValueError(f"config value {'.'.join(path)} lies outside "
-                             "the float range") from None
+            raise ValueError(f"config value {key} lies outside the float "
+                             "range") from None
     return value
 
 
@@ -246,7 +236,7 @@ def build_parser(command: str) -> argparse.ArgumentParser:
 
 def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file and flags into one RunConfig."""
-    document: dict = {}
+    values: dict = {}
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
@@ -263,16 +253,16 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
             ) from exc
         if not isinstance(document, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        _check_keys(document)
+        values = _config_values(document)
     config = RunConfig(command=command)
     for field, (path, _) in _OPTIONS.items():
-        file_value = _file_value(document, field, path)
+        file_value = _file_value(field, values.get(path))
         if file_value is not None:
             setattr(config, field, file_value)
         flag_value = getattr(args, field, None)
         if flag_value is not None:
             setattr(config, field, flag_value)
-    if args.output_dir is None and _lookup(document, ("output_dir",)) is None:
+    if args.output_dir is None and values.get(("output_dir",)) is None:
         config.output_dir = os.environ.get("FHD_OUTPUT_DIR", config.output_dir)
 
     if config.x_min is None or config.x_max is None:
@@ -300,17 +290,14 @@ def run_scan_existence(config: RunConfig) -> dict:
     # np.linspace warns and then yields NaN for a bound or span that is not finite
     for field in ("lambda_min", "lambda_max"):
         if not math.isfinite(getattr(config, field)):
-            path, flag = _OPTIONS[field]
-            raise ValueError(f"{flag} ({'.'.join(path)}) must be finite, "
+            raise ValueError(f"{_name(field)} must be finite, "
                              f"got {getattr(config, field)}")
     if not math.isfinite(config.lambda_max - config.lambda_min):
         raise ValueError("--lambda-max minus --lambda-min overflows")
-    path, flag = _OPTIONS["steps"]
     if config.steps < 1:
-        raise ValueError(f"{flag} ({'.'.join(path)}) must be at least 1, "
-                         f"got {config.steps}")
+        raise ValueError(f"{_name('steps')} must be at least 1, got {config.steps}")
     if config.steps > MAX_VALUES:
-        raise ValueError(f"{flag} ({'.'.join(path)}) may be at most {MAX_VALUES}, "
+        raise ValueError(f"{_name('steps')} may be at most {MAX_VALUES}, "
                          f"got {config.steps}")
     lambdas = np.linspace(config.lambda_min, config.lambda_max, config.steps)
     admissible = np.zeros(lambdas.size)
@@ -413,11 +400,10 @@ def run_evolve(config: RunConfig) -> dict:
     # move less than half the period from one frame to the next
     gap = float(np.max(np.diff(trajectory.times), initial=0.0))
     if config.lambda_speed * gap >= grid.length / 2:
-        path, flag = _OPTIONS["output_stride"]
         raise NumericalError(
             f"frames up to {gap:g} apart: the wave moves {config.lambda_speed * gap:g} "
-            f"between them, at least half the period {grid.length:g}; lower {flag} "
-            f"({'.'.join(path)})"
+            f"between them, at least half the period {grid.length:g}; lower "
+            f"{_name('output_stride')}"
         )
 
     out = _out_dir(config)
@@ -454,11 +440,11 @@ def run_verify_lax(config: RunConfig) -> dict:
     # the frames shift by lambda*t, which must stay finite
     last = config.lax_frame_dt * max(config.lax_frames - 1, 0)
     if not (config.lax_frame_dt > 0.0 and math.isfinite(config.lambda_speed * last)):
-        raise ValueError(f"lax.frame_dt must be positive with lambda*t finite at "
-                         f"the last frame, got {config.lax_frame_dt}")
+        raise ValueError(f"{_name('lax_frame_dt')} must be positive with lambda*t "
+                         f"finite at the last frame, got {config.lax_frame_dt}")
     if config.lax_frames * config.n > MAX_VALUES:
-        raise ValueError(f"lax.frames times n may be at most {MAX_VALUES}, got "
-                         f"{config.lax_frames} x {config.n}")
+        raise ValueError(f"{_name('lax_frames')} times n may be at most {MAX_VALUES}, "
+                         f"got {config.lax_frames} x {config.n}")
     times = config.lax_frame_dt * np.arange(config.lax_frames)
     trajectory = translated_trajectory(config.params, grid, times)
     report = zc_residual(trajectory, config.lambda_spec)
@@ -483,9 +469,12 @@ def run_reduce_check(config: RunConfig) -> dict:
         grid, v0 * (1.0 + 0.3 * np.sin(k * grid.x) + 0.1 * np.cos(3 * k * grid.x))
     )
     report = reduction_check(field, config.lambda_spec)
-    # the offset breaks the cancellation by about b_offset * v_x / v^3, so it
-    # scales as v0^3 to fail at every background level
-    control = reduction_check(field, config.lambda_spec, b_offset=v0**3)
+    # the offset breaks the cancellation by about b_offset * v_x / v^3, and the
+    # tolerance grows with the terms' size max(1, v0, |lambda_spec|/v0), so
+    # the offset scales as v0^2 times that size to fail at every v0 and
+    # lambda_spec (at v0 = 1 and |lambda_spec| <= 1 it is 1)
+    size = max(1.0, v0, abs(config.lambda_spec) / v0)
+    control = reduction_check(field, config.lambda_spec, b_offset=v0**2 * size)
     payload = {
         "lambda_spec": config.lambda_spec,
         "max_discrepancy": report.max_discrepancy,

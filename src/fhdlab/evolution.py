@@ -271,7 +271,9 @@ def minimum_positions(trajectory: Trajectory) -> np.ndarray:
 
     Each frame's minimum sits at the vertex of the parabola through its
     lowest node and that node's two neighbours, to sub-grid accuracy. A
-    frame whose depth is within 1e-12 of its scale is a NumericalError.
+    frame whose depth is within 1e-12 of its largest magnitude is a
+    NumericalError. A move of L/2 or more between two frames is unwrapped
+    the wrong way, silently; only ``fhdlab evolve`` checks the spacing.
     """
     grid = trajectory.grid
     values = trajectory.values
@@ -280,7 +282,7 @@ def minimum_positions(trajectory: Trajectory) -> np.ndarray:
     i = np.array([row.argmin() for row in values])
     f0 = values[rows, i]
     top = values.max(axis=1)
-    if np.any(top - f0 <= 1e-12 * np.maximum(np.maximum(top, -f0), 1.0)):
+    if np.any(top - f0 <= 1e-12 * np.maximum(top, -f0)):
         raise NumericalError("frame is flat: no localized structure to track")
     fm = values[rows, (i - 1) % grid.n]
     fp = values[rows, (i + 1) % grid.n]
@@ -295,7 +297,11 @@ def minimum_positions(trajectory: Trajectory) -> np.ndarray:
 
 
 def measure_speed(trajectory: Trajectory) -> float:
-    """Least-squares propagation speed of the tracked minimum."""
+    """Least-squares propagation speed of the tracked minimum.
+
+    Like ``minimum_positions``, it cannot see a move of L/2 or more between
+    two frames; only ``fhdlab evolve`` checks the spacing.
+    """
     times = trajectory.times
     if times.size < 2:
         raise ValueError("need at least two frames to measure a speed")

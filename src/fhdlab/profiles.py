@@ -340,7 +340,7 @@ def profile_metrics(profile: Profile) -> ProfileMetrics:
     """Depression depth v0 - min(v) and full width at half the depth.
 
     The half-depth crossings are located by linear interpolation on each
-    flank; the width is their separation. A profile less than 1e-12 deep,
+    flank; the width is their separation. A profile less than 1e-12*v0 deep,
     or one that does not rise back above the half-depth level inside its
     window, is a numerical failure, not invalid input, so it raises
     NumericalError.
@@ -348,7 +348,7 @@ def profile_metrics(profile: Profile) -> ProfileMetrics:
     v0 = profile.params.v0
     v = profile.v
     depth = float(v0 - v.min())
-    if depth < 1e-12:
+    if depth < 1e-12 * v0:
         raise NumericalError("profile is flat: no measurable depression")
     level = v0 - 0.5 * depth
     below = v < level

@@ -143,8 +143,9 @@ def phase_branch(v, params: SolitonParams):
     the background. Returns a (plus, minus) pair.
     """
     s = np.asarray(eval_S(v, params))
-    # tolerate sign noise from the factorized formula right at the roots
-    tol = 1e-14 * max(1.0, params.v0)
+    # tolerate sign noise from the factorized formula right at the roots;
+    # S scales as v0^2 under v -> s*v, lambda -> s^3*lambda, and so does it
+    tol = 1e-14 * params.v0 * params.v0
     if np.any(s > tol):
         raise ValueError("S(v) > 0: point lies outside the soliton orbit")
     r = np.sqrt(np.maximum(-2.0 * s, 0.0))

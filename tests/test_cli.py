@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import errno
 import json
+import math
 import os
 import re
 import runpy
@@ -29,7 +30,7 @@ from fhdlab.cli import (
     main,
     resolve_config,
 )
-from fhdlab.core import MAX_VALUES, SolitonParams, make_grid
+from fhdlab.core import MAX_VALUES, V0_MAX, V0_MIN, SolitonParams, make_grid
 from fhdlab.evolution import EvolveConfig, evolve
 from fhdlab.output import (
     write_csv,
@@ -38,6 +39,7 @@ from fhdlab.output import (
     write_json,
 )
 from fhdlab.profiles import closed_form_field, solve_shooting
+from test_profiles import EDGE_FRACTIONS
 
 SPECIAL = [-0.0, 5e-324, 1e300, 1.0 / 3.0, 5.0]
 BLOCK_N = 97
@@ -924,6 +926,18 @@ class TestInProcessReuse:
             assert build_parser.__wrapped__(command).format_help() == text
 
 
+def test_each_option_declares_a_unique_key_and_flag():
+    # every field but the command is an option; _OPTIONS follows their order
+    options = dataclasses.fields(RunConfig)[1:]
+    assert [f.name for f in options] == list(_OPTIONS)
+    paths = [f.metadata["path"] for f in options]
+    flags = [f.metadata["flag"] for f in options if f.metadata["flag"] is not None]
+    assert len(set(paths)) == len(paths)
+    assert len(set(flags)) == len(flags)
+    # no key also names a section that holds others
+    assert not {path[:i] for path in paths for i in range(1, len(path))} & set(paths)
+
+
 def test_meta_sidecar_matches_asdict_oracle(tmp_path):
     # the side-car of a config whose every field is off its default, but for
     # tail_cut, which holds the None; RunConfig.meta copies fields shallowly
@@ -1302,6 +1316,81 @@ class TestReduceCheckCommand:
         assert code == 2
         assert "lambda_spec must be finite and nonzero" in capsys.readouterr().err
         assert not (tmp_path / "reduce_report.json").exists()
+
+
+# v0 log-uniform over its whole range
+_V0 = st.floats(math.log10(V0_MIN), math.log10(V0_MAX)).map(
+    lambda e: min(max(10.0**e, V0_MIN), V0_MAX))
+
+
+class TestScalingSymmetry:
+    """v -> s v, lambda -> s^3 lambda, t -> t/s^3 maps solutions onto
+    solutions; each command's results at v0 = s follow from those at 1."""
+
+    @staticmethod
+    def run(argv, tmp_path, capsys):
+        code, summary = run_cli(argv + ["--output-dir", str(tmp_path)], capsys)
+        assert code == 0, argv
+        return summary
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(v0=_V0, frac=EDGE_FRACTIONS)
+    # S's round-off at the turning point grew as v0^2, its tolerance as v0
+    @example(v0=213.54931852472347, frac=0.03855519447580338)
+    # a depression 5e-13 deep, measured against an absolute 1e-12
+    @example(v0=1e-12, frac=0.5)
+    # the default half-widths at v0 = 1 and 10 are 2201 and 2200
+    @example(v0=10.0, frac=0.9999)
+    def test_potential_and_profile(self, tmp_path, capsys, v0, frac):
+        lam = frac * v0**3
+        # one grid at both scales: the default window, a ceil() of the decay
+        # length, can differ by one between them
+        half = resolve_config("profile", build_parser("profile").parse_args(
+            ["--lambda", repr(frac)])).x_max
+        window = ["--xmin", repr(-half), "--xmax", repr(half)]
+        for command in ("potential", "profile"):
+            unit = self.run([command, "--lambda", repr(frac), *window], tmp_path, capsys)
+            scaled = self.run([command, "--v0", repr(v0), "--lambda", repr(lam), *window],
+                              tmp_path, capsys)
+            if command == "potential":
+                assert scaled["v_turn"] / v0 == pytest.approx(unit["v_turn"], rel=1e-12)
+                # below v0 = 1e-57 and near lambda = v0^3 the product of S's
+                # factors is subnormal, so S keeps about five digits
+                rel = 1e-9 if v0 > 1e-57 else 1e-4
+                assert scaled["s_min"] / v0**2 == pytest.approx(unit["s_min"], rel=rel)
+            else:
+                assert scaled["depth"] / v0 == pytest.approx(unit["depth"], rel=1e-9)
+                for key in ("fwhm_quadrature", "fwhm_shooting"):
+                    assert scaled[key] == pytest.approx(unit[key], rel=1e-6)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(v0=_V0, log_spec=st.floats(-6.0, 12.0), sign=st.sampled_from([1.0, -1.0]))
+    # round-off of the terms, as large as v0 or lambda_spec, against 1e-10
+    @example(v0=10.0, log_spec=math.log10(0.3), sign=1.0)
+    @example(v0=1000.0, log_spec=math.log10(0.3), sign=1.0)
+    @example(v0=1.0, log_spec=4.0, sign=1.0)
+    def test_reduce_check_passes_and_its_control_fails(self, tmp_path, capsys, v0,
+                                                        log_spec, sign):
+        # "--flag=value": argparse reads a lone "-2e-06" as a flag
+        summary = self.run(["reduce-check", "--v0", repr(v0),
+                            f"--lambda-spec={sign * 10.0**log_spec!r}"],
+                           tmp_path, capsys)
+        assert summary["pass"] is True
+        assert summary["control_pass"] is False
+
+    @pytest.mark.parametrize("v0", [1e-12, 1e4])
+    def test_evolve(self, tmp_path, capsys, v0):
+        def run_at(v0):
+            return self.run(["evolve", "--v0", repr(v0), "--lambda", repr(0.5 * v0**3),
+                             "--n", "256", "--cfl", "0.4", "--t-final", repr(2.0 / v0**3)],
+                            tmp_path, capsys)
+
+        unit, scaled = run_at(1.0), run_at(v0)
+        assert scaled["speed_measured"] / scaled["lambda"] == pytest.approx(
+            unit["speed_measured"] / unit["lambda"], rel=1e-9)
+        assert scaled["shape_error"] == pytest.approx(unit["shape_error"], rel=1e-9)
 
 
 _HUGE = 10**12
