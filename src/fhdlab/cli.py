@@ -31,7 +31,7 @@ from .evolution import (
     measure_speed,
     shape_error,
 )
-from .lax import reduction_check, zc_residual
+from .lax import control_offset, reduction_check, zc_residual
 from .output import (
     _write_text,
     write_csv,
@@ -469,12 +469,8 @@ def run_reduce_check(config: RunConfig) -> dict:
         grid, v0 * (1.0 + 0.3 * np.sin(k * grid.x) + 0.1 * np.cos(3 * k * grid.x))
     )
     report = reduction_check(field, config.lambda_spec)
-    # the offset breaks the cancellation by about b_offset * v_x / v^3, and the
-    # tolerance grows with the terms' size max(1, v0, |lambda_spec|/v0), so
-    # the offset scales as v0^2 times that size to fail at every v0 and
-    # lambda_spec (at v0 = 1 and |lambda_spec| <= 1 it is 1)
-    size = max(1.0, v0, abs(config.lambda_spec) / v0)
-    control = reduction_check(field, config.lambda_spec, b_offset=v0**2 * size)
+    offset = control_offset(v0, config.lambda_spec)
+    control = reduction_check(field, config.lambda_spec, b_offset=offset)
     payload = {
         "lambda_spec": config.lambda_spec,
         "max_discrepancy": report.max_discrepancy,

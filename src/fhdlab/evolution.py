@@ -300,14 +300,21 @@ def measure_speed(trajectory: Trajectory) -> float:
     """Least-squares propagation speed of the tracked minimum.
 
     Like ``minimum_positions``, it cannot see a move of L/2 or more between
-    two frames; only ``fhdlab evolve`` checks the spacing.
+    two frames; only ``fhdlab evolve`` checks the spacing. The fit squares
+    the frame times: squares that all underflow are a ValueError, a sum of
+    squares that overflows (times past about 1e154) a NumericalError.
     """
     times = trajectory.times
     if times.size < 2:
         raise ValueError("need at least two frames to measure a speed")
-    # the fit scales the times by their 2-norm, which must not underflow
-    if not np.sum(times * times) > 0.0:
+    # the fit scales the times by their 2-norm, which must neither underflow
+    # nor overflow
+    with np.errstate(over="ignore"):
+        norm2 = float(np.sum(times * times))
+    if not norm2 > 0.0:
         raise ValueError(f"frames span too short a time ({times[-1]:g}) to fit a speed")
+    if not norm2 < math.inf:
+        raise NumericalError(f"frame times up to {times[-1]:g} overflow the speed fit")
     pos = minimum_positions(trajectory)
     slope = np.polyfit(times, pos, 1)[0]
     return float(slope)

@@ -192,7 +192,7 @@ def reduction_check(
 
     The terms compared are as large as v (in v_xxx - v_x and in B/(4 lam))
     and as 4 lam/v (in B/v^2), and their round-off grows with them: the
-    discrepancy passes below OFF_SHELL_TOL times ``max(1, max v, max 4|lam|/v)``.
+    discrepancy passes below OFF_SHELL_TOL times ``max(max v, max 4|lam|/v)``.
     """
     if not (np.isfinite(lambda_spec) and lambda_spec != 0.0):
         raise ValueError(f"lambda_spec must be finite and nonzero, got {lambda_spec}")
@@ -211,6 +211,18 @@ def reduction_check(
         disc = float(np.max(np.abs(lhs - rhs)))
     if not np.isfinite(disc):
         raise NumericalError(f"the reduction check overflows for lambda_spec {lam}")
-    scale = max(1.0, float(v.max()), 4.0 * abs(lam) / float(v.min()))
+    scale = max(float(v.max()), 4.0 * abs(lam) / float(v.min()))
     return ReductionReport(passed=bool(disc < OFF_SHELL_TOL * scale),
                            max_discrepancy=disc, lambda_spec=lam)
+
+
+def control_offset(v0: float, lambda_spec: float) -> float:
+    """A ``b_offset`` that makes ``reduction_check`` fail on a field of size v0.
+
+    For a field within a factor of about 2 of v0 that varies by O(v0) per
+    unit length, the offset adds about b_offset/v0^2 to the discrepancy,
+    and the tolerance grows with the terms' size, max(v0, |lambda_spec|/v0)
+    up to O(1) factors; v0^2 times that size fails at every v0 and
+    lambda_spec, and at v0 = 1, |lambda_spec| <= 1 it is 1.
+    """
+    return v0**2 * max(v0, abs(lambda_spec) / v0)

@@ -465,6 +465,11 @@ class TestUsageAndExitCodes:
          "error: dt = cfl*dx^3/max(v)^3 = 9.88e-324 is below the float"),
         (["evolve", "--n", "64", "--t-final", "1e-300"], 2,
          "error: frames span too short a time"),
+        # frame times past 1e154, whose squares once overflowed to a speed
+        # of 0 with status ok
+        (["evolve", "--v0", "1e-55", "--lambda", "5e-166", "--n", "256", "--cfl", "0.4",
+          "--t-final", "2e165"], 3,
+         "numerical failure: frame times up to 2e+165 overflow the speed fit"),
         # a closed form that still holds, where shooting's v^2 would underflow
         (["profile", "--lambda", "1e-200"], 3,
          "numerical failure: turning point v_turn = 1e-200 is too deep to shoot"),
@@ -1371,6 +1376,8 @@ class TestScalingSymmetry:
     @example(v0=10.0, log_spec=math.log10(0.3), sign=1.0)
     @example(v0=1000.0, log_spec=math.log10(0.3), sign=1.0)
     @example(v0=1.0, log_spec=4.0, sign=1.0)
+    # terms of size 7e-10 once met a bound of 1e-10
+    @example(v0=1e-30, log_spec=-40.0, sign=1.0)
     def test_reduce_check_passes_and_its_control_fails(self, tmp_path, capsys, v0,
                                                         log_spec, sign):
         # "--flag=value": argparse reads a lone "-2e-06" as a flag

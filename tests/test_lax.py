@@ -12,7 +12,7 @@ from fhdlab.core import (
     d1_periodic,
     make_grid,
 )
-from fhdlab.lax import OFF_SHELL_TOL, reduction_check, zc_residual
+from fhdlab.lax import OFF_SHELL_TOL, control_offset, reduction_check, zc_residual
 from fhdlab.profiles import translated_trajectory
 
 P05 = SolitonParams(0.5, 1.0)
@@ -310,3 +310,20 @@ class TestReductionCheck:
     def test_holds_for_random_smooth_fields(self, amplitude, lam):
         report = reduction_check(smooth_field(amplitude=amplitude), lam)
         assert report.max_discrepancy < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_v0=st.floats(-60.0, 60.0), log_ratio=st.floats(-12.0, 20.0),
+           sign=st.sampled_from([1.0, -1.0]))
+    # terms of size 7e-10 once met a bound of 1e-10 * max(1, ...)
+    @example(log_v0=-30.0, log_ratio=20.0, sign=1.0)
+    def test_bound_scales_with_the_terms(self, log_v0, log_ratio, sign):
+        # v -> s v, lambda_spec -> s^2 lambda_spec scales every term by s:
+        # the exact ansatz passes, and one offset by a millionth of the
+        # control's fails, at every scale
+        v0 = 10.0**log_v0
+        lam = sign * v0**2 * 10.0**log_ratio
+        unit = smooth_field()
+        field = Field(unit.grid, v0 * unit.values)
+        assert reduction_check(field, lam).passed
+        offset = 1e-6 * control_offset(v0, lam)
+        assert not reduction_check(field, lam, b_offset=offset).passed
