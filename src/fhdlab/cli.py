@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
@@ -31,7 +32,7 @@ from .evolution import (
     measure_speed,
     shape_error,
 )
-from .lax import control_offset, reduction_check, zc_residual
+from .lax import FRAME_DT, FRAMES, control_offset, reduction_check, zc_residual
 from .output import (
     _write_text,
     write_csv,
@@ -97,10 +98,6 @@ class RunConfig:
     lambda_min: float = _option(0.0, "scan.lambda_min", "--lambda-min")
     lambda_max: float = _option(2.0, "scan.lambda_max", "--lambda-max")
     steps: int = _option(41, "scan.steps", "--steps")
-    n_points: int = _option(800, "profile.n_points")
-    tail_cut: float | None = _option(None, "profile.tail_cut")
-    lax_frames: int = _option(17, "lax.frames")
-    lax_frame_dt: float = _option(0.05, "lax.frame_dt")
     per_frame: bool = _option(False, "per_frame", "--per-frame")
     output_dir: str = _option("fhd_out", "output_dir", "--output-dir")
     emit_plots: bool = _option(False, "emit_plots", "--emit-plots")
@@ -137,15 +134,18 @@ def _kind(field: str) -> tuple:
 
 
 def _name(field: str) -> str:
-    """An option as messages name it: its flag and config key, or the key of
-    an option that has no flag."""
+    """An option that has a flag as messages name it: flag and config key."""
     path, flag = _OPTIONS[field]
-    return ".".join(path) if flag is None else f"{flag} ({'.'.join(path)})"
+    return f"{flag} ({'.'.join(path)})"
 
 
-# every config path an option reads, and the paths that hold sub-keys
+# every config path an option reads, the paths that hold sub-keys, the
+# flags that take a value, and a negative number as such a value
 _PATHS = {path for path, _ in _OPTIONS.values()}
 _SECTIONS = {path[:i] for path in _PATHS for i in range(1, len(path))}
+_VALUE_FLAGS = {flag for field, (_, flag) in _OPTIONS.items()
+                if flag and _kind(field)[2]}
+_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-(inf(inity)?|nan)", re.I)
 
 
 _ENV_NOTE = "env FHD_OUTPUT_DIR is the fallback for --output-dir"
@@ -172,9 +172,9 @@ USAGE = _usage()
 
 
 def _config_values(node: dict, prefix: tuple = ()) -> dict:
-    """The config document's values by key path, at any depth. A key that no
-    option reads, or a section that is not an object, is rejected by dotted
-    name; the command itself is always taken from the arguments."""
+    """The config document's values by key path, at any depth. A key no option
+    reads (named down to a leaf) or a section that is not an object is rejected
+    by dotted name; the command itself is always taken from the arguments."""
     values = {}
     for key, value in node.items():
         path = prefix + (key,)
@@ -185,6 +185,8 @@ def _config_values(node: dict, prefix: tuple = ()) -> dict:
             values.update(_config_values(value, path))
         elif path == ("command",) or path in _PATHS:
             values[path] = value
+        elif isinstance(value, dict) and value:
+            _config_values(value, path)  # no key under an unknown one is known
         else:
             raise ValueError(f"unknown config key {'.'.join(path)}")
     return values
@@ -224,13 +226,9 @@ def build_parser(command: str) -> argparse.ArgumentParser:
         if flag is None:
             continue
         _, _, parse, placeholder = _kind(field)
-        key = ".".join(path)
-        if parse is None:
-            parser.add_argument(flag, dest=field, action="store_true", default=None,
-                                help=key)
-        else:
-            parser.add_argument(flag, dest=field, type=parse, default=None,
-                                metavar=placeholder.strip(), help=key)
+        how = ({"type": parse, "metavar": placeholder.strip()} if parse
+               else {"action": "store_true"})
+        parser.add_argument(flag, dest=field, default=None, help=".".join(path), **how)
     return parser
 
 
@@ -347,9 +345,7 @@ def run_potential(config: RunConfig) -> dict:
 def run_profile(config: RunConfig) -> dict:
     require_admissible(config.params)
     params = config.params
-    quad = profile_by_quadrature(
-        params, n_points=config.n_points, tail_cut=config.tail_cut
-    )
+    quad = profile_by_quadrature(params)
     grid = make_grid(config.x_min, config.x_max, config.n)
     shoot = profile_by_shooting(params, grid)
     mq = profile_metrics(quad)
@@ -436,16 +432,11 @@ def run_evolve(config: RunConfig) -> dict:
 
 def run_verify_lax(config: RunConfig) -> dict:
     require_admissible(config.params)
+    if FRAMES * config.n > MAX_VALUES:
+        raise ValueError(f"{_name('n')} may be at most {MAX_VALUES // FRAMES} for "
+                         f"verify-lax's {FRAMES} frames, got {config.n}")
     grid = make_grid(config.x_min, config.x_max, config.n)
-    # the frames shift by lambda*t, which must stay finite
-    last = config.lax_frame_dt * max(config.lax_frames - 1, 0)
-    if not (config.lax_frame_dt > 0.0 and math.isfinite(config.lambda_speed * last)):
-        raise ValueError(f"{_name('lax_frame_dt')} must be positive with lambda*t "
-                         f"finite at the last frame, got {config.lax_frame_dt}")
-    if config.lax_frames * config.n > MAX_VALUES:
-        raise ValueError(f"{_name('lax_frames')} times n may be at most {MAX_VALUES}, "
-                         f"got {config.lax_frames} x {config.n}")
-    times = config.lax_frame_dt * np.arange(config.lax_frames)
+    times = FRAME_DT / config.v0**3 * np.arange(FRAMES)
     trajectory = translated_trajectory(config.params, grid, times)
     report = zc_residual(trajectory, config.lambda_spec)
     payload = report.to_dict()
@@ -509,6 +500,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(USAGE)
         return 64
     command = argv[0]
+    # argparse reads a value such as -2e-06 or -inf as a flag: join it, flag=value
+    for i in reversed(range(2, len(argv))):
+        if argv[i - 1] in _VALUE_FLAGS and _NEGATIVE.fullmatch(argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = build_parser(command).parse_args(argv[1:])
     except SystemExit as exc:

@@ -32,6 +32,9 @@ OFF_SHELL_TOL = 1e-10
 #: Minimum fitted convergence order for the evolution entry.
 MIN_ORDER = 2.0
 
+#: ``verify-lax``'s frames, FRAME_DT / v0^3 apart, so that lambda*t < 0.8.
+FRAMES, FRAME_DT = 17, 0.05
+
 
 @dataclass(frozen=True, eq=False)
 class LaxResidualReport:
@@ -123,10 +126,10 @@ def zc_residual(trajectory: Trajectory, lambda_spec: float) -> LaxResidualReport
     beyond 2 ulps of the later time (``dt * arange(k)`` exceeds 1e-12 from
     rounding alone past k of about 5000), are a ValueError.
 
-    The off-shell entries cancel terms as large as the ``4 lam^2/v`` of C,
-    so their round-off grows with it: their bound is OFF_SHELL_TOL times
-    ``max(1, max|4 lam^2/v|)`` over the frames. A lam for which that term
-    overflows is a numerical failure.
+    The off-shell entries cancel terms as large as the ``4 lam^2/v`` of C and
+    the ``4 lam v`` of A and B, and their round-off grows with these: their
+    bound is OFF_SHELL_TOL times ``max(max 4 lam^2/v, max 4|lam| v)`` over the
+    frames. A lam for which that scale overflows is a numerical failure.
     """
     if trajectory.times.size < 3:
         raise ValueError("need at least 3 frames for the time derivative")
@@ -140,9 +143,10 @@ def zc_residual(trajectory: Trajectory, lambda_spec: float) -> LaxResidualReport
     if np.any(values <= 0.0):
         raise ValueError("M is only defined for v > 0")
     # a float64 square overflows to inf, where a Python float's raises
+    lam = np.float64(lambda_spec)
     with np.errstate(over="ignore"):
-        c_scale = float(4.0 * np.float64(lambda_spec) ** 2 / values.min())
-    if c_scale == np.inf:
+        scale = float(max(4.0 * lam**2 / values.min(), 4.0 * abs(lam) * values.max()))
+    if scale == np.inf:
         raise NumericalError(f"4 lambda_spec^2/v overflows for lambda_spec {lambda_spec}")
     dx = trajectory.grid.dx
     coarse, order = np.full((2, 2), np.nan), float("nan")
@@ -163,7 +167,7 @@ def zc_residual(trajectory: Trajectory, lambda_spec: float) -> LaxResidualReport
         dx=dx,
         dt=float(np.median(h)),
         convergence_order=order,
-        off_shell_tol=OFF_SHELL_TOL * max(1.0, c_scale),
+        off_shell_tol=OFF_SHELL_TOL * scale,
     )
 
 

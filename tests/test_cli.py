@@ -490,8 +490,9 @@ class TestUsageAndExitCodes:
     @pytest.mark.parametrize("bounds, message", [
         (["--lambda-max", "inf"], "error: --lambda-max (scan.lambda_max) must be finite"),
         (["--lambda-min", "nan"], "error: --lambda-min (scan.lambda_min) must be finite"),
-        (["--lambda-min=-1e308", "--lambda-max", "1e308"],
+        (["--lambda-min", "-1e308", "--lambda-max", "1e308"],
          "error: --lambda-max minus --lambda-min overflows"),
+        (["--lambda-min", "-inf"], "error: --lambda-min (scan.lambda_min) must be finite"),
     ])
     def test_scan_bounds_that_are_not_finite_exit_2(self, tmp_path, capfd, bounds,
                                                       message):
@@ -579,6 +580,23 @@ class TestUsageAndExitCodes:
         assert code == 2
         assert capsys.readouterr().err == f"error: unknown config key {key}\n"
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("profile", "profile.n_points", 801),
+        ("profile", "profile.tail_cut", 1e-9),
+        ("verify-lax", "lax.frames", 17),
+        ("verify-lax", "lax.frame_dt", 0.05),
+    ])
+    def test_retired_config_keys_are_unknown(self, tmp_path, capsys, command, key,
+                                             value):
+        # these options had no flag and one value in use: the library's
+        # quadrature defaults and verify-lax's FRAMES and FRAME_DT / v0^3
+        section, name = key.split(".")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({section: {name: value}}))
+        code = main([command, "--config", str(cfg), "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: unknown config key {key}\n"
 
     @pytest.mark.parametrize("command, document, message", [
         ("profile", {"params": 3}, "config section params must be an object, got 3"),
@@ -945,16 +963,15 @@ def test_each_option_declares_a_unique_key_and_flag():
 
 def test_meta_sidecar_matches_asdict_oracle(tmp_path):
     # the side-car of a config whose every field is off its default, but for
-    # tail_cut, which holds the None; RunConfig.meta copies fields shallowly
+    # x_min, which holds the None; RunConfig.meta copies fields shallowly
     config = RunConfig(
         command="evolve", lambda_speed=1.0 / 3.0, v0=1.25, lambda_spec=-0.0,
-        x_min=-30.5, x_max=1e300, n=4097, t_final=5e-324, cfl_constant=0.4,
+        x_min=None, x_max=1e300, n=4097, t_final=5e-324, cfl_constant=0.4,
         output_stride=3, positivity_floor=1e-3, lambda_min=-1.5, lambda_max=2.5,
-        steps=7, n_points=801, tail_cut=None, lax_frames=5, lax_frame_dt=0.125,
-        per_frame=True, output_dir='runs/λ 0.5/"quoted"', emit_plots=True,
+        steps=7, per_frame=True, output_dir='runs/λ 0.5/"quoted"', emit_plots=True,
     )
     assert [f.name for f in dataclasses.fields(RunConfig)
-            if getattr(config, f.name) == f.default] == ["tail_cut"]
+            if getattr(config, f.name) == f.default] == ["x_min"]
     write_json(tmp_path / "r.json", {}, meta=config.meta())
     oracle = json.dumps({"config": dataclasses.asdict(config)}, sort_keys=True,
                         indent=2) + "\n"
@@ -964,6 +981,17 @@ def test_meta_sidecar_matches_asdict_oracle(tmp_path):
 
 
 class TestConfigResolution:
+    @pytest.mark.parametrize("argv, field, value", [
+        (["reduce-check", "--lambda-spec", "-2e-06"], "lambda_spec", -2e-06),
+        (["profile", "--xmin", "-4e1", "--xmax", "40"], "x_min", -40.0),
+    ])
+    def test_negative_number_in_exponent_form_is_a_value(self, tmp_path, capsys,
+                                                         argv, field, value):
+        # argparse alone reads "-2e-06" and "-4e1" as flags
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+        meta = json.loads(next(tmp_path.glob("*.meta.json")).read_text())
+        assert meta["config"][field] == value
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -1251,35 +1279,15 @@ sys.exit(main(["verify-lax", "--lambda", "0.5", "--lambda-spec", "3e153",
         assert len(lines) == 1 and lines[0].startswith(
             "numerical failure: verify-lax check failed"), done.stderr
 
-    @pytest.mark.parametrize("frame_dt, code", [
-        ("5e-324", 3), ("1e308", 2), ("Infinity", 2), ("NaN", 2), ("0", 2),
-        ("-1", 2), ("-9223372036854775809", 2),
-    ])
-    def test_frame_spacing_at_its_edges(self, tmp_path, capsys, frame_dt, code):
-        # a spacing whose square underflows fails the check; one that is not
-        # positive, or whose last frame's shift lambda*t overflows, is
-        # invalid; neither prints a NumPy warning
-        cfg = tmp_path / "run.json"
-        cfg.write_text(f'{{"lax": {{"frame_dt": {frame_dt}}}}}')
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["verify-lax", "--n", "512", "--config", str(cfg),
-                         "--output-dir", str(tmp_path)]) == code
-        assert not caught, [str(w.message) for w in caught]
-        if code == 2:
-            assert capsys.readouterr().err.startswith(
-                "error: lax.frame_dt must be positive")
-
-    @pytest.mark.parametrize("frames", [10**12, MAX_VALUES // 64 + 1])
-    def test_frame_count_is_bounded_before_allocating(self, tmp_path, capsys, frames):
-        # 10^12 frames once died in np.arange with a MemoryError traceback
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"lax": {"frames": frames}}))
-        assert main(["verify-lax", "--n", "64", "--config", str(cfg),
-                     "--output-dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err == (f"error: lax.frames times n may be at most {MAX_VALUES}, "
-                       f"got {frames} x 64\n")
+    @pytest.mark.parametrize("n", [MAX_VALUES // 17 + 1, 10**12])
+    def test_frame_count_is_bounded_before_allocating(self, tmp_path, capsys, n):
+        # the 17 frames of n nodes would hold more than MAX_VALUES values
+        assert main(["verify-lax", "--n", str(n),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --n (grid.n) may be at most {MAX_VALUES // 17} for "
+            f"verify-lax's 17 frames, got {n}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_under_resolved_check_exits_3(self, tmp_path, capsys):
         code = main(["verify-lax", "--lambda", "0.5", "--v0", "1", "--n", "64",
@@ -1380,9 +1388,8 @@ class TestScalingSymmetry:
     @example(v0=1e-30, log_spec=-40.0, sign=1.0)
     def test_reduce_check_passes_and_its_control_fails(self, tmp_path, capsys, v0,
                                                         log_spec, sign):
-        # "--flag=value": argparse reads a lone "-2e-06" as a flag
         summary = self.run(["reduce-check", "--v0", repr(v0),
-                            f"--lambda-spec={sign * 10.0**log_spec!r}"],
+                            "--lambda-spec", repr(sign * 10.0**log_spec)],
                            tmp_path, capsys)
         assert summary["pass"] is True
         assert summary["control_pass"] is False
@@ -1399,28 +1406,45 @@ class TestScalingSymmetry:
             unit["speed_measured"] / unit["lambda"], rel=1e-9)
         assert scaled["shape_error"] == pytest.approx(unit["shape_error"], rel=1e-9)
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(v0=_V0, frac=st.sampled_from([0.25, 0.5, 0.8]))
+    # frames 0.05 apart at every v0 gave order 1.46 here (1.53 at lambda_spec
+    # 1), against 3.70 at v0 = 1
+    @example(v0=2.0, frac=0.5)
+    # with the frames scaled, the off-shell entries' round-off of A and B,
+    # 1.2e-10 at lambda_spec 1, once met a bound of 1e-10
+    @example(v0=5e4, frac=0.5)
+    def test_verify_lax(self, tmp_path, capsys, v0, frac):
+        def run_at(v0, lambda_spec):
+            return self.run(["verify-lax", "--v0", repr(v0), "--lambda", repr(frac * v0**3),
+                             "--lambda-spec", repr(lambda_spec), "--n", "512"],
+                            tmp_path, capsys)
+
+        # lambda_spec -> s^2 lambda_spec carries the residual along too. At
+        # frac = 0.8 the fine residual is 1e-5, so the few ulps by which the
+        # profile's values differ at v0 = s move the order by up to 3e-9
+        unit, scaled = run_at(1.0, 1.0), run_at(v0, v0**2)
+        assert scaled["convergence_order"] == pytest.approx(
+            unit["convergence_order"], rel=1e-8)
+        assert run_at(v0, 1.0)["pass"] is True
+
 
 _HUGE = 10**12
 
 
-@pytest.mark.parametrize("argv, config, err", [
-    (["scan-existence", "--steps", str(_HUGE)], None,
+@pytest.mark.parametrize("argv, err", [
+    (["scan-existence", "--steps", str(_HUGE)],
      f"--steps (scan.steps) may be at most {MAX_VALUES}, got {_HUGE}"),
-    (["evolve", "--n", str(_HUGE), "--t-final", "0.1"], None,
+    (["evolve", "--n", str(_HUGE), "--t-final", "0.1"],
      f"need at most {MAX_VALUES} nodes, got {_HUGE}"),
-    (["profile", "--n", str(_HUGE)], None,
+    (["profile", "--n", str(_HUGE)],
      f"need at most {MAX_VALUES} nodes, got {_HUGE}"),
-    (["reduce-check", "--n", str(_HUGE)], None,
+    (["reduce-check", "--n", str(_HUGE)],
      f"need at most {MAX_VALUES} nodes, got {_HUGE}"),
-    (["profile"], {"profile": {"n_points": _HUGE}},
-     f"need at most {MAX_VALUES} quadrature nodes, got {_HUGE}"),
-], ids=["scan.steps", "evolve-n", "profile-n", "reduce-check-n", "profile.n_points"])
-def test_counts_are_bounded_before_allocating(tmp_path, capfd, argv, config, err):
+], ids=["scan.steps", "evolve-n", "profile-n", "reduce-check-n"])
+def test_counts_are_bounded_before_allocating(tmp_path, capfd, argv, err):
     # each of these once died in NumPy with a MemoryError traceback
-    if config is not None:
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(config))
-        argv = argv + ["--config", str(cfg)]
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
     out, got = capfd.readouterr()
     assert out == ""
@@ -1528,9 +1552,9 @@ class TestExitCodeProperty:
             assert out == "", out
 
 
-# the config-file keys that no flag sets, read by evolve, profile and
-# verify-lax, and values for them: the flag fuzz's numbers (with NaN and
-# Infinity, which JSON decoding accepts) and values of each other JSON type
+# the config-file keys that no flag sets, read by evolve, and values for
+# them: the flag fuzz's numbers (with NaN and Infinity, which JSON decoding
+# accepts) and values of each other JSON type
 _CONFIG_ONLY = [path for path, flag in _OPTIONS.values() if flag is None]
 _FUZZ_JSON = ([float(x) for x in _FUZZ_FLOATS] + [int(x) for x in _FUZZ_INTS]
               + ["", "0.5", [], [1.0], {}, {"n": 1}, True, None])
@@ -1542,11 +1566,9 @@ class TestConfigFileProperty:
     @given(argv=_fuzzed_argv(("evolve", "profile", "verify-lax"), max_optional=0),
            values=st.dictionaries(st.sampled_from(_CONFIG_ONLY),
                                   st.sampled_from(_FUZZ_JSON), min_size=1))
-    @example(argv=["verify-lax", "--n", "64"], values={("lax", "frames"): 10**12})
-    @example(argv=["profile"], values={("profile", "n_points"): 10**12})
     def test_config_only_keys_exit_with_a_contract_code(self, tmp_path_factory,
                                                         capfd, argv, values):
-        # whatever the five config-only keys hold: 0 ok, 2 validation or
+        # whatever the config-only keys hold: 0 ok, 2 validation or
         # 3 numerical, and never a traceback or a warning
         work = tmp_path_factory.mktemp("fuzz")
         document = {}

@@ -218,12 +218,26 @@ class TestZcResidual:
 
     @pytest.mark.parametrize("lam", [0.1, 2.0])
     def test_off_shell_bound_scales_with_the_c_entry(self, exact_trajectory, lam):
-        # 4*lam^2/v is the largest term the off-shell entries cancel; below
-        # a scale of 1 the bound stays at OFF_SHELL_TOL
+        # 4*lam^2/v of C and 4*lam*v of A and B are the largest terms the
+        # off-shell entries cancel: at lam = 0.1 the second is, and the bound
+        # drops below OFF_SHELL_TOL with it
         report = zc_residual(exact_trajectory, lam)
-        scale = max(1.0, 4.0 * lam**2 / exact_trajectory.values.min())
+        values = exact_trajectory.values
+        scale = max(4.0 * lam**2 / values.min(), 4.0 * lam * values.max())
         assert report.off_shell_tol == OFF_SHELL_TOL * scale
         assert report.to_dict()["off_shell_tol"] == report.off_shell_tol
+        assert report.passed
+
+    def test_off_shell_bound_scales_with_large_v(self):
+        # at v0 = 5e4 and lam = 1 the round-off of A and B, about 1e-10,
+        # once met a bound of OFF_SHELL_TOL
+        v0 = 5e4
+        params = SolitonParams(0.5 * v0**3, v0)
+        trajectory = translated_trajectory(params, make_grid(-40.0, 40.0, 512),
+                                           0.05 / v0**3 * np.arange(17))
+        report = zc_residual(trajectory, 1.0)
+        assert report.off_shell_tol == OFF_SHELL_TOL * (4.0 * trajectory.values.max())
+        assert max(report.entry_norms[i, j] for i, j in ((0, 0), (0, 1), (1, 1))) > 1e-11
         assert report.passed
 
     @pytest.mark.parametrize("lambda_spec", [0.0, np.nan, np.inf, -np.inf])
