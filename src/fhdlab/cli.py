@@ -68,9 +68,9 @@ COMMANDS = {
 }
 
 
-def _option(default, key: str, flag: str | None = None):
+def _option(default, key: str, flag: str):
     """A RunConfig option: its default, its config-file key (dotted) and its
-    command-line flag, or None for an option that only a config file sets."""
+    command-line flag."""
     return dc_field(default=default,
                     metadata={"path": tuple(key.split(".")), "flag": flag})
 
@@ -94,7 +94,6 @@ class RunConfig:
     t_final: float = _option(5.0, "evolve.t_final", "--t-final")
     cfl_constant: float = _option(0.1, "evolve.cfl_constant", "--cfl")
     output_stride: int = _option(1000, "evolve.output_stride", "--output-stride")
-    positivity_floor: float | None = _option(None, "evolve.positivity_floor")
     lambda_min: float = _option(0.0, "scan.lambda_min", "--lambda-min")
     lambda_max: float = _option(2.0, "scan.lambda_max", "--lambda-max")
     steps: int = _option(41, "scan.steps", "--steps")
@@ -112,7 +111,7 @@ class RunConfig:
         return {"config": dict(vars(self))}
 
 
-# RunConfig option -> (config-file key path, command-line flag or None)
+# RunConfig option -> (config-file key path, command-line flag)
 _OPTIONS = {f.name: (f.metadata["path"], f.metadata["flag"])
             for f in fields(RunConfig) if f.metadata}
 
@@ -134,7 +133,7 @@ def _kind(field: str) -> tuple:
 
 
 def _name(field: str) -> str:
-    """An option that has a flag as messages name it: flag and config key."""
+    """An option as messages name it: flag and config key."""
     path, flag = _OPTIONS[field]
     return f"{flag} ({'.'.join(path)})"
 
@@ -143,8 +142,7 @@ def _name(field: str) -> str:
 # flags that take a value, and a negative number as such a value
 _PATHS = {path for path, _ in _OPTIONS.values()}
 _SECTIONS = {path[:i] for path in _PATHS for i in range(1, len(path))}
-_VALUE_FLAGS = {flag for field, (_, flag) in _OPTIONS.items()
-                if flag and _kind(field)[2]}
+_VALUE_FLAGS = {flag for field, (_, flag) in _OPTIONS.items() if _kind(field)[2]}
 _NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-(inf(inity)?|nan)", re.I)
 
 
@@ -156,7 +154,6 @@ def _usage() -> str:
     flags = "".join(
         f"  {flag + _kind(field)[-1]:<22}{'.'.join(path)}\n"
         for field, (path, flag) in _OPTIONS.items()
-        if flag is not None
     )
     return f"""usage: fhdlab <command> [flags]
 
@@ -223,8 +220,6 @@ def build_parser(command: str) -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None, metavar="<path>",
                         help="JSON run configuration")
     for field, (path, flag) in _OPTIONS.items():
-        if flag is None:
-            continue
         _, _, parse, placeholder = _kind(field)
         how = ({"type": parse, "metavar": placeholder.strip()} if parse
                else {"action": "store_true"})
@@ -323,8 +318,8 @@ def run_scan_existence(config: RunConfig) -> dict:
 def run_potential(config: RunConfig) -> dict:
     require_admissible(config.params)
     params = config.params
-    v_pot, s_pot = potential_samples(params, n=1000)
-    v_orb, vp_plus, vp_minus = phase_samples(params, n=1000)
+    v_pot, s_pot = potential_samples(params)
+    v_orb, vp_plus, vp_minus = phase_samples(params)
     out = _out_dir(config)
     write_csv(out / "potential.csv", ["v", "S"], [v_pot, s_pot], meta=config.meta())
     write_csv(
@@ -389,7 +384,6 @@ def run_evolve(config: RunConfig) -> dict:
         t_final=config.t_final,
         cfl_constant=config.cfl_constant,
         output_stride=config.output_stride,
-        positivity_floor=config.positivity_floor,
     )
     trajectory = evolve(initial, evolve_config)
     # the tracker unwraps the seam between stored frames, so the wave must

@@ -22,8 +22,8 @@ class NumericalError(RuntimeError):
 #: stay normal floats.
 V0_MIN, V0_MAX = 1e-60, 1e60
 
-#: Largest count of values a single array may hold: grid nodes, scan steps,
-#: quadrature nodes, and verify-lax's 17 frames times n (32 MiB of floats).
+#: Largest count of values a single array may hold: grid nodes, scan steps
+#: and verify-lax's 17 frames times n (32 MiB of floats).
 MAX_VALUES = 1 << 22
 
 

@@ -29,7 +29,7 @@ dt/2 k1, dt/2 k2, dt k3 and dt k4, which one matmul with the weights
 reads min(v) and max(v) as v.item(v.argmin()) and v.item(v.argmax()),
 about 0.5 us each against 1.2 us for a ufunc reduction, and both stop at
 the first NaN as the reductions do. t, dt and the extremes stay Python
-floats, and one comparison tests both the floor and finiteness; the max
+floats, and one comparison tests both positivity and finiteness; the max
 sets the next dt. Recorded steps are copied into one (frames, n) buffer,
 sized from the first dt and doubled only if max(v) rises enough to need
 more.
@@ -63,17 +63,11 @@ from .core import Field, Grid1D, NumericalError, Trajectory
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Run controls for ``evolve``.
-
-    ``positivity_floor`` defaults to 1% of the initial field maximum (the
-    background level for depression data); the equation degenerates as
-    v -> 0 and aborting cleanly beats producing garbage.
-    """
+    """Run controls for ``evolve``."""
 
     t_final: float
     cfl_constant: float = 0.1
     output_stride: int = 100
-    positivity_floor: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_final) and self.t_final > 0.0):
@@ -82,13 +76,10 @@ class EvolveConfig:
             raise ValueError("cfl_constant must lie in (0, 0.5]")
         if self.output_stride < 1:
             raise ValueError("output_stride must be at least 1")
-        floor = self.positivity_floor
-        if floor is not None and not (math.isfinite(floor) and floor > 0.0):
-            raise ValueError("positivity_floor must be positive and finite")
 
 
 class EvolutionAborted(NumericalError):
-    """Raised when the run hits the positivity floor or loses finiteness.
+    """Raised when the run loses positivity or finiteness.
 
     Carries the trajectory recorded up to the last good frame, a view of
     the run's frame buffer.
@@ -207,16 +198,13 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
     The step size min(cfl*dx^3, STABLE_RADIUS/rho)/max(v)^3 is refreshed
     from the current state so general initial data stay inside the
     stability region even if max(v) drifts. Aborts (with the partial
-    trajectory attached) on any value dropping below the positivity floor
-    or turning non-finite. Recorded steps go to rows of one frame buffer;
-    the trajectory is a view of it.
+    trajectory attached) where the equation is undefined: on any value
+    that is not positive or not finite. Recorded steps go to rows of one
+    frame buffer; the trajectory is a view of it.
     """
     if np.any(field.values <= 0.0):
         raise ValueError("initial field must be strictly positive")
     grid, n = field.grid, field.grid.n
-    floor = config.positivity_floor
-    if floor is None:
-        floor = 0.01 * float(field.values.max())
     v, step = _rk4(field.values, grid.dx)
     # dt max(v)^3 times the spectral radius stays inside RK4's stable interval
     rho = _spectral_radius(_taps(grid.dx), n)
@@ -250,11 +238,11 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
         # argmin and argmax stop at the first NaN, as the reductions do
         vmin, vmax = v.item(v.argmin()), v.item(v.argmax())
         # False for NaN and for either infinity, so one test covers each abort
-        if not (vmin >= floor and vmax < math.inf):
+        if not (vmin > 0.0 and vmax < math.inf):
             if not (math.isfinite(vmin) and math.isfinite(vmax)):
                 message = f"non-finite values at t={t:.6g} (step {steps})"
             else:
-                message = (f"positivity floor {floor:.6g} crossed at t={t:.6g} "
+                message = (f"positivity lost at t={t:.6g} "
                            f"(min v = {vmin:.6g}, step {steps})")
             raise EvolutionAborted(message, Trajectory(grid, times, frames[: len(times)]))
         if last or steps % stride == 0:

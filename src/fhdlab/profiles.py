@@ -9,8 +9,9 @@ u = sqrt(v - v_turn), the flank from the minimum is
 as for the implicit waves of the Harry Dym equation (Hereman, Banerjee &
 Chatterjee, J. Phys. A 22, 1989). It is tabulated on nodes clustered toward
 v0, where xi diverges logarithmically, and inverted by Newton's method; the
-table stops at v0 - tail_cut and the remaining tail is the linearized
-exponential v0 - C*exp(-kappa*xi) with kappa = sqrt((v0^3 - lambda)/v0^3).
+table stops TAIL_CUT_REL depths below v0 and the remaining tail is the
+linearized exponential v0 - C*exp(-kappa*xi) with
+kappa = sqrt((v0^3 - lambda)/v0^3).
 
 Route 2 (shooting): integrate v'' = (lambda/2)(1/v^2 - 1/v0^2) + (v - v0)
 outward from the minimum (v(0) = v_turn, v'(0) = 0) with an adaptive
@@ -47,11 +48,14 @@ from typing import Literal
 
 import numpy as np
 
-from .core import MAX_VALUES, Field, Grid1D, NumericalError, SolitonParams, Trajectory
+from .core import Field, Grid1D, NumericalError, SolitonParams, Trajectory
 from .pseudopotential import eval_S, require_admissible, turning_point
 
-#: Default truncation of the quadrature table, relative to the orbit depth.
+#: Truncation of the quadrature table, relative to the orbit depth.
 TAIL_CUT_REL = 1e-8
+
+#: Nodes of the quadrature table.
+QUAD_NODES = 800
 
 #: Fraction of the depth below v0 at which shooting hands over to the tail.
 TAIL_SWITCH_REL = 1e-4
@@ -175,29 +179,21 @@ def _flank_xi(u: np.ndarray, gap: np.ndarray, v_turn: float,
     return np.sqrt(v0 / b) * np.log1p(ratio) - 2.0 * np.arcsinh(u / np.sqrt(v_turn))
 
 
-def solve_quadrature(
-    params: SolitonParams, n_points: int = 800, tail_cut: float | None = None
-) -> QuadratureSolution:
-    """Tabulate the closed-form xi(v) of the flank up to v0 - tail_cut."""
+def solve_quadrature(params: SolitonParams) -> QuadratureSolution:
+    """Tabulate the closed-form xi(v) of the flank on QUAD_NODES nodes, up to
+    TAIL_CUT_REL depths below v0."""
     v0, v_turn = params.v0, turning_point(params)
     depth = v0 - v_turn
-    if tail_cut is None:
-        tail_cut = TAIL_CUT_REL * depth
-    if not (0.0 < tail_cut < 0.5 * depth):
-        raise ValueError("tail_cut must lie strictly between 0 and half the depth")
-    if n_points < 32:
-        raise ValueError("need at least 32 quadrature nodes")
-    if n_points > MAX_VALUES:
-        raise ValueError(f"need at most {MAX_VALUES} quadrature nodes, got {n_points}")
+    tail_cut = TAIL_CUT_REL * depth
 
     # Lower half of the orbit: uniform in u (dense xi resolution around the
     # minimum). Upper half: geometric ladder in t = (v0 - v)/depth down to
     # the tail cut, resolving the logarithmic divergence of xi(v) at v0;
     # there v0 - v is depth*t, free of the cancellation in depth - u^2.
-    n_lo = n_points // 2
+    n_lo = QUAD_NODES // 2
     u_half = np.sqrt(0.5 * depth)
     u_lo = np.linspace(0.0, u_half, n_lo, endpoint=False)
-    t_hi = np.exp(np.linspace(np.log(0.5), np.log(tail_cut / depth), n_points - n_lo))
+    t_hi = np.exp(np.linspace(np.log(0.5), np.log(tail_cut / depth), QUAD_NODES - n_lo))
     u_hi = np.sqrt(depth * (1.0 - t_hi))
     u = np.concatenate((u_lo, u_hi))
     v = v_turn + u**2
@@ -210,11 +206,9 @@ def solve_quadrature(
     return QuadratureSolution(params, xi, v, u)
 
 
-def profile_by_quadrature(
-    params: SolitonParams, n_points: int = 800, tail_cut: float | None = None
-) -> Profile:
+def profile_by_quadrature(params: SolitonParams) -> Profile:
     """Even profile from the first-integral quadrature, minimum at xi = 0."""
-    sol = solve_quadrature(params, n_points=n_points, tail_cut=tail_cut)
+    sol = solve_quadrature(params)
     xi = np.concatenate((-sol.xi[:0:-1], sol.xi))
     v = np.concatenate((sol.v[:0:-1], sol.v))
     return Profile(xi=xi, v=v, params=params, method="quadrature")

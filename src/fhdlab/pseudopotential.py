@@ -23,6 +23,9 @@ from .core import NumericalError, SolitonParams
 #: Step (relative to v0) for the finite-difference diagnostics at the background.
 _FD_STEP_REL = 1e-5
 
+#: Samples of each table of ``potential_samples`` and ``phase_samples``.
+TABLE_SAMPLES = 1000
+
 
 def eval_S(v, params: SolitonParams):
     """Evaluate the pseudopotential S(v); accepts scalars or arrays, v > 0.
@@ -154,22 +157,18 @@ def phase_branch(v, params: SolitonParams):
     return r, -r
 
 
-def potential_samples(
-    params: SolitonParams, n: int = 1000, span: float = 0.25
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate (v, S(v)) across the orbit with a margin of span*(v0 - v_turn)."""
+def potential_samples(params: SolitonParams) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulate (v, S(v)) across the orbit with a margin of (v0 - v_turn)/4."""
     v_turn = turning_point(params)
     width = params.v0 - v_turn
-    lo = max(v_turn - span * width, 0.05 * v_turn)
-    hi = params.v0 + span * width
-    v = np.linspace(lo, hi, n)
+    lo = max(v_turn - 0.25 * width, 0.05 * v_turn)
+    hi = params.v0 + 0.25 * width
+    v = np.linspace(lo, hi, TABLE_SAMPLES)
     return v, np.asarray(eval_S(v, params))
 
 
-def phase_samples(
-    params: SolitonParams, n: int = 1000
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def phase_samples(params: SolitonParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tabulate (v, v'_plus, v'_minus) along the orbit between the roots."""
-    v = np.linspace(turning_point(params), params.v0, n)
+    v = np.linspace(turning_point(params), params.v0, TABLE_SAMPLES)
     plus, minus = phase_branch(v, params)
     return v, plus, minus

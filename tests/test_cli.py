@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import fhdlab
@@ -430,19 +430,14 @@ class TestUsageAndExitCodes:
         assert "existence" in capsys.readouterr().err
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
-        # positivity floor above the soliton minimum aborts the run
-        config = {
-            "params": {"lambda": 0.5, "v0": 1.0},
-            "grid": {"x_min": -40.0, "x_max": 40.0, "n": 256},
-            "evolve": {"t_final": 0.5, "cfl_constant": 0.4,
-                       "output_stride": 50, "positivity_floor": 0.9},
-            "output_dir": str(tmp_path / "out"),
-        }
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(config))
-        code = main(["evolve", "--config", str(cfg)])
+        # on 16 nodes the first step takes the soliton's minimum, 1e-4, below
+        # zero
+        code = main(["evolve", "--lambda", "0.0001", "--n", "16", "--cfl", "0.5",
+                     "--t-final", "10", "--output-dir", str(tmp_path)])
         assert code == 3
-        assert "positivity" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("numerical failure: positivity lost at "
+                                           "t=7.88158 (min v = -1.4987, step 1)\n")
+        assert not list(tmp_path.iterdir())
 
 
     @pytest.mark.parametrize("argv, code, message", [
@@ -586,11 +581,13 @@ class TestUsageAndExitCodes:
         ("profile", "profile.tail_cut", 1e-9),
         ("verify-lax", "lax.frames", 17),
         ("verify-lax", "lax.frame_dt", 0.05),
+        ("evolve", "evolve.positivity_floor", 0.9),
     ])
     def test_retired_config_keys_are_unknown(self, tmp_path, capsys, command, key,
                                              value):
-        # these options had no flag and one value in use: the library's
-        # quadrature defaults and verify-lax's FRAMES and FRAME_DT / v0^3
+        # these options had no flag: the quadrature's QUAD_NODES and
+        # TAIL_CUT_REL, verify-lax's FRAMES and FRAME_DT / v0^3, and evolve's
+        # abort below 1% of the initial maximum, where v > 0 now suffices
         section, name = key.split(".")
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({section: {name: value}}))
@@ -648,18 +645,6 @@ class TestUsageAndExitCodes:
                      "--output-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
             "error: config value params.v0 lies outside the float range\n")
-
-    @pytest.mark.parametrize("floor", ["NaN", "Infinity", "-Infinity"])
-    def test_floor_that_is_not_finite_exits_2(self, tmp_path, capsys, floor):
-        # a NaN floor would never trigger, an infinite one at the first step
-        cfg = tmp_path / "run.json"
-        cfg.write_text(f'{{"evolve": {{"positivity_floor": {floor}}}}}')
-        code = main(["evolve", "--lambda", "0.5", "--n", "128", "--t-final", "0.01",
-                     "--config", str(cfg), "--output-dir", str(tmp_path)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: positivity_floor must be positive and finite\n")
-        assert not (tmp_path / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("argv, code, stream, text", [
         (["profile", "--n", "abc"], 2, "err", "invalid int value: 'abc'"),
@@ -954,7 +939,8 @@ def test_each_option_declares_a_unique_key_and_flag():
     options = dataclasses.fields(RunConfig)[1:]
     assert [f.name for f in options] == list(_OPTIONS)
     paths = [f.metadata["path"] for f in options]
-    flags = [f.metadata["flag"] for f in options if f.metadata["flag"] is not None]
+    flags = [f.metadata["flag"] for f in options]
+    assert None not in flags
     assert len(set(paths)) == len(paths)
     assert len(set(flags)) == len(flags)
     # no key also names a section that holds others
@@ -967,8 +953,8 @@ def test_meta_sidecar_matches_asdict_oracle(tmp_path):
     config = RunConfig(
         command="evolve", lambda_speed=1.0 / 3.0, v0=1.25, lambda_spec=-0.0,
         x_min=None, x_max=1e300, n=4097, t_final=5e-324, cfl_constant=0.4,
-        output_stride=3, positivity_floor=1e-3, lambda_min=-1.5, lambda_max=2.5,
-        steps=7, per_frame=True, output_dir='runs/λ 0.5/"quoted"', emit_plots=True,
+        output_stride=3, lambda_min=-1.5, lambda_max=2.5, steps=7, per_frame=True,
+        output_dir='runs/λ 0.5/"quoted"', emit_plots=True,
     )
     assert [f.name for f in dataclasses.fields(RunConfig)
             if getattr(config, f.name) == f.default] == ["x_min"]
@@ -1071,6 +1057,18 @@ class TestEvolveCommand:
         )
         assert code == 0
         assert abs(summary["speed_measured"] - 0.9999) <= 1e-3
+
+    def test_soliton_below_one_percent_of_v0_runs(self, tmp_path, capsys):
+        # its minimum 0.005 once lay under an abort floor of 1% of v0, and the
+        # run exited 3 at step 1; the grid under-resolves it, so its speed
+        # (0.039) is not checked
+        code, _ = run_cli(
+            ["evolve", "--lambda", "0.005", "--n", "1024", "--t-final", "0.05",
+             "--cfl", "0.4", "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert read_csv(tmp_path / "trajectory.csv")["t"][-1] == 0.05
 
     def test_trajectory_files_match_write_csv(self, tmp_path, capsys):
         # oracle: the same run through the library, written value by value
@@ -1490,7 +1488,7 @@ _FUZZ_INTS = ["-9223372036854775809", "-1", "0", "1", "7", "8", "9", "63", "64",
               "1000000000000"]
 _FUZZ_TEXT = ["", "abc", "1e", "0x1p3", "1,5", "--"]
 _FUZZ_FLAGS = {flag: field for field, (_, flag) in _OPTIONS.items()
-               if flag is not None and flag != "--output-dir"}
+               if flag != "--output-dir"}
 
 
 @st.composite
@@ -1552,10 +1550,10 @@ class TestExitCodeProperty:
             assert out == "", out
 
 
-# the config-file keys that no flag sets, read by evolve, and values for
-# them: the flag fuzz's numbers (with NaN and Infinity, which JSON decoding
-# accepts) and values of each other JSON type
-_CONFIG_ONLY = [path for path, flag in _OPTIONS.values() if flag is None]
+# every option's config-file key, and values for them: the flag fuzz's
+# numbers (with NaN and Infinity, which JSON decoding accepts) and values of
+# each other JSON type
+_CONFIG_KEYS = [path for path, _ in _OPTIONS.values()]
 _FUZZ_JSON = ([float(x) for x in _FUZZ_FLOATS] + [int(x) for x in _FUZZ_INTS]
               + ["", "0.5", [], [1.0], {}, {"n": 1}, True, None])
 
@@ -1563,17 +1561,23 @@ _FUZZ_JSON = ([float(x) for x in _FUZZ_FLOATS] + [int(x) for x in _FUZZ_INTS]
 class TestConfigFileProperty:
     @settings(max_examples=600, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(argv=_fuzzed_argv(("evolve", "profile", "verify-lax"), max_optional=0),
-           values=st.dictionaries(st.sampled_from(_CONFIG_ONLY),
+    @given(argv=_fuzzed_argv(max_optional=0),
+           values=st.dictionaries(st.sampled_from(_CONFIG_KEYS),
                                   st.sampled_from(_FUZZ_JSON), min_size=1))
     def test_config_only_keys_exit_with_a_contract_code(self, tmp_path_factory,
                                                         capfd, argv, values):
-        # whatever the config-only keys hold: 0 ok, 2 validation or
-        # 3 numerical, and never a traceback or a warning
+        # whatever the keys set only in the config file hold: 0 ok,
+        # 2 validation or 3 numerical, and never a traceback or a warning.
+        # The flags that bound the run's size win over the file's values.
+        if argv[0] == "evolve":
+            assume(values.get(("evolve", "cfl_constant")) != 1e-12)  # 1e11 steps
         work = tmp_path_factory.mktemp("fuzz")
         document = {}
-        for (section, key), value in values.items():
-            document.setdefault(section, {})[key] = value
+        for path, value in values.items():
+            section = document
+            for key in path[:-1]:
+                section = section.setdefault(key, {})
+            section[path[-1]] = value
         cfg = work / "run.json"
         cfg.write_text(json.dumps(document))
         with warnings.catch_warnings(record=True) as caught:

@@ -26,7 +26,7 @@ from fhdlab.evolution import (
     shape_error,
     shift_field,
 )
-from fhdlab.profiles import profile_by_shooting
+from fhdlab.profiles import closed_form_field, profile_by_shooting
 
 P05 = SolitonParams(0.5, 1.0)
 
@@ -78,14 +78,6 @@ class TestEvolveConfig:
             EvolveConfig(t_final=1.0, cfl_constant=0.9)
         with pytest.raises(ValueError):
             EvolveConfig(t_final=1.0, output_stride=0)
-        with pytest.raises(ValueError):
-            EvolveConfig(t_final=1.0, positivity_floor=-0.5)
-
-    @pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf, 0.0])
-    def test_floor_that_is_not_positive_and_finite_is_rejected(self, floor):
-        # NaN compares False with everything, so "floor <= 0" misses it
-        with pytest.raises(ValueError, match="positivity_floor must be positive"):
-            EvolveConfig(t_final=1.0, positivity_floor=floor)
 
 
 class TestEvolve:
@@ -117,9 +109,10 @@ class TestEvolve:
         assert traj.times[-1] == config.t_final
         assert np.min(np.diff(traj.times)) > 4 * dt
 
-    def test_positivity_abort_carries_partial_trajectory(self):
+    def test_positivity_abort_carries_partial_trajectory(self, monkeypatch):
         f = soliton_field(n=256)
-        config = EvolveConfig(t_final=1.0, cfl_constant=0.4, positivity_floor=0.9)
+        config = EvolveConfig(t_final=1.0, cfl_constant=0.4)
+        monkeypatch.setattr(evolution, "_rk4", poisoning_rk4(3, {40: -0.1}))
         with pytest.raises(EvolutionAborted) as excinfo:
             evolve(f, config)
         partial = excinfo.value.trajectory
@@ -220,10 +213,11 @@ class TestInPlaceStepper:
         assert np.max(np.abs(traj.times - times)) <= 1e-13
         assert np.max(np.abs(traj.values - frames) / np.abs(frames)) <= 1e-12
 
-    def test_frame_buffer_is_bounded_up_front(self):
+    def test_frame_buffer_is_bounded_up_front(self, monkeypatch):
         # t_final/dt asks for ~1e11 rows; the run still starts, then aborts
         f = soliton_field(n=128)
-        config = EvolveConfig(t_final=1e12, cfl_constant=0.4, positivity_floor=0.9)
+        config = EvolveConfig(t_final=1e12, cfl_constant=0.4)
+        monkeypatch.setattr(evolution, "_rk4", poisoning_rk4(1, {7: 0.0}))
         with pytest.raises(EvolutionAborted) as excinfo:
             evolve(f, config)
         assert excinfo.value.trajectory.values.shape == (1, 128)
@@ -313,22 +307,34 @@ class TestAbort:
         assert np.array_equal(error.trajectory.values, every_step.values[kept])
 
     def test_non_finite_value_is_reported_before_a_floor_crossing(self, monkeypatch):
-        error, _ = self.aborted(monkeypatch, 3, {7: 0.004, 90: np.nan})
+        error, _ = self.aborted(monkeypatch, 3, {7: -0.004, 90: np.nan})
         assert str(error).startswith("non-finite values at t=")
 
     def test_floor_crossing(self, monkeypatch):
-        # the default floor is 1% of the initial maximum, 1 - 1e-8
-        error, every_step = self.aborted(monkeypatch, 5, {7: 0.004})
+        # the floor is v = 0, below which the equation is undefined
+        error, every_step = self.aborted(monkeypatch, 5, {7: -0.004})
         assert every_step.times[5] == pytest.approx(5 * 0.4 * 0.625**3)
-        assert str(error) == ("positivity floor 0.01 crossed at t=0.488281 "
-                              "(min v = 0.004, step 5)")
+        assert str(error) == ("positivity lost at t=0.488281 "
+                              "(min v = -0.004, step 5)")
         assert np.array_equal(error.trajectory.values, every_step.values[[0, 2, 4]])
 
     def test_a_value_on_the_floor_does_not_abort(self, monkeypatch):
-        config = EvolveConfig(t_final=1.0, cfl_constant=0.4, positivity_floor=0.004)
-        monkeypatch.setattr(evolution, "_rk4", poisoning_rk4(5, {7: 0.004}))
+        # the least positive float runs on; zero itself is lost positivity
+        config = EvolveConfig(t_final=1.0, cfl_constant=0.4)
+        monkeypatch.setattr(evolution, "_rk4", poisoning_rk4(5, {7: 5e-324}))
         traj = evolve(soliton_field(n=128), config)
         assert traj.times[-1] == 1.0
+        error, _ = self.aborted(monkeypatch, 5, {7: 0.0})
+        assert str(error) == "positivity lost at t=0.488281 (min v = 0, step 5)"
+
+    @pytest.mark.parametrize("lam", [0.005, 0.001])
+    def test_soliton_below_one_percent_of_v0_runs(self, lam):
+        # its minimum lam once lay under a floor of 1% of the initial maximum
+        grid = make_grid(-40.0, 40.0, 1024)
+        f = closed_form_field(SolitonParams(lam, 1.0), grid)
+        traj = evolve(f, EvolveConfig(t_final=0.05, cfl_constant=0.4))
+        assert traj.times[-1] == 0.05
+        assert traj.values.min() == lam
 
 
 @st.composite

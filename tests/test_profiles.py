@@ -9,7 +9,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
 
-from fhdlab import _dop853
+from fhdlab import _dop853, profiles
 from fhdlab.core import NumericalError, SolitonParams, d1_periodic, make_grid
 from fhdlab.pseudopotential import eval_S, turning_point
 from fhdlab.profiles import (
@@ -65,12 +65,12 @@ class TestQuadratureProfile:
         assert np.array_equal(prof.v, prof.v[::-1])
         assert np.array_equal(prof.xi, -prof.xi[::-1])
 
-    def test_tail_cut_extension_matches_decay_rate(self):
+    def test_tail_cut_extension_matches_decay_rate(self, monkeypatch):
         # xi(v0 - tc) - xi(v0 - 2 tc) -> (ln 2)/kappa as tc -> 0
         kappa = decay_rate(P05)
-        tc = 1e-8 * 0.5
-        xi_far = solve_quadrature(P05, tail_cut=tc).xi[-1]
-        xi_near = solve_quadrature(P05, tail_cut=2.0 * tc).xi[-1]
+        xi_far = solve_quadrature(P05).xi[-1]
+        monkeypatch.setattr(profiles, "TAIL_CUT_REL", 2.0 * TAIL_CUT_REL)
+        xi_near = solve_quadrature(P05).xi[-1]
         assert xi_far - xi_near == pytest.approx(np.log(2.0) / kappa, rel=1e-6)
 
     def test_table_matches_adaptive_quadrature_oracle(self):
@@ -92,10 +92,6 @@ class TestQuadratureProfile:
     def test_degenerate_params_rejected(self):
         with pytest.raises(ValueError):
             profile_by_quadrature(SolitonParams(1.0, 1.0))
-
-    def test_bad_tail_cut_rejected(self):
-        with pytest.raises(ValueError):
-            profile_by_quadrature(P05, tail_cut=1.0)
 
     def test_values_stay_inside_orbit_range(self):
         for lam in (0.2, 0.5, 0.8):
@@ -158,7 +154,9 @@ class TestClosedForm:
         # the nodes of a second table fall between those of the first
         params = SolitonParams(10.0**log_frac * v0**3, v0)
         sol = solve_quadrature(params)
-        other = solve_quadrature(params, n_points=1001)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(profiles, "QUAD_NODES", 1001)
+            other = solve_quadrature(params)
         assert np.max(np.abs(sol(sol.xi) - sol.v)) <= 1e-14 * v0
         assert np.max(np.abs(sol(other.xi) - other.v)) <= 1e-14 * v0
 
