@@ -6,21 +6,20 @@ exactly. Every data file is accompanied by a ``<stem>.meta.json`` side-car
 embedding the fully resolved run configuration, which makes each output
 self-describing.
 
-Every writer formats through ``_format_g17``, a NumPy formatter whose bytes
-equal those of ``%`` for every float64, about 2^14 values at a time:
-``write_csv`` a block of rows, the trajectory writers x once per call, t once
-per frame and v a block of frames. Its digits come from the error-free
+Every CSV has one layout: ``write_csv``'s columns broadcast to one shape,
+and the file holds one row per entry of it, in C order; a trajectory is
+the columns ``(times[:, None], x, frames)`` of its (T, n) frames.
+``_blocks`` lays the rows out a block along the first axis at a time, as a
+uint8 matrix of 25-byte fields (text, NUL padding, "," or newline) whose
+NULs are dropped once, or once per frame's slice by ``write_frame_files``.
+A column of length 1 along that axis, such as x, is formatted once per
+call, the others once per block. Shapes are checked before a file is opened.
+
+The text comes from ``_format_g17``, whose bytes equal those of ``%`` for
+every float64. Its digits come from the error-free
 (Dekker) two-product of |x| and an exact power of ten, rows of negative values
 move up one byte for the "-", and values outside 1e-4 <= |x| < 1e14 pass as
 1.0 and then get, by index, the text of one ``%`` call.
-
-Each block is laid out as one uint8 matrix of 24-byte NUL-padded fields
-and their separators, and its NULs are dropped once. The trajectory
-writers take the (T, n) array of the frames and check its shape before they
-open a file; their block is (frames, n, 75), laid out from a slice of that
-array: x once per call, t broadcast over each frame's rows and v in the last
-field, so ``write_frames_csv`` writes a block with one call and
-``write_frame_files`` drops the NULs of each frame's slice.
 
 Every file goes through ``_rewrite``, which writes over the old bytes of a
 file from an earlier run and then cuts it to the length written, instead of
@@ -37,7 +36,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
+import math
 import os
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
@@ -245,62 +246,68 @@ def _write_meta(data_path: Path, meta: dict | None) -> None:
     _write_text(meta_path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
+def _blocks(columns: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """The rows of the columns, broadcast to one shape, as (m, ..., k, 25)
+    blocks along its first axis, reused from block to block: at least one
+    entry of that axis and about ``_FRAME_BLOCK_VALUES`` values of the
+    columns that need no broadcasting (k per row of a table, n per frame of
+    a trajectory). Columns that do not broadcast raise ValueError on the call.
+    """
+    columns = [np.atleast_1d(np.asarray(c, dtype=float)) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in columns]
+    count, width = shape[0], math.prod(shape[1:])
+    whole = width * sum(c.shape == shape for c in columns)
+    per_block = max(1, _FRAME_BLOCK_VALUES // max(1, whole))
+    rows = np.empty((min(per_block, count), *shape[1:], len(columns), 25), np.uint8)
+    rows[..., 24] = ord(",")
+    rows[..., -1, 24] = ord("\n")
+    varying = [j for j, c in enumerate(columns) if len(c) == count]
+    for j, c in enumerate(columns):
+        if len(c) != count:  # of length 1 along the first axis
+            rows[..., j, :24] = _format_g17(c).reshape(*c.shape, 24)
+
+    def block(start: int) -> np.ndarray:
+        m = min(per_block, count - start)
+        parts = [columns[j][start : start + m] for j in varying]
+        text = _format_g17(np.concatenate([part.ravel() for part in parts]))
+        ends = itertools.accumulate(part.size for part in parts)
+        for j, part, end in zip(varying, parts, ends):
+            rows[:m, ..., j, :24] = text[end - part.size : end].reshape(*part.shape, 24)
+        return rows[:m]
+
+    return map(block, range(0, count, per_block))
+
+
 def write_csv(
     path: Path,
     header: Sequence[str],
     columns: Sequence[np.ndarray],
     meta: dict | None = None,
 ) -> Path:
-    """Write columns of floats as CSV plus its metadata side-car."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    if len(header) != len(columns):
+    """Write columns of floats, broadcast to one shape, as CSV rows, one per
+    entry in C order, plus its metadata side-car."""
+    if len(header) != len(columns) or len(columns) == 0:
         raise ValueError("one header entry is required per column")
-    lengths = {c.size for c in columns}
-    if len(lengths) != 1:
-        raise ValueError("all columns must have equal length")
-    # each block of about _FRAME_BLOCK_VALUES values is one uint8 matrix of
-    # 25-byte fields (text, NUL padding, separator) whose NULs are dropped
-    per_block = max(1, _FRAME_BLOCK_VALUES // len(columns))
+    blocks = _blocks(columns)
     with _rewrite(path) as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, lengths.pop(), per_block):
-            block = np.column_stack([c[start : start + per_block] for c in columns])
-            rows = np.empty(block.shape + (25,), np.uint8)
-            rows[..., :24] = _format_g17(block).reshape(*block.shape, 24)
-            rows[..., 24] = ord(",")
-            rows[:, -1, 24] = ord("\n")
+        for rows in blocks:
             fh.write(rows[rows != 0])
     _write_meta(path, meta)
     return path
 
 
-def _frame_blocks(
+def _frame_columns(
     times: Sequence[float], x: np.ndarray, frames: np.ndarray
-) -> Iterator[np.ndarray]:
-    """The ``t,x,v`` rows of the (T, n) frames, without the header, as
-    (frames, n, 75) NUL-padded uint8 blocks of about ``_FRAME_BLOCK_VALUES``
-    values of v, at least one frame each, reused from block to block. The
-    shape is checked on the call: a T other than the number of times is a
-    ValueError, an n other than that of x a TypeError.
-    """
-    t_rows = _format_g17(times)
-    count, n = len(t_rows), np.size(x)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``t,x,v`` columns of the (T, n) frames. A T other than the number
+    of times is a ValueError, an n other than that of x a TypeError."""
+    count, n = np.size(times), np.size(x)
     if np.shape(frames) != (count, n):
         error = ValueError if np.shape(frames)[1:] == (n,) else TypeError
         raise error(f"frames have shape {np.shape(frames)}, not ({count}, {n})")
-    per_block = max(1, _FRAME_BLOCK_VALUES // max(n, 1))
-    rows = np.empty((min(per_block, count), n, 75), np.uint8)
-    rows[..., 24] = rows[..., 49] = ord(",")
-    rows[..., 25:49] = _format_g17(x)
-    rows[..., 74] = ord("\n")
-
-    def block(k: int) -> np.ndarray:
-        m = min(per_block, count - k)
-        rows[:m, :, :24] = t_rows[k : k + m, None]
-        rows[:m, :, 50:74] = _format_g17(frames[k : k + m]).reshape(m, n, 24)
-        return rows[:m]
-
-    return map(block, range(0, count, per_block))
+    return np.reshape(times, (count, 1)), np.ravel(x), frames
 
 
 def write_frames_csv(
@@ -310,18 +317,9 @@ def write_frames_csv(
     frames: np.ndarray,
     meta: dict | None = None,
 ) -> Path:
-    """Write (T, n) frames of v(x, t) as ``t,x,v`` rows plus the side-car.
-
-    The bytes are those of ``write_csv`` on the expanded columns, but no
-    expanded column is held in memory.
-    """
-    blocks = _frame_blocks(times, x, frames)
-    with _rewrite(path) as fh:
-        fh.write(b"t,x,v\n")
-        for rows in blocks:
-            fh.write(rows[rows != 0])
-    _write_meta(path, meta)
-    return path
+    """Write (T, n) frames of v(x, t) as ``t,x,v`` rows plus the side-car:
+    ``write_csv`` on the columns ``(times[:, None], x, frames)``."""
+    return write_csv(path, ("t", "x", "v"), _frame_columns(times, x, frames), meta)
 
 
 def write_frame_files(
@@ -334,10 +332,10 @@ def write_frame_files(
     """Write row k of the frames as ``frame_<k:05d>.csv``, each with its side-car.
 
     Each file holds the bytes that ``write_frames_csv`` writes for that
-    frame alone.
+    frame alone: its slice of a block of ``write_csv``'s rows.
     """
     paths = []
-    for rows in _frame_blocks(times, x, frames):
+    for rows in _blocks(_frame_columns(times, x, frames)):
         for frame in rows:
             path = directory / f"frame_{len(paths):05d}.csv"
             with _rewrite(path) as fh:

@@ -8,8 +8,9 @@ integral (1/2) (dv/dxi)^2 + S(v) = 0 with
 S has a double root at the background v0 and a simple root at
 v_turn = lambda / v0^2. A localized depression orbit exists exactly when
 0 < lambda < v0^3, in which case S < 0 on the open interval (v_turn, v0).
-``require_admissible`` is the one gate on that domain; ``turning_point``
-passes it before it returns v_turn.
+``_admissible`` is the one test of that domain: ``existence_check`` reports
+it, ``require_admissible`` raises on it, and ``turning_point`` passes that
+gate before it returns v_turn.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class ExistenceReport:
     s_at_v0: float
     s_prime_at_v0: float
     s_second_at_v0: float
-    s_second_predicted: float
 
 
 def _derivatives_at_v0(params: SolitonParams) -> tuple[float, float, float]:
@@ -78,13 +78,16 @@ def _derivatives_at_v0(params: SolitonParams) -> tuple[float, float, float]:
     return s0, (4.0 * d1_half - d1_h) / 3.0, (4.0 * d2_half - d2_h) / 3.0
 
 
-def require_admissible(params: SolitonParams) -> None:
-    """Raise ValueError unless a soliton exists, i.e. 0 < lambda < v0^3.
+def _admissible(params: SolitonParams) -> bool:
+    """Whether a soliton exists, i.e. 0 < lambda < v0^3: the package's one
+    test of that domain."""
+    return 0.0 < params.lambda_speed < params.v0**3
 
-    The package's one test of that domain; every other check calls it.
-    """
-    lam, v0 = params.lambda_speed, params.v0
-    if not 0.0 < lam < v0**3:
+
+def require_admissible(params: SolitonParams) -> None:
+    """Raise ValueError unless ``_admissible``; every other check calls it."""
+    if not _admissible(params):
+        lam, v0 = params.lambda_speed, params.v0
         raise ValueError(
             f"soliton existence violated: lambda={lam}, "
             f"v0={v0} needs 0 < lambda < v0^3 = {v0**3:.6g} "
@@ -95,24 +98,12 @@ def require_admissible(params: SolitonParams) -> None:
 def existence_check(params: SolitonParams) -> ExistenceReport:
     """Decide whether params admit a localized depression orbit.
 
-    Admissible iff ``require_admissible`` passes. The report carries the
+    Admissible iff ``require_admissible`` passes, without raising. The report carries the
     finite-difference values of S, S' and S'' at v0 (step 1e-5*v0, one
     Richardson extrapolation) so the decision can be audited numerically.
     """
     s0, s1, s2 = _derivatives_at_v0(params)
-    try:
-        require_admissible(params)
-        admissible = True
-    except ValueError:
-        admissible = False
-    lam, v0 = params.lambda_speed, params.v0
-    return ExistenceReport(
-        admissible=admissible,
-        s_at_v0=s0,
-        s_prime_at_v0=s1,
-        s_second_at_v0=s2,
-        s_second_predicted=(lam - v0**3) / v0**3,
-    )
+    return ExistenceReport(_admissible(params), s0, s1, s2)
 
 
 def _confirm_root(params: SolitonParams, v_turn: float) -> None:

@@ -54,16 +54,19 @@ def percent_csv(header, columns):
 
 
 def assert_frames_match_write_csv(tmp_path, times, x, v):
-    """write_frames_csv and write_csv on the long columns both give the
-    oracle's bytes, and the same side-car; so do the bodies of the frame
-    files, concatenated."""
+    """write_frames_csv, and write_csv on the long columns and on the
+    columns that broadcast to them, all give the oracle's bytes, and the
+    same side-car; so do the bodies of the frame files, concatenated."""
     n, frames = len(x), len(times)
     meta = {"config": {"n": n}}
     columns = [np.repeat(times, n), np.tile(x, frames), np.ravel(v)]
     written = write_frames_csv(tmp_path / "f.csv", times, x, v, meta=meta)
     expected = write_csv(tmp_path / "e.csv", ["t", "x", "v"], columns, meta=meta)
+    broadcast = write_csv(tmp_path / "b.csv", ["t", "x", "v"],
+                          [np.asarray(times)[:, None], x, v])
     assert written.read_bytes() == percent_csv(["t", "x", "v"], columns)
     assert expected.read_bytes() == written.read_bytes()
+    assert broadcast.read_bytes() == written.read_bytes()
     assert (tmp_path / "f.meta.json").read_bytes() == (
         tmp_path / "e.meta.json").read_bytes()
     texts = [path.read_bytes() for path in write_frame_files(tmp_path, times, x, v)]
@@ -234,10 +237,16 @@ class TestOutputHelpers:
             tmp_path / "e.meta.json").read_bytes()
 
     def test_column_validation(self, tmp_path):
+        # columns that do not broadcast are rejected before the file of an
+        # earlier run is opened
+        path = write_csv(tmp_path / "t.csv", ["a"], [np.arange(5000.0)])
+        before = path.read_bytes()
         with pytest.raises(ValueError):
-            write_csv(tmp_path / "t.csv", ["a"], [np.ones(3), np.ones(3)])
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "t.csv", ["a", "b"], [np.ones(3), np.ones(4)])
+            write_csv(path, ["a"], [np.ones(3), np.ones(3)])
+        for shapes in (((3,), (4,)), ((2, 3), (3, 2)), ((4, 1), (3,), (2, 3))):
+            with pytest.raises(ValueError):
+                write_csv(path, list("abc"[:len(shapes)]), [np.ones(s) for s in shapes])
+        assert path.read_bytes() == before
 
     @staticmethod
     def _write_all(directory, rows, frames, n):

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fhdlab import pseudopotential
 from fhdlab.core import V0_MAX, V0_MIN, NumericalError, SolitonParams
 from fhdlab.pseudopotential import (
     _confirm_root,
@@ -129,6 +131,16 @@ class TestExistenceCheck:
         for lam in (0.1, 0.9, 1.5):
             report = existence_check(SolitonParams(lam, 1.0))
             assert (report.s_second_at_v0 < 0) == report.admissible
+
+    @pytest.mark.parametrize("lam", [0.5, 1.5, -0.3])
+    def test_the_derivatives_are_evaluated_once(self, lam):
+        # an inadmissible lambda is decided without building the message
+        # of require_admissible, which evaluates them again
+        with mock.patch.object(pseudopotential, "_derivatives_at_v0",
+                               wraps=pseudopotential._derivatives_at_v0) as spy:
+            report = existence_check(SolitonParams(lam, 1.0))
+        assert spy.call_count == 1
+        assert report.admissible == (lam == 0.5)
 
 
 class TestTurningPoints:
