@@ -404,6 +404,9 @@ class TestFormatG17:
         assert output._format_g17(np.array([])).shape == (0, 24)
 
 
+# warnings raise: a failing command must print none, and pytest would
+# capture one before capfd sees it
+@pytest.mark.filterwarnings("error")
 class TestUsageAndExitCodes:
     def test_unknown_command_exits_64(self, capsys):
         assert main(["frobnicate"]) == 64
@@ -483,6 +486,16 @@ class TestUsageAndExitCodes:
          "numerical failure: profile is flat: no measurable depression"),
         (["evolve", "--lambda", "0.999999999999", "--n", "2048", "--t-final", "0.5"], 3,
          "numerical failure: frame is flat: no localized structure to track"),
+        # each command that checks existence, at or just past an edge of the
+        # domain 0 < lambda < v0^3
+        (["potential", "--lambda", "0"], 2,
+         "error: soliton existence violated: lambda=0.0, v0=1.0 needs 0 < lambda"),
+        (["evolve", "--lambda", "1", "--n", "256", "--t-final", "0.1"], 2,
+         "error: soliton existence violated: lambda=1.0, v0=1.0 needs 0 < lambda"),
+        (["verify-lax", "--lambda", "-0.5", "--n", "512"], 2,
+         "error: soliton existence violated: lambda=-0.5, v0=1.0 needs 0 < lambda"),
+        (["profile", "--lambda", "1.00000000005"], 2,
+         "error: soliton existence violated: lambda=1.00000000005, v0=1.0 needs"),
     ])
     def test_extreme_values_exit_with_one_line(self, tmp_path, capfd, argv, code,
                                                message):
@@ -501,9 +514,7 @@ class TestUsageAndExitCodes:
     def test_scan_bounds_that_are_not_finite_exit_2(self, tmp_path, capfd, bounds,
                                                       message):
         # np.linspace used to warn on stderr, then fail on the NaN lambdas
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["scan-existence", *bounds, "--output-dir", str(tmp_path)]) == 2
+        assert main(["scan-existence", *bounds, "--output-dir", str(tmp_path)]) == 2
         out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith(message) and err.count("\n") == 1, err
@@ -666,11 +677,11 @@ class TestUsageAndExitCodes:
         assert text in getattr(capsys.readouterr(), stream)
 
 
-def _run_fresh(script, cwd):
-    """Run ``script`` in a new interpreter that imports this fhdlab."""
+def _run_fresh(cwd, *args):
+    """Run ``python *args`` in a new interpreter that imports this fhdlab."""
     src = Path(fhdlab.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -701,7 +712,7 @@ class TestColdStart:
             (["profile", "--lambda", "2"], 2),
             (["nosuch"], 64),
         ]
-        done = _run_fresh(_COLD_START.format(cases=cases), tmp_path)
+        done = _run_fresh(tmp_path, "-c", _COLD_START.format(cases=cases))
         assert done.returncode == 0, done.stderr
 
     def test_quadrature_profile_does_not_load_it(self, tmp_path):
@@ -715,8 +726,17 @@ v = solve_quadrature(SolitonParams(0.5, 1.0))(np.linspace(-40.0, 40.0, 801))
 assert v.min() == 0.5
 assert not [name for name in sys.modules if name.startswith("scipy")]
 """
-        done = _run_fresh(script, tmp_path)
+        done = _run_fresh(tmp_path, "-c", script)
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("argv, code", [(["scan-existence"], 0), (["nosuch"], 64)])
+    def test_python_m_fhdlab_cli_runs_as_the_installed_script(self, tmp_path, argv,
+                                                               code):
+        # the README's equivalent of fhdlab: one summary line, or none
+        done = _run_fresh(tmp_path, "-m", "fhdlab.cli", *argv)
+        assert done.returncode == code, done.stderr
+        statuses = [json.loads(line)["status"] for line in done.stdout.splitlines()]
+        assert statuses == ["ok"] * (code == 0)
 
 
 class TestScanExistence:
@@ -862,6 +882,15 @@ class TestDeterminism:
         assert [line.count("\n") for line in first[0]] == [1] * len(COMMANDS)
         assert len(first[1]) == 20
         assert snapshot() == first
+        # each table holds its header and "%.17g" of each value it parses back to
+        headers = {"existence.csv": "lambda,admissible,s_second_v0",
+                   "potential.csv": "v,S", "phase.csv": "v,vp_plus,vp_minus",
+                   "profile.csv": "xi,v", "profile_shooting.csv": "xi,v",
+                   "trajectory.csv": "t,x,v"}
+        assert {name for name in first[1] if name.endswith(".csv")} == set(headers)
+        for name, header in headers.items():
+            table = read_csv(tmp_path / name)
+            assert first[1][name] == percent_csv(header.split(","), table.values())
 
 
 # one cheap successful run of each command
@@ -1112,6 +1141,7 @@ class TestEvolveCommand:
             assert path.read_bytes() == header + b"".join(
                 rows[k * grid.n : (k + 1) * grid.n])
 
+    @pytest.mark.filterwarnings("error")
     def test_frames_too_sparse_to_track_exit_3_before_writing(self, tmp_path, capsys):
         # frames about 95 apart at lambda 0.5: the wave moves 47.5 between
         # them, more than half the period 80, and the tracker unwrapped the
@@ -1167,19 +1197,28 @@ class TestPlotScripts:
 
     @pytest.mark.parametrize("per_frame", [False, True])
     def test_trajectory_script_reads_exactly_this_runs_frames(
-            self, tmp_path, capsys, pyplot, per_frame):
+            self, tmp_path, capsys, pyplot, monkeypatch, per_frame):
         # a larger run's trajectory.csv and frame files are in the
-        # directory first: more frames on a finer grid
+        # directory first: more frames on a finer grid. The run leaves there
+        # the bytes of the same run into a fresh directory; both are "out",
+        # since the side-cars name it
         argv = ["evolve", "--lambda", "0.5", "--xmin", "-40", "--xmax", "40",
                 "--t-final", "0.2", "--cfl", "0.4", "--emit-plots",
-                "--output-dir", str(tmp_path)]
+                "--output-dir", "out"]
         larger = ["--n", "256", "--output-stride", "1"]
-        assert main(argv + larger) == 0
-        assert main(argv + larger + ["--per-frame"]) == 0
-        assert main(argv + ["--n", "128", "--output-stride", "50"]
-                    + ["--per-frame"] * per_frame) == 0
+        smaller = ["--n", "128", "--output-stride", "50"] + ["--per-frame"] * per_frame
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        for cwd, runs in ((used, [larger, larger + ["--per-frame"], smaller]),
+                          (fresh, [smaller])):
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            for extra in runs:
+                assert main(argv + extra) == 0
         capsys.readouterr()
-        names = runpy.run_path(str(tmp_path / "plot_trajectory.py"))
+        for path in (fresh / "out").iterdir():
+            assert (used / "out" / path.name).read_bytes() == path.read_bytes(), path
+        out = used / "out"
+        names = runpy.run_path(str(out / "plot_trajectory.py"))
         grid = make_grid(-40.0, 40.0, 128)
         trajectory = evolve(closed_form_field(SolitonParams(0.5, 1.0), grid),
                             EvolveConfig(t_final=0.2, cfl_constant=0.4,
@@ -1187,11 +1226,23 @@ class TestPlotScripts:
         assert np.array_equal(names["times"], trajectory.times)
         assert np.array_equal(names["x"], grid.x)
         assert np.array_equal(names["v"], trajectory.values)
-        names["fig"].savefig.assert_called_once_with(
-            tmp_path / "trajectory.png", dpi=160)
+        names["fig"].savefig.assert_called_once_with(out / "trajectory.png", dpi=160)
 
 
+_M_T_TIME_ERROR = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: at the default n = 2048 the time error of the central M_t, "
+    "frames lax.FRAME_DT / v0^3 apart, holds the order below lax.MIN_ORDER"))
+
+
+# warnings raise: a failing command must print none, and pytest would
+# capture one before capfd sees it
+@pytest.mark.filterwarnings("error")
 class TestVerifyLaxCommand:
+    @pytest.mark.parametrize("lam", ["0.25", pytest.param("0.5", marks=_M_T_TIME_ERROR),
+                                     pytest.param("0.8", marks=_M_T_TIME_ERROR)])
+    def test_passes_at_the_default_grid(self, tmp_path, capsys, lam):
+        assert main(["verify-lax", "--lambda", lam, "--output-dir", str(tmp_path)]) == 0
+
     def test_report_written_and_passing(self, tmp_path, capsys):
         code, summary = run_cli(
             ["verify-lax", "--lambda", "0.5", "--v0", "1.0",
@@ -1279,7 +1330,7 @@ from fhdlab.cli import main
 sys.exit(main(["verify-lax", "--lambda", "0.5", "--lambda-spec", "3e153",
                "--n", "512", "--output-dir", "out"]))
 """
-        done = _run_fresh(script, tmp_path)
+        done = _run_fresh(tmp_path, "-c", script)
         assert done.returncode == 3
         assert done.stdout == ""
         lines = done.stderr.splitlines()
@@ -1409,6 +1460,7 @@ class TestScalingSymmetry:
                             tmp_path, capsys)
 
         unit, scaled = run_at(1.0), run_at(v0)
+        assert unit["speed_measured"] / unit["lambda"] == pytest.approx(1.0, rel=0.02)
         assert scaled["speed_measured"] / scaled["lambda"] == pytest.approx(
             unit["speed_measured"] / unit["lambda"], rel=1e-9)
         assert scaled["shape_error"] == pytest.approx(unit["shape_error"], rel=1e-9)
@@ -1450,6 +1502,7 @@ _HUGE = 10**12
     (["reduce-check", "--n", str(_HUGE)],
      f"need at most {MAX_VALUES} nodes, got {_HUGE}"),
 ], ids=["scan.steps", "evolve-n", "profile-n", "reduce-check-n"])
+@pytest.mark.filterwarnings("error")
 def test_counts_are_bounded_before_allocating(tmp_path, capfd, argv, err):
     # each of these once died in NumPy with a MemoryError traceback
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
