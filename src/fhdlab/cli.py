@@ -33,13 +33,7 @@ from .evolution import (
     shape_error,
 )
 from .lax import FRAME_DT, FRAMES, control_offset, reduction_check, zc_residual
-from .output import (
-    _write_text,
-    write_csv,
-    write_frame_files,
-    write_frames_csv,
-    write_json,
-)
+from .output import _write_text, write_csv, write_frames_csv, write_json
 from .profiles import (
     MIN_DECAY_LENGTHS,
     closed_form_field,
@@ -97,7 +91,6 @@ class RunConfig:
     lambda_min: float = _option(0.0, "scan.lambda_min", "--lambda-min")
     lambda_max: float = _option(2.0, "scan.lambda_max", "--lambda-max")
     steps: int = _option(41, "scan.steps", "--steps")
-    per_frame: bool = _option(False, "per_frame", "--per-frame")
     output_dir: str = _option("fhd_out", "output_dir", "--output-dir")
     emit_plots: bool = _option(False, "emit_plots", "--emit-plots")
 
@@ -397,15 +390,10 @@ def run_evolve(config: RunConfig) -> dict:
         )
 
     out = _out_dir(config)
-    if config.per_frame:
-        write_frame_files(
-            out, trajectory.times, grid.x, trajectory.values, meta=config.meta()
-        )
-    else:
-        write_frames_csv(
-            out / "trajectory.csv", trajectory.times, grid.x, trajectory.values,
-            meta=config.meta(),
-        )
+    write_frames_csv(
+        out / "trajectory.csv", trajectory.times, grid.x, trajectory.values,
+        meta=config.meta(),
+    )
 
     stride_dt = float(np.median(np.diff(trajectory.times)))
     summary = {
@@ -419,8 +407,7 @@ def run_evolve(config: RunConfig) -> dict:
     }
     write_json(out / "summary.json", summary, meta=config.meta())
     if config.emit_plots:
-        _write_text(out / "plot_trajectory.py",
-                    _trajectory_plot(config.per_frame, trajectory.times.size))
+        _write_text(out / "plot_trajectory.py", _TRAJECTORY_PLOT)
     return summary
 
 
@@ -581,14 +568,14 @@ print(here / "profile.png")
 
 _TRAJECTORY_PLOT = """\
 #!/usr/bin/env python3
-\"\"\"Surface and contour views of v(x, t) from {source}.\"\"\"
+\"\"\"Surface and contour views of v(x, t) from trajectory.csv.\"\"\"
 from pathlib import Path
 
 import matplotlib.pyplot as plt
 import numpy as np
 
 here = Path(__file__).parent
-data = {load}
+data = np.genfromtxt(here / "trajectory.csv", delimiter=",", names=True)
 times = np.unique(data["t"])
 x = np.unique(data["x"])
 v = data["v"].reshape(times.size, x.size)
@@ -609,23 +596,6 @@ fig.tight_layout()
 fig.savefig(here / "trajectory.png", dpi=160)
 print(here / "trajectory.png")
 """
-
-
-def _trajectory_plot(per_frame: bool, frames: int) -> str:
-    """The trajectory plot script. For a per-frame run it reads this run's
-    frame files by name: the directory may hold a longer run's as well."""
-    if not per_frame:
-        return _TRAJECTORY_PLOT.format(
-            source="trajectory.csv",
-            load='np.genfromtxt(here / "trajectory.csv", delimiter=",", names=True)',
-        )
-    return _TRAJECTORY_PLOT.format(
-        source=f"frame_00000.csv to frame_{frames - 1:05d}.csv",
-        load=f"""np.concatenate([
-    np.genfromtxt(here / f"frame_{{k:05d}}.csv", delimiter=",", names=True)
-    for k in range({frames})
-])""",
-    )
 
 
 if __name__ == "__main__":

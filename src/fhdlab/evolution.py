@@ -288,24 +288,27 @@ def measure_speed(trajectory: Trajectory) -> float:
     """Least-squares propagation speed of the tracked minimum.
 
     Like ``minimum_positions``, it cannot see a move of L/2 or more between
-    two frames; only ``fhdlab evolve`` checks the spacing. The fit squares
-    the frame times: squares that all underflow are a ValueError, a sum of
-    squares that overflows (times past about 1e154) a NumericalError.
+    two frames; only ``fhdlab evolve`` checks the spacing. The fit runs in
+    times divided by the power of two of the largest |t| (exact), so it holds
+    at any time scale; a last frame equal to the first is a ValueError, a
+    slope that overflows a NumericalError.
     """
     times = trajectory.times
     if times.size < 2:
         raise ValueError("need at least two frames to measure a speed")
-    # the fit scales the times by their 2-norm, which must neither underflow
-    # nor overflow
-    with np.errstate(over="ignore"):
-        norm2 = float(np.sum(times * times))
-    if not norm2 > 0.0:
-        raise ValueError(f"frames span too short a time ({times[-1]:g}) to fit a speed")
-    if not norm2 < math.inf:
-        raise NumericalError(f"frame times up to {times[-1]:g} overflow the speed fit")
     pos = minimum_positions(trajectory)
-    slope = np.polyfit(times, pos, 1)[0]
-    return float(slope)
+    if np.array_equal(trajectory.values[0], trajectory.values[-1]):
+        raise ValueError(f"frames span too short a time ({times[-1] - times[0]:g}) "
+                         "to fit a speed")
+    scale = math.frexp(max(abs(times[0]), abs(times[-1])))[1]
+    t = np.ldexp(times, -scale)
+    t -= t.mean()
+    slope = float(np.dot(t, pos - pos.mean()) / np.dot(t, t))
+    try:
+        return math.ldexp(slope, -scale)
+    except OverflowError:
+        raise NumericalError(f"the speed fit over a time span of "
+                             f"{times[-1] - times[0]:g} overflows") from None
 
 
 def _inverse_integrals(grid: Grid1D, rows: np.ndarray) -> np.ndarray:

@@ -11,9 +11,9 @@ and the file holds one row per entry of it, in C order; a trajectory is
 the columns ``(times[:, None], x, frames)`` of its (T, n) frames.
 ``_blocks`` lays the rows out a block along the first axis at a time, as a
 uint8 matrix of 25-byte fields (text, NUL padding, "," or newline) whose
-NULs are dropped once, or once per frame's slice by ``write_frame_files``.
-A column of length 1 along that axis, such as x, is formatted once per
-call, the others once per block. Shapes are checked before a file is opened.
+NULs ``write_csv`` drops in one pass. A column of length 1 along that axis,
+such as x, is formatted once per call, the others once per block. Shapes
+are checked before a file is opened.
 
 The text comes from ``_format_g17``, whose bytes equal those of ``%`` for
 every float64. Its digits come from the error-free
@@ -247,11 +247,12 @@ def _write_meta(data_path: Path, meta: dict | None) -> None:
 
 
 def _blocks(columns: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-    """The rows of the columns, broadcast to one shape, as (m, ..., k, 25)
-    blocks along its first axis, reused from block to block: at least one
-    entry of that axis and about ``_FRAME_BLOCK_VALUES`` values of the
-    columns that need no broadcasting (k per row of a table, n per frame of
-    a trajectory). Columns that do not broadcast raise ValueError on the call.
+    """``write_csv``'s rows of the columns, broadcast to one shape, as
+    (m, ..., k, 25) blocks along its first axis, reused from block to block:
+    at least one entry of that axis and about ``_FRAME_BLOCK_VALUES`` values
+    of the columns that need no broadcasting (k per row of a table, n per
+    frame of a trajectory). Columns that do not broadcast raise ValueError on
+    the call.
     """
     columns = [np.atleast_1d(np.asarray(c, dtype=float)) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns))
@@ -298,18 +299,6 @@ def write_csv(
     return path
 
 
-def _frame_columns(
-    times: Sequence[float], x: np.ndarray, frames: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``t,x,v`` columns of the (T, n) frames. A T other than the number
-    of times is a ValueError, an n other than that of x a TypeError."""
-    count, n = np.size(times), np.size(x)
-    if np.shape(frames) != (count, n):
-        error = ValueError if np.shape(frames)[1:] == (n,) else TypeError
-        raise error(f"frames have shape {np.shape(frames)}, not ({count}, {n})")
-    return np.reshape(times, (count, 1)), np.ravel(x), frames
-
-
 def write_frames_csv(
     path: Path,
     times: Sequence[float],
@@ -318,32 +307,15 @@ def write_frames_csv(
     meta: dict | None = None,
 ) -> Path:
     """Write (T, n) frames of v(x, t) as ``t,x,v`` rows plus the side-car:
-    ``write_csv`` on the columns ``(times[:, None], x, frames)``."""
-    return write_csv(path, ("t", "x", "v"), _frame_columns(times, x, frames), meta)
-
-
-def write_frame_files(
-    directory: Path,
-    times: Sequence[float],
-    x: np.ndarray,
-    frames: np.ndarray,
-    meta: dict | None = None,
-) -> list[Path]:
-    """Write row k of the frames as ``frame_<k:05d>.csv``, each with its side-car.
-
-    Each file holds the bytes that ``write_frames_csv`` writes for that
-    frame alone: its slice of a block of ``write_csv``'s rows.
-    """
-    paths = []
-    for rows in _blocks(_frame_columns(times, x, frames)):
-        for frame in rows:
-            path = directory / f"frame_{len(paths):05d}.csv"
-            with _rewrite(path) as fh:
-                fh.write(b"t,x,v\n")
-                fh.write(frame[frame != 0])
-            _write_meta(path, meta)
-            paths.append(path)
-    return paths
+    ``write_csv`` on the columns ``(times[:, None], x, frames)``. A T other
+    than the number of times is a ValueError, an n other than that of x a
+    TypeError."""
+    count, n = np.size(times), np.size(x)
+    if np.shape(frames) != (count, n):
+        error = ValueError if np.shape(frames)[1:] == (n,) else TypeError
+        raise error(f"frames have shape {np.shape(frames)}, not ({count}, {n})")
+    columns = (np.reshape(times, (count, 1)), np.ravel(x), frames)
+    return write_csv(path, ("t", "x", "v"), columns, meta)
 
 
 def write_json(path: Path, payload, meta: dict | None = None) -> Path:

@@ -31,18 +31,23 @@ TABLE_SAMPLES = 1000
 def eval_S(v, params: SolitonParams):
     """Evaluate the pseudopotential S(v); accepts scalars or arrays, v > 0.
 
-    A float ``v`` is not converted to a NumPy array: the same expression runs
-    in float arithmetic. ``v - v0`` is squared by a product ``d * d`` on
-    every path, never by a power, so a float, a 0-d array and each entry of
-    an array of shape (n,) give the same bits. NaN passes through as NaN.
+    S is evaluated in units of v0: ``v0**2`` times S at ``w = v / v0`` and
+    lambda / v0**3, whose factors do not scale with v0 (a product of the
+    unscaled ones is subnormal below v0 = 1e-57 near lambda = v0^3); at
+    v0 = 1 each scaling is exact. A float ``v`` is not converted to a NumPy
+    array: the same expression runs in float arithmetic. ``w - 1`` is
+    squared by a product ``d * d`` on every path, never by a power, so a
+    float, a 0-d array and each entry of an array of shape (n,) give the
+    same bits. NaN passes through as NaN.
     """
     if not isinstance(v, float):
         v = np.asarray(v, dtype=float)
     if np.any(v <= 0.0) if isinstance(v, np.ndarray) else v <= 0.0:
         raise ValueError("pseudopotential is only defined for v > 0")
     lam, v0 = params.lambda_speed, params.v0
-    d = v - v0
-    s = (lam - v * v0**2) * (d * d) / (2.0 * v * v0**2)
+    w = v / v0
+    d = w - 1.0
+    s = (lam / v0**3 - w) * (d * d) / (2.0 * w) * v0**2
     return s if isinstance(s, np.ndarray) else float(s)
 
 

@@ -32,12 +32,7 @@ from fhdlab.cli import (
 )
 from fhdlab.core import MAX_VALUES, V0_MAX, V0_MIN, SolitonParams, make_grid
 from fhdlab.evolution import EvolveConfig, evolve
-from fhdlab.output import (
-    write_csv,
-    write_frame_files,
-    write_frames_csv,
-    write_json,
-)
+from fhdlab.output import write_csv, write_frames_csv, write_json
 from fhdlab.profiles import closed_form_field, solve_shooting
 from test_profiles import EDGE_FRACTIONS
 
@@ -56,7 +51,7 @@ def percent_csv(header, columns):
 def assert_frames_match_write_csv(tmp_path, times, x, v):
     """write_frames_csv, and write_csv on the long columns and on the
     columns that broadcast to them, all give the oracle's bytes, and the
-    same side-car; so do the bodies of the frame files, concatenated."""
+    same side-car."""
     n, frames = len(x), len(times)
     meta = {"config": {"n": n}}
     columns = [np.repeat(times, n), np.tile(x, frames), np.ravel(v)]
@@ -69,9 +64,6 @@ def assert_frames_match_write_csv(tmp_path, times, x, v):
     assert broadcast.read_bytes() == written.read_bytes()
     assert (tmp_path / "f.meta.json").read_bytes() == (
         tmp_path / "e.meta.json").read_bytes()
-    texts = [path.read_bytes() for path in write_frame_files(tmp_path, times, x, v)]
-    assert len(texts) == frames and all(t.startswith(b"t,x,v\n") for t in texts)
-    assert b"".join(t[6:] for t in texts) == written.read_bytes()[6:]
 
 
 def read_csv(path):
@@ -172,22 +164,6 @@ class TestOutputHelpers:
         v[:, 0] = rng.choice([0.0, -0.0, 1e-300, -1e20, np.nan, 1.0], frames)
         assert_frames_match_write_csv(tmp_path, times, x, v)
 
-    def test_frame_files_hold_the_rows_of_each_frame(self, tmp_path):
-        rng = np.random.default_rng(3)
-        x = np.linspace(-1.0, 1.0, 5)
-        times = [0.0, 0.25, 1e-5]
-        v = rng.standard_normal((3, 5))
-        meta = {"config": {"n": 5}}
-        paths = write_frame_files(tmp_path, times, x, v, meta=meta)
-        assert [p.name for p in paths] == [
-            "frame_00000.csv", "frame_00001.csv", "frame_00002.csv"]
-        for path, t, row in zip(paths, times, v):
-            columns = [np.full(5, t), x, row]
-            write_csv(tmp_path / "e.csv", ["t", "x", "v"], columns, meta=meta)
-            assert path.read_bytes() == percent_csv(["t", "x", "v"], columns)
-            assert path.with_name(path.stem + ".meta.json").read_bytes() == (
-                tmp_path / "e.meta.json").read_bytes()
-
     def test_frames_csv_validation(self, tmp_path):
         for v in (np.ones((1, 2)), np.ones((1, 4)), np.ones(3)):
             with pytest.raises(TypeError):
@@ -195,26 +171,19 @@ class TestOutputHelpers:
         with pytest.raises(ValueError):
             write_frames_csv(tmp_path / "f.csv", [0.0, 1.0], np.ones(3), np.ones((1, 3)))
 
-    @pytest.mark.parametrize("per_frame", [False, True])
-    def test_bad_frames_are_rejected_before_any_file_is_opened(
-            self, tmp_path, per_frame):
+    def test_bad_frames_are_rejected_before_any_file_is_opened(self, tmp_path):
         # the shape of the whole array is checked up front, so a run with
         # frames spanning several blocks cuts no file of an earlier run
         count = 2 * BLOCK_FRAMES + 3
         times, x = np.arange(float(count)), np.linspace(0.0, 1.0, BLOCK_N)
         write_frames_csv(tmp_path / "f.csv", times, x, np.ones((count, BLOCK_N)))
-        write_frame_files(tmp_path, times, x, np.ones((count, BLOCK_N)))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         for shape, error in (((count, BLOCK_N + 1), TypeError),
                              ((count - 1, BLOCK_N), ValueError),
                              ((count + 1, BLOCK_N), ValueError)):
             with pytest.raises(error):
-                if per_frame:
-                    write_frame_files(tmp_path, times, x, np.ones(shape),
-                                      meta={"config": {}})
-                else:
-                    write_frames_csv(tmp_path / "f.csv", times, x, np.ones(shape),
-                                     meta={"config": {}})
+                write_frames_csv(tmp_path / "f.csv", times, x, np.ones(shape),
+                                 meta={"config": {}})
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_a_rejected_rewrite_leaves_a_longer_file_of_an_earlier_run(
@@ -250,8 +219,8 @@ class TestOutputHelpers:
 
     @staticmethod
     def _write_all(directory, rows, frames, n):
-        """Write a CSV, a trajectory, frame files and a JSON document, each
-        with its side-car, whose lengths grow with the arguments."""
+        """Write a CSV, a trajectory and a JSON document, each with its
+        side-car, whose lengths grow with the arguments."""
         meta = {"config": {"n": n, "rows": rows}}
         x = np.linspace(-1.0, 1.0, n)
         times = np.arange(frames) / 3.0
@@ -259,7 +228,6 @@ class TestOutputHelpers:
         write_csv(directory / "t.csv", ["a", "b"],
                   [np.arange(rows) / 7.0, -np.arange(rows) / 3.0], meta=meta)
         write_frames_csv(directory / "trajectory.csv", times, x, v, meta=meta)
-        write_frame_files(directory, times, x, v, meta=meta)
         write_json(directory / "r.json", {"rows": list(range(rows))}, meta=meta)
 
     def test_rewriting_a_longer_file_leaves_the_bytes_of_a_fresh_write(
@@ -273,7 +241,7 @@ class TestOutputHelpers:
         self._write_all(used, rows=10, frames=2, n=5)
         self._write_all(fresh, rows=10, frames=2, n=5)
         written = sorted(p.name for p in fresh.iterdir())
-        assert len(written) == 10
+        assert len(written) == 6
         for name in written:
             assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
             assert (used / name).stat().st_ino == inodes[name], name
@@ -472,11 +440,12 @@ class TestUsageAndExitCodes:
          "error: dt = cfl*dx^3/max(v)^3 = 9.88e-324 is below the float"),
         (["evolve", "--n", "64", "--t-final", "1e-300"], 2,
          "error: frames span too short a time"),
-        # frame times past 1e154, whose squares once overflowed to a speed
-        # of 0 with status ok
-        (["evolve", "--v0", "1e-55", "--lambda", "5e-166", "--n", "256", "--cfl", "0.4",
-          "--t-final", "2e165"], 3,
-         "numerical failure: frame times up to 2e+165 overflow the speed fit"),
+        # frames too sparse to track, at a v0 whose run to t_final 2e165 once
+        # overflowed the speed fit's squared times (now it succeeds:
+        # TestScalingSymmetry::test_evolve)
+        (["evolve", "--v0", "1e-55", "--lambda", "5e-166", "--n", "128", "--cfl", "0.4",
+          "--t-final", "2.5e167", "--output-stride", "1000"], 3,
+         "numerical failure: frames up to 9.49816e+166 apart: the wave moves 47.4908"),
         # a closed form that still holds, where shooting's v^2 would underflow
         (["profile", "--lambda", "1e-200"], 3,
          "numerical failure: turning point v_turn = 1e-200 is too deep to shoot"),
@@ -545,8 +514,8 @@ class TestUsageAndExitCodes:
 
     @pytest.mark.parametrize("argv, name", [
         (["potential", "--lambda", "0.5"], "phase.csv"),
-        (["evolve", "--n", "64", "--t-final", "0.05", "--output-stride", "2",
-          "--per-frame"], "frame_00001.meta.json"),
+        (["evolve", "--n", "64", "--t-final", "0.05", "--output-stride", "2"],
+         "trajectory.meta.json"),
         (["verify-lax", "--n", "512"], "lax_report.json"),
     ])
     def test_output_file_that_cannot_be_written_exits_2(self, tmp_path, capfd,
@@ -587,6 +556,8 @@ class TestUsageAndExitCodes:
         ({"t_finall": 3.0}, "t_finall"),
         ({"evolve": {"t_finall": 3.0}}, "evolve.t_finall"),
         ({"grid": {"n": 256, "dx": 0.1}}, "grid.dx"),
+        # the retired per-frame export
+        ({"per_frame": True}, "per_frame"),
     ])
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, document, key):
         cfg = tmp_path / "run.json"
@@ -670,7 +641,8 @@ class TestUsageAndExitCodes:
         (["profile", "--n", "abc"], 2, "err", "invalid int value: 'abc'"),
         (["profile", "--bogus", "1"], 2, "err", "unrecognized arguments: --bogus 1"),
         (["profile", "--help"], 0, "out", "usage: fhdlab profile"),
-    ], ids=["bad-type", "unknown-flag", "help"])
+        (["evolve", "--per-frame"], 2, "err", "unrecognized arguments: --per-frame"),
+    ], ids=["bad-type", "unknown-flag", "help", "retired-flag"])
     def test_argparse_exit_codes_are_returned(self, capsys, argv, code, stream,
                                               text):
         assert main(argv) == code
@@ -923,7 +895,7 @@ class TestInProcessReuse:
             "--lambda", "0.3", "--v0", "1.2", "--lambda-spec", "2", "--xmin", "-30",
             "--xmax", "30", "--n", "64", "--t-final", "1", "--cfl", "0.2",
             "--output-stride", "7", "--lambda-min", "0.1", "--lambda-max", "1",
-            "--steps", "5", "--per-frame", "--emit-plots",
+            "--steps", "5", "--emit-plots",
         ]
         flags = {arg for arg in every_flag if arg.startswith("--")} | {"--output-dir"}
         assert flags == {flag for _, flag in _OPTIONS.values() if flag}
@@ -985,13 +957,22 @@ def test_each_option_declares_a_unique_key_and_flag():
     assert not {path[:i] for path in paths for i in range(1, len(path))} & set(paths)
 
 
+def test_readme_names_only_flags_of_fhdlab():
+    # a retired flag must not linger in the docs; pip's is the one other flag
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    flags = {flag for _, flag in _OPTIONS.values()} | {"--config", "--help"}
+    assert "--lambda" in named
+    assert named - flags == {"--no-build-isolation"}
+
+
 def test_meta_sidecar_matches_asdict_oracle(tmp_path):
     # the side-car of a config whose every field is off its default, but for
     # x_min, which holds the None; RunConfig.meta copies fields shallowly
     config = RunConfig(
         command="evolve", lambda_speed=1.0 / 3.0, v0=1.25, lambda_spec=-0.0,
         x_min=None, x_max=1e300, n=4097, t_final=5e-324, cfl_constant=0.4,
-        output_stride=3, lambda_min=-1.5, lambda_max=2.5, steps=7, per_frame=True,
+        output_stride=3, lambda_min=-1.5, lambda_max=2.5, steps=7,
         output_dir='runs/λ 0.5/"quoted"', emit_plots=True,
     )
     assert [f.name for f in dataclasses.fields(RunConfig)
@@ -1059,18 +1040,6 @@ class TestEvolveCommand:
         table = read_csv(tmp_path / "trajectory.csv")
         assert set(table) == {"t", "x", "v"}
 
-    def test_per_frame_export(self, tmp_path, capsys):
-        code, _ = run_cli(
-            ["evolve", "--lambda", "0.5", "--v0", "1.0", "--n", "256",
-             "--t-final", "0.2", "--cfl", "0.4", "--output-stride", "100",
-             "--per-frame", "--output-dir", str(tmp_path)],
-            capsys,
-        )
-        assert code == 0
-        frames = sorted(tmp_path.glob("frame_*.csv"))
-        assert len(frames) >= 2
-        assert not (tmp_path / "trajectory.csv").exists()
-
     def test_coarse_grid_keeps_the_step_stable(self, tmp_path, capsys):
         # n=32 on [-40, 40]: a dt set by the dispersive term alone left the
         # advective part of the stencil outside RK4's stable interval, and
@@ -1115,18 +1084,13 @@ class TestEvolveCommand:
                 "--xmin", "-40", "--xmax", "40", "--t-final", "0.2",
                 "--cfl", "0.4", "--output-stride", "10"]
         assert main(argv + ["--output-dir", str(tmp_path / "long")]) == 0
-        assert main(argv + ["--per-frame", "--output-dir", str(tmp_path / "each")]) == 0
         capsys.readouterr()
         grid = make_grid(-40.0, 40.0, 256)
         initial = closed_form_field(SolitonParams(0.5, 1.0), grid)
         trajectory = evolve(initial, EvolveConfig(
             t_final=0.2, cfl_constant=0.4, output_stride=10))
+        assert len(trajectory.times) >= 3
         header = ["t", "x", "v"]
-        frames = sorted((tmp_path / "each").glob("frame_*.csv"))
-        assert len(frames) == len(trajectory.times) >= 3
-        for path, t, row in zip(frames, trajectory.times, trajectory.values):
-            assert path.read_bytes() == percent_csv(
-                header, [np.full(grid.n, t), grid.x, row])
         columns = [
             np.repeat(trajectory.times, grid.n),
             np.tile(grid.x, len(trajectory.times)),
@@ -1135,11 +1099,6 @@ class TestEvolveCommand:
         oracle = percent_csv(header, columns)
         assert (tmp_path / "long" / "trajectory.csv").read_bytes() == oracle
         assert write_csv(tmp_path / "w.csv", header, columns).read_bytes() == oracle
-        # each frame file is the header plus that frame's rows of the long file
-        header, *rows = oracle.splitlines(keepends=True)
-        for k, path in enumerate(frames):
-            assert path.read_bytes() == header + b"".join(
-                rows[k * grid.n : (k + 1) * grid.n])
 
     @pytest.mark.filterwarnings("error")
     def test_frames_too_sparse_to_track_exit_3_before_writing(self, tmp_path, capsys):
@@ -1195,21 +1154,19 @@ class TestPlotScripts:
                 tmp_path / f"{command}.png", dpi=160)
         capsys.readouterr()
 
-    @pytest.mark.parametrize("per_frame", [False, True])
     def test_trajectory_script_reads_exactly_this_runs_frames(
-            self, tmp_path, capsys, pyplot, monkeypatch, per_frame):
-        # a larger run's trajectory.csv and frame files are in the
-        # directory first: more frames on a finer grid. The run leaves there
-        # the bytes of the same run into a fresh directory; both are "out",
-        # since the side-cars name it
+            self, tmp_path, capsys, pyplot, monkeypatch):
+        # a larger run's trajectory.csv is in the directory first: more
+        # frames on a finer grid. The run leaves there the bytes of the same
+        # run into a fresh directory; both are "out", since the side-cars
+        # name it
         argv = ["evolve", "--lambda", "0.5", "--xmin", "-40", "--xmax", "40",
                 "--t-final", "0.2", "--cfl", "0.4", "--emit-plots",
                 "--output-dir", "out"]
         larger = ["--n", "256", "--output-stride", "1"]
-        smaller = ["--n", "128", "--output-stride", "50"] + ["--per-frame"] * per_frame
+        smaller = ["--n", "128", "--output-stride", "50"]
         used, fresh = tmp_path / "used", tmp_path / "fresh"
-        for cwd, runs in ((used, [larger, larger + ["--per-frame"], smaller]),
-                          (fresh, [smaller])):
+        for cwd, runs in ((used, [larger, smaller]), (fresh, [smaller])):
             cwd.mkdir()
             monkeypatch.chdir(cwd)
             for extra in runs:
@@ -1411,6 +1368,8 @@ class TestScalingSymmetry:
     @example(v0=213.54931852472347, frac=0.03855519447580338)
     # a depression 5e-13 deep, measured against an absolute 1e-12
     @example(v0=1e-12, frac=0.5)
+    # S once formed a subnormal product here and kept about five digits
+    @example(v0=1e-60, frac=0.999999)
     # the default half-widths at v0 = 1 and 10 are 2201 and 2200
     @example(v0=10.0, frac=0.9999)
     def test_potential_and_profile(self, tmp_path, capsys, v0, frac):
@@ -1426,10 +1385,7 @@ class TestScalingSymmetry:
                               tmp_path, capsys)
             if command == "potential":
                 assert scaled["v_turn"] / v0 == pytest.approx(unit["v_turn"], rel=1e-12)
-                # below v0 = 1e-57 and near lambda = v0^3 the product of S's
-                # factors is subnormal, so S keeps about five digits
-                rel = 1e-9 if v0 > 1e-57 else 1e-4
-                assert scaled["s_min"] / v0**2 == pytest.approx(unit["s_min"], rel=rel)
+                assert scaled["s_min"] / v0**2 == pytest.approx(unit["s_min"], rel=1e-9)
             else:
                 assert scaled["depth"] / v0 == pytest.approx(unit["depth"], rel=1e-9)
                 for key in ("fwhm_quadrature", "fwhm_shooting"):
@@ -1452,7 +1408,9 @@ class TestScalingSymmetry:
         assert summary["pass"] is True
         assert summary["control_pass"] is False
 
-    @pytest.mark.parametrize("v0", [1e-12, 1e4])
+    # the speed fit once squared the frame times, which overflowed at
+    # V0_MIN (times past 1e154) and underflowed at V0_MAX
+    @pytest.mark.parametrize("v0", [V0_MIN, 1e-12, 1e4, V0_MAX])
     def test_evolve(self, tmp_path, capsys, v0):
         def run_at(v0):
             return self.run(["evolve", "--v0", repr(v0), "--lambda", repr(0.5 * v0**3),

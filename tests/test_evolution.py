@@ -550,6 +550,21 @@ class TestMeasureSpeed:
         traj = Trajectory(f.grid, dt * np.arange(len(shifts)), frames)
         assert measure_speed(traj) == pytest.approx(step * dx / dt, abs=1e-10)
 
+    @pytest.mark.parametrize("dt", [1e-300, 1e300])
+    def test_fit_holds_at_any_time_scale(self, dt):
+        # the times' squares once underflowed (exit 2) or overflowed (exit 3)
+        f = soliton_field(n=512)
+        frames = [np.roll(f.values, 3 * k) for k in range(5)]
+        traj = Trajectory(f.grid, dt * np.arange(5.0), frames)
+        assert measure_speed(traj) == pytest.approx(3 * f.grid.dx / dt, rel=1e-14)
+
+    def test_slope_that_overflows_is_a_numerical_error(self):
+        f = soliton_field(n=512)
+        frames = [np.roll(f.values, 3 * k) for k in range(5)]
+        traj = Trajectory(f.grid, 1e-310 * np.arange(5.0), frames)
+        with pytest.raises(NumericalError, match="speed fit over a time span"):
+            measure_speed(traj)
+
     def test_flat_frames_rejected(self):
         grid = make_grid(-5.0, 5.0, 64)
         traj = Trajectory(grid, np.array([0.0, 1.0, 2.0]), np.ones((3, 64)))
