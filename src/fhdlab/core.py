@@ -2,8 +2,9 @@
 
 The volatility field v(x, t) lives on a uniform periodic 1D mesh. The
 4th-order central stencils defined here give the first and third
-x-derivatives that the zero-curvature residuals and the tests use; the RK4
-right-hand side builds the same stencils as taps in ``evolution._taps``.
+x-derivatives that the zero-curvature residuals of ``lax`` and the tests
+use; the RK4 right-hand side has sixth-order stencils of its own, as taps
+in ``evolution._taps``.
 """
 
 from __future__ import annotations

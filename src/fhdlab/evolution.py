@@ -1,53 +1,57 @@
 """Method-of-lines evolution of v_t = v^3 (v_xxx - v_x) on a periodic grid.
 
-Space is discretized with the 4th-order central stencils from ``core``;
-time stepping is classical four-stage Runge-Kutta with a dispersive CFL
-restriction dt = cfl * dx^3 / max(v)^3, recomputed every step. The third
-derivative acts like a linear dispersive operator with local coefficient
-v^3, hence the cubic step scaling; RK4's imaginary-axis stability interval
-makes cfl values up to ~0.6 stable, and the configurable range is capped
-at 0.5. On coarse grids the first-derivative part of the stencil matters
-too, so dt max(v)^3 is also capped at STABLE_RADIUS / rho, for rho the
-spectral radius of the fused operator on the grid, computed once per run.
-rho dx^3 is 4.62 on fine grids and 12.8 at n=32 on [-40, 40]; at any cfl
-the config allows, the cap can bind only where dx > 0.3, so finer grids
-keep dt = cfl dx^3 / max(v)^3 bit for bit.
+Space is discretized with the 9-point sixth-order central stencils of v_xxx
+and v_x (weights from Fornberg, Math. Comp. 51, 1988), fused into one
+operator; time stepping is classical four-stage Runge-Kutta with a
+dispersive CFL restriction dt = cfl * dx^3 / max(v)^3, recomputed every
+step. The third derivative acts like a linear dispersive operator with
+local coefficient v^3, hence the cubic step scaling; RK4's imaginary-axis
+stability interval makes cfl values up to ~0.46 stable, and the
+configurable range is capped at 0.5. So dt max(v)^3 is also capped at
+STABLE_RADIUS / rho, for rho the spectral radius of the fused operator on
+the grid, computed once per run. rho dx^3 is 6.18 on fine grids and 15.6
+at n=32 on [-40, 40]; at cfl 0.4 and below the cap can bind only where
+dx > 0.3125, so finer grids keep dt = cfl dx^3 / max(v)^3 bit for bit,
+while cfl 0.5 is capped on every grid.
 
 The dispersive limit makes runs long (about 26k steps at n=1024 to t=5)
 on arrays small enough that per-call overhead, not arithmetic, sets the
 cost of a step, so a step is about 30 NumPy calls on buffers allocated
 once per run, each ``out`` passed positionally and the correlation called
 without NumPy's __array_function__ dispatch. v sits in row 0 of a
-(4, n+24) buffer inside a 12-cell periodic halo per side, 3 cells for
-each stage: stage s reads row s on [3s, n+24-3s), its slope is valid 3
-cells further in, and stage s+1 is one add of v and that increment into
-row s+1. One gather refreshes the halo of v once per step (for n < 12 it
-wraps the grid more than once). dt is folded into the taps: one multiply
-scales the stored taps/2 and taps by dt, so the right-hand sides write
-dt/2 k1, dt/2 k2, dt k3 and dt k4, which one matmul with the weights
-(1/3, 2/3, 1/3, 1/6) and one add combine into v. The loop around the step
-reads min(v) and max(v) as v.item(v.argmin()) and v.item(v.argmax()),
-about 0.5 us each against 1.2 us for a ufunc reduction, and both stop at
-the first NaN as the reductions do. t, dt and the extremes stay Python
-floats, and one comparison tests both positivity and finiteness; the max
-sets the next dt. Recorded steps are copied into one (frames, n) buffer,
-sized from the first dt and doubled only if max(v) rises enough to need
-more.
+(4, n+32) buffer inside a 16-cell periodic halo per side, 4 cells (the
+stencil's radius r) for each stage: stage s reads row s on
+[4s, n+32-4s), its slope is valid 4 cells further in, and stage s+1 is
+one add of v and that increment into row s+1. One gather refreshes the
+halo of v once per step (for n < 16 it wraps the grid more than once). dt
+is folded into the taps: one multiply scales the stored taps/2 and taps
+by dt, so the right-hand sides write dt/2 k1, dt/2 k2, dt k3 and dt k4,
+which one matmul with the weights (1/3, 2/3, 1/3, 1/6) and one add
+combine into v. The loop around the step reads min(v) and max(v) as
+v.item(v.argmin()) and v.item(v.argmax()), about 0.5 us each against
+1.2 us for a ufunc reduction, and both stop at the first NaN as the
+reductions do. t, dt and the extremes stay Python floats, and one
+comparison tests both positivity and finiteness; the max sets the next
+dt. Recorded steps are copied into one (frames, n) buffer, sized from the
+first dt and doubled only if max(v) rises enough to need more.
 
-The fused 7-point stencil c3(p0-p6) - c2(p1-p5) + c1(p2-p4) of a stage
-window p is evaluated through the gap-2 difference g_j = p_j - p_{j+2}:
-p2-p4 = g2, p1-p5 = g1+g3 and p0-p6 = g0+g2+g4, so the stencil is one
-5-tap correlation of g with the symmetric taps (c3, -c2, c3+c1, -c2, c3),
-and a right-hand side is 5 NumPy calls: the difference, the correlation
-and 3 in-place multiplies by v.
+The fused 9-point stencil sum_j W_j (p_-j - p_j), j = 1..4, of a stage
+window p is evaluated through the gap-2 difference g_k = p_k - p_{k+2}:
+p_-1 - p_1 = g_-1, p_-2 - p_2 = g_-2 + g_0, p_-3 - p_3 = g_-3 + g_-1 + g_1
+and p_-4 - p_4 = g_-4 + g_-2 + g_0 + g_2, so the stencil is one 7-tap
+correlation of g with the symmetric taps
+(W4, W3, W2+W4, W1+W3, W2+W4, W3, W4), and a right-hand side is 5 NumPy
+calls: the difference, the correlation and 3 in-place multiplies by v.
+The stencils of ``core`` stay fourth order for the Lax residual.
 
 Symmetric taps on an antisymmetric difference give an exactly
 antisymmetric operator for the float taps, scaled by dt or not: the
-neighbour at offset d gets the weight t_{3+d} - t_{1+d} (taps t_0..t_4,
-zero outside), which t_j = t_{4-j} makes the exact negative of the weight
-at offset -d. So the semi-discrete system conserves sum(1/v), a sharp
-diagnostic of the time error, since d/dt sum(1/v) = -v.(A v) = 0; a
-constant field has g = 0 and so is a bit-exact fixed point.
+neighbour at offset d gets the weight t_{r+d} - t_{r-2+d} (taps
+t_0..t_{2r-2}, zero outside), which t_j = t_{2r-2-j} makes the exact
+negative of the weight at offset -d. So the semi-discrete system
+conserves sum(1/v), a sharp diagnostic of the time error, since
+d/dt sum(1/v) = -v.(A v) = 0; a constant field has g = 0 and so is a
+bit-exact fixed point.
 """
 
 from __future__ import annotations
@@ -90,19 +94,27 @@ class EvolutionAborted(NumericalError):
         self.trajectory = trajectory
 
 
-HALO = 12  # 3 periodic cells per RK4 stage on each side of the state
 # the largest dt max(v)^3 rho used, for rho the spectral radius of the fused
-# operator: inside RK4's imaginary-axis interval 2 sqrt(2), and above the 2.36
-# that cfl 0.5 gives on any grid with dx <= 0.3, so there dt = cfl dx^3/max(v)^3
-STABLE_RADIUS = 2.4
+# operator: 10% inside RK4's imaginary-axis interval 2 sqrt(2), and above the
+# 2.525 that cfl 0.4 gives on any grid with dx <= 0.3125, so there
+# dt = cfl dx^3/max(v)^3
+STABLE_RADIUS = 2.55
+
+# sixth-order weights a_j, b_j of (f_j - f_-j), j = 1..4, in dx^3 f''' and dx f'
+_A = (-61.0 / 30.0, 169.0 / 120.0, -3.0 / 10.0, 7.0 / 240.0)
+_B = (3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0, 0.0)
 
 
 def _taps(dx: float) -> np.ndarray:
-    """The symmetric 5 taps (c3, -c2, c3+c1, -c2, c3) of the fused stencil."""
-    c3 = 1.0 / (8.0 * dx**3)
-    c2 = 8.0 / (8.0 * dx**3) + 1.0 / (12.0 * dx)
-    c1 = 13.0 / (8.0 * dx**3) + 8.0 / (12.0 * dx)
-    return np.array([c3, -c2, c3 + c1, -c2, c3])
+    """The symmetric 7 taps (W4, W3, W2+W4, W1+W3, W2+W4, W3, W4) of the
+    fused stencil, W_j = -a_j/dx^3 + b_j/dx."""
+    w1, w2, w3, w4 = [-a / dx**3 + b / dx for a, b in zip(_A, _B)]
+    return np.array([w4, w3, w2 + w4, w1 + w3, w2 + w4, w3, w4])
+
+
+def _radius(taps: np.ndarray) -> int:
+    """The reach r of the stencil: its 2r-1 gap taps span p_-r..p_r."""
+    return taps.size // 2 + 1
 
 
 # np.correlate without its __array_function__ dispatch, about 1 us a call
@@ -113,10 +125,11 @@ def _rhs(head: np.ndarray, tail: np.ndarray, v: np.ndarray, taps: np.ndarray,
          gap: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write v^3 times the stencil of ``taps`` into ``out`` in 5 NumPy calls.
 
-    For a window p of m periodic values, head = p[:-2], tail = p[2:] and
-    v = p[3:-3]: writes g = head - tail into the (m-2)-array ``gap``,
-    correlates g with the taps and multiplies by v three times, so ``out``
-    holds m-6 values. A constant window has g = 0, hence 0 here.
+    For a window p of m periodic values and r the radius of the taps,
+    head = p[:-2], tail = p[2:] and v = p[r:-r]: writes g = head - tail into
+    the (m-2)-array ``gap``, correlates g with the taps and multiplies by v
+    three times, so ``out`` holds m-2r values. A constant window has g = 0,
+    hence 0 here.
     """
     np.subtract(head, tail, gap)
     np.multiply(_correlate(gap, taps, "valid"), v, out)
@@ -128,22 +141,26 @@ def _rhs(head: np.ndarray, tail: np.ndarray, v: np.ndarray, taps: np.ndarray,
 def _spectral_radius(taps: np.ndarray, n: int) -> float:
     """The largest |eigenvalue| of the periodic operator of ``taps`` on n points.
 
-    The operator is antisymmetric with weight w_d = t_{3+d} - t_{1+d} at
-    offset d = 1, 2, 3, so its eigenvalues are 2i sum_d w_d sin(d theta) at
-    the grid's wavenumbers theta = 2 pi k / n.
+    The operator is antisymmetric with weight w_d = t_{r+d} - t_{r-2+d} at
+    offset d = 1..r (taps t_0..t_{2r-2}, zero outside), so its eigenvalues
+    are 2i sum_d w_d sin(d theta) at the grid's wavenumbers theta = 2 pi k / n.
     """
-    w = np.array([taps[4] - taps[2], -taps[3], -taps[4]])
+    r = _radius(taps)
+    t = np.concatenate((taps, [0.0, 0.0]))
+    w = t[r + 1 :] - t[r - 1 : -2]
     theta = 2.0 * np.pi / n * np.arange(n // 2 + 1)
-    return 2.0 * float(np.max(np.abs(np.sin(np.outer(theta, [1.0, 2.0, 3.0])) @ w)))
+    return 2.0 * float(np.max(np.abs(np.sin(np.outer(theta, np.arange(1, r + 1))) @ w)))
 
 
 def rhs_fhd(field: Field) -> Field:
     """Pointwise v^3 (v_xxx - v_x) on a positive periodic field."""
     if np.any(field.values <= 0.0):
         raise ValueError("field must be strictly positive")
-    v = field.values
-    p = np.concatenate((v[-3:], v, v[:3]))
-    rhs = _rhs(p[:-2], p[2:], v, _taps(field.grid.dx), np.empty(v.size + 4), np.empty(v.size))
+    v, n = field.values, field.grid.n
+    taps = _taps(field.grid.dx)
+    r = _radius(taps)
+    p = np.concatenate((v[-r:], v, v[:r]))
+    rhs = _rhs(p[:-2], p[2:], v, taps, np.empty(n + 2 * r - 2), np.empty(n))
     return Field(field.grid, rhs)
 
 
@@ -153,26 +170,29 @@ def _rk4(values: np.ndarray, dx: float) -> tuple[np.ndarray, Callable[[float], N
     step advances v in place, calls the module's ``_rhs`` 4 times and
     allocates only the arrays ``np.correlate`` returns.
     """
+    taps = _taps(dx)
+    r = _radius(taps)
+    halo = 4 * r  # r periodic cells per stage on each side of the state
     n = values.size
-    width = n + 2 * HALO
+    width = n + 2 * halo
     rows, incs = np.empty((2, 4, width))  # stage s and its increment in row s
     gap = np.empty(width - 2)
     # taps/2 for stages 1-2 and taps for 3-4, scaled by dt; halving is exact
-    halved = _taps(dx) * np.array([[0.5], [1.0]])
-    scaled = np.empty((2, 5))
+    halved = taps * np.array([[0.5], [1.0]])
+    scaled = np.empty_like(halved)
     vp = rows[0]
-    v = vp[HALO : HALO + n]
+    v = vp[halo : halo + n]
     v[...] = values
-    ghost = np.r_[:HALO, HALO + n : width]
-    source = HALO + (ghost - HALO) % n
-    inner = [slice(3 * s + 3, width - 3 * s - 3) for s in range(4)]
-    k1, k2, k3, k4 = [(rows[s, 3 * s : width - 3 * s - 2], rows[s, 3 * s + 2 : width - 3 * s],
-                       rows[s, inner[s]], scaled[s // 2], gap[: width - 6 * s - 2],
+    ghost = np.r_[:halo, halo + n : width]
+    source = halo + (ghost - halo) % n
+    inner = [slice(r * s + r, width - r * s - r) for s in range(4)]
+    k1, k2, k3, k4 = [(rows[s, r * s : width - r * s - 2], rows[s, r * s + 2 : width - r * s],
+                       rows[s, inner[s]], scaled[s // 2], gap[: width - 2 * r * s - 2],
                        incs[s, inner[s]]) for s in range(4)]
     # stage s+1 = v + increment s, on the cells where that increment is valid
     a1, a2, a3 = [(vp[inner[s]], incs[s, inner[s]], rows[s + 1, inner[s]]) for s in range(3)]
     weights = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
-    interior = incs[:, HALO : HALO + n]
+    interior = incs[:, halo : halo + n]
     combined = np.zeros(n)  # some BLAS builds scale it by beta = 0, keeping NaN
 
     def step(dt: float) -> None:

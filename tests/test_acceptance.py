@@ -49,8 +49,8 @@ def report(number: int, name: str, checks: dict) -> None:
 def persistence_run():
     """Soliton run used by criteria 4 and 5: length 80, n = 2048, t_final = 5.
 
-    cfl = 0.4 sits well inside the RK4 stability region (the limit is near
-    0.61 for these stencils) and keeps the run fast; temporal error is
+    cfl = 0.4 sits inside the RK4 stability region (the limit is near
+    0.46 for these stencils) and keeps the run fast; temporal error is
     negligible against the spatial one at this resolution.
     """
     grid = make_grid(-40.0, 40.0, 2048)

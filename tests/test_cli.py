@@ -416,7 +416,7 @@ class TestUsageAndExitCodes:
                      "--t-final", "10", "--output-dir", str(tmp_path)])
         assert code == 3
         assert capsys.readouterr().err == ("numerical failure: positivity lost at "
-                                           "t=7.88158 (min v = -1.4987, step 1)\n")
+                                           "t=7.06908 (min v = -170.52, step 1)\n")
         assert not list(tmp_path.iterdir())
 
 
@@ -445,7 +445,7 @@ class TestUsageAndExitCodes:
         # TestScalingSymmetry::test_evolve)
         (["evolve", "--v0", "1e-55", "--lambda", "5e-166", "--n", "128", "--cfl", "0.4",
           "--t-final", "2.5e167", "--output-stride", "1000"], 3,
-         "numerical failure: frames up to 9.49816e+166 apart: the wave moves 47.4908"),
+         "numerical failure: frames up to 9.11395e+166 apart: the wave moves 45.5698"),
         # a closed form that still holds, where shooting's v^2 would underflow
         (["profile", "--lambda", "1e-200"], 3,
          "numerical failure: turning point v_turn = 1e-200 is too deep to shoot"),
@@ -1102,7 +1102,7 @@ class TestEvolveCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_frames_too_sparse_to_track_exit_3_before_writing(self, tmp_path, capsys):
-        # frames about 95 apart at lambda 0.5: the wave moves 47.5 between
+        # frames about 91 apart at lambda 0.5: the wave moves 45.6 between
         # them, more than half the period 80, and the tracker unwrapped the
         # wrong way and reported "ok" with a speed of -0.18
         argv = ["evolve", "--lambda", "0.5", "--n", "128", "--cfl", "0.4",

@@ -12,7 +12,6 @@ from fhdlab.core import (
     SolitonParams,
     Trajectory,
     d1_periodic,
-    d3_periodic,
     make_grid,
 )
 from fhdlab.evolution import (
@@ -26,7 +25,7 @@ from fhdlab.evolution import (
     shape_error,
     shift_field,
 )
-from fhdlab.profiles import closed_form_field, profile_by_shooting
+from fhdlab.profiles import closed_form_field, profile_by_shooting, translated_trajectory
 
 P05 = SolitonParams(0.5, 1.0)
 
@@ -133,6 +132,19 @@ class TestEvolve:
         err_fine = np.max(np.abs(final[512] - final[1024][::2]))
         assert err_coarse / err_fine >= 12.0
 
+    def test_error_against_the_exact_wave_falls_at_sixth_order(self):
+        # halving dx cuts the error 2^6 = 64 times at sixth order, 16 at
+        # fourth; at cfl 0.4 the time error is still far below it at n=1024
+        errors = []
+        for n in (512, 1024):
+            grid = make_grid(-40.0, 40.0, n)
+            traj = evolve(closed_form_field(P05, grid),
+                          EvolveConfig(t_final=0.25, cfl_constant=0.4, output_stride=10**9))
+            exact = translated_trajectory(P05, grid, traj.times[-1:]).values[0]
+            depth = P05.v0 - P05.lambda_speed / P05.v0**2
+            errors.append(np.max(np.abs(traj.values[-1] - exact)) / depth)
+        assert errors[0] / errors[1] >= 40.0
+
     def test_rejects_nonpositive_initial_data(self):
         grid = make_grid(-5.0, 5.0, 64)
         values = np.ones(64)
@@ -147,26 +159,27 @@ class TestEvolve:
             evolve(Field(grid, np.full(64, 1e200)), EvolveConfig(t_final=1.0))
 
 
+# sixth-order weights of f at offsets -4..4 in dx^3 v_xxx and in dx v_x
+D3_WEIGHTS = np.array([-7 / 240, 3 / 10, -169 / 120, 61 / 30, 0.0,
+                       -61 / 30, 169 / 120, -3 / 10, 7 / 240])
+D1_WEIGHTS = np.array([0.0, -1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60, 0.0])
+
+
+def sum_form_rhs(values, dx):
+    """Oracle: v^3 (v_xxx - v_x) as the 9-point sum of weighted neighbours."""
+    n = values.size
+    p = np.concatenate((values[-4:], values, values[:4]))
+    acc = np.zeros(n)
+    for j, c in enumerate(D3_WEIGHTS / dx**3 - D1_WEIGHTS / dx):
+        acc += c * p[j : j + n]
+    return values**3 * acc
+
+
 def allocating_rk4(field, config):
     """Oracle: the allocating RK4 loop with the sum-form fused stencil.
 
     Returns the recorded times and the stacked frames.
     """
-
-    def rhs(values, dx):
-        n = values.shape[-1]
-        c3 = 1.0 / (8.0 * dx**3)
-        c2 = 8.0 / (8.0 * dx**3) + 1.0 / (12.0 * dx)
-        c1 = 13.0 / (8.0 * dx**3) + 8.0 / (12.0 * dx)
-        p = np.concatenate((values[-3:], values, values[:3]))
-        acc = c3 * p[0:n]
-        acc -= c2 * p[1 : n + 1]
-        acc += c1 * p[2 : n + 2]
-        acc -= c1 * p[4 : n + 4]
-        acc += c2 * p[5 : n + 5]
-        acc -= c3 * p[6 : n + 6]
-        return values**3 * acc
-
     v = field.values.copy()
     dx = field.grid.dx
     times, frames = [0.0], [v]
@@ -176,10 +189,10 @@ def allocating_rk4(field, config):
         last = t + dt * (1.0 + 1e-6) >= config.t_final
         if last:
             dt = config.t_final - t
-        k1 = rhs(v, dx)
-        k2 = rhs(v + (0.5 * dt) * k1, dx)
-        k3 = rhs(v + (0.5 * dt) * k2, dx)
-        k4 = rhs(v + dt * k3, dx)
+        k1 = sum_form_rhs(v, dx)
+        k2 = sum_form_rhs(v + (0.5 * dt) * k1, dx)
+        k3 = sum_form_rhs(v + (0.5 * dt) * k2, dx)
+        k4 = sum_form_rhs(v + dt * k3, dx)
         v = v + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         t = config.t_final if last else t + dt
         steps += 1
@@ -248,8 +261,9 @@ class TestInPlaceStepper:
         assert len(calls) == 4 * steps
 
     def test_frames_are_independent_copies(self):
+        # cfl 0.35: on this grid (dx 0.625) the step cap binds at cfl 0.4
         f = soliton_field(n=128)
-        config = EvolveConfig(t_final=0.5, cfl_constant=0.4, output_stride=1)
+        config = EvolveConfig(t_final=0.5, cfl_constant=0.35, output_stride=1)
         traj = evolve(f, config)
         _, frames = allocating_rk4(f, config)
         values = traj.values
@@ -313,8 +327,10 @@ class TestAbort:
     def test_floor_crossing(self, monkeypatch):
         # the floor is v = 0, below which the equation is undefined
         error, every_step = self.aborted(monkeypatch, 5, {7: -0.004})
-        assert every_step.times[5] == pytest.approx(5 * 0.4 * 0.625**3)
-        assert str(error) == ("positivity lost at t=0.488281 "
+        # the step cap binds on this grid (dx 0.625) at cfl 0.4
+        rho = evolution._spectral_radius(evolution._taps(0.625), 128)
+        assert every_step.times[5] == pytest.approx(5 * evolution.STABLE_RADIUS / rho)
+        assert str(error) == ("positivity lost at t=0.461794 "
                               "(min v = -0.004, step 5)")
         assert np.array_equal(error.trajectory.values, every_step.values[[0, 2, 4]])
 
@@ -325,7 +341,7 @@ class TestAbort:
         traj = evolve(soliton_field(n=128), config)
         assert traj.times[-1] == 1.0
         error, _ = self.aborted(monkeypatch, 5, {7: 0.0})
-        assert str(error) == "positivity lost at t=0.488281 (min v = 0, step 5)"
+        assert str(error) == "positivity lost at t=0.461794 (min v = 0, step 5)"
 
     @pytest.mark.parametrize("lam", [0.005, 0.001])
     def test_soliton_below_one_percent_of_v0_runs(self, lam):
@@ -365,15 +381,16 @@ def mode_field(n, dx, level, modes):
 def stencil_scale(field):
     """max(v)^4 times the summed magnitudes of the d3 and d1 coefficients."""
     dx = field.grid.dx
-    return field.values.max() ** 4 * (44.0 / (8.0 * dx**3) + 18.0 / (12.0 * dx))
+    return field.values.max() ** 4 * (np.abs(D3_WEIGHTS).sum() / dx**3
+                                      + np.abs(D1_WEIGHTS).sum() / dx)
 
 
 class TestKernelProperties:
     @settings(max_examples=100, deadline=None)
     @given(field=smooth_fields())
     def test_rhs_matches_core_stencils(self, field):
-        v, dx = field.values, field.grid.dx
-        oracle = (d3_periodic(v, dx) - d1_periodic(v, dx)) * v**3
+        # the sixth-order d3 - d1 of the sum-form oracle, times v^3
+        oracle = sum_form_rhs(field.values, field.grid.dx)
         error = np.max(np.abs(rhs_fhd(field).values - oracle))
         assert error <= 1e-14 * stencil_scale(field)
 
@@ -415,7 +432,7 @@ class TestKernelProperties:
     @given(field=smooth_fields(max_n=40))
     @example(field=mode_field(8, 0.3, 1.0, [(1, 0.15, 0.0)]))
     def test_small_grids_match_oracle(self, field):
-        # below n = 12 the 12-cell halo of the stepper wraps the grid more
+        # below n = 16 the 16-cell halo of the stepper wraps the grid more
         # than once; every n up to 40 must still step like the oracle
         dt = 0.4 * field.grid.dx**3 / field.values.max() ** 3
         config = EvolveConfig(t_final=20 * dt, cfl_constant=0.4, output_stride=5)
@@ -425,7 +442,7 @@ class TestKernelProperties:
         assert np.max(np.abs(traj.times - times)) <= 1e-13
         assert np.max(np.abs(traj.values - frames) / frames) <= 1e-12
 
-    @pytest.mark.parametrize("n", range(8, 12))
+    @pytest.mark.parametrize("n", range(8, 16))
     def test_constant_level_is_a_fixed_point_on_small_grids(self, n):
         grid = make_grid(0.0, 0.2 * n, n)
         traj = evolve(Field(grid, np.full(n, 1.3)),
@@ -439,13 +456,13 @@ class TestKernelProperties:
     def test_rhs_gives_the_bits_of_np_correlate(self, n, dx, scale, seed):
         # the kernel calls np.correlate without its dispatch; same sum, same bits
         rng = np.random.default_rng(seed)
-        p = 1.0 + 0.2 * rng.standard_normal(n + 6)
+        p = 1.0 + 0.2 * rng.standard_normal(n + 8)
         taps = scale * evolution._taps(dx)
         gap = p[:-2] - p[2:]
         assert evolution._correlate(gap, taps, "valid").tobytes() == (
             np.correlate(gap, taps, "valid").tobytes())
-        v = p[3:-3]
-        out = evolution._rhs(p[:-2], p[2:], v, taps, np.empty(n + 4), np.empty(n))
+        v = p[4:-4]
+        out = evolution._rhs(p[:-2], p[2:], v, taps, np.empty(n + 6), np.empty(n))
         assert out.tobytes() == (np.correlate(gap, taps, "valid") * v * v * v).tobytes()
 
 
@@ -462,8 +479,8 @@ class TestStepCap:
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
-            p = np.concatenate((e[-3:], e, e[:3]))
-            evolution._rhs(p[:-2], p[2:], np.ones(n), taps, np.empty(n + 4), matrix[:, j])
+            p = np.concatenate((e[-4:], e, e[:4]))
+            evolution._rhs(p[:-2], p[2:], np.ones(n), taps, np.empty(n + 6), matrix[:, j])
         oracle = np.max(np.abs(np.linalg.eigvals(matrix)))
         assert evolution._spectral_radius(taps, n) == pytest.approx(oracle, rel=1e-12)
 
@@ -473,19 +490,28 @@ class TestStepCap:
     @example(n=1024, dx=80.0 / 1024)  # benchmark persist
     @example(n=512, dx=80.0 / 512)  # benchmark dense
     def test_no_cap_at_dx_up_to_0_3(self, n, dx):
-        # every cfl the config allows keeps dt = cfl dx^3 / max(v)^3 here
+        # cfl 0.4 and below keep dt = cfl dx^3 / max(v)^3 here
         rho = evolution._spectral_radius(evolution._taps(dx), n)
-        assert 0.5 * dx**3 <= evolution.STABLE_RADIUS / rho
+        assert 0.4 * dx**3 <= evolution.STABLE_RADIUS / rho
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(8, 4096), dx=st.floats(1e-3, 1e3))
+    @example(n=10, dx=1e-3)  # the smallest rho dx^3 of any grid, 5.67
+    def test_cap_binds_at_cfl_0_5_on_every_grid(self, n, dx):
+        # 0.5 rho dx^3 is at least 2.84 (3.09 on fine grids), above
+        # STABLE_RADIUS, so the cap sets dt at cfl 0.5
+        rho = evolution._spectral_radius(evolution._taps(dx), n)
+        assert 0.5 * dx**3 > evolution.STABLE_RADIUS / rho
 
     @pytest.mark.parametrize("x_max, n, cfl", [
-        (40.0, 128, 0.4), (40.0, 256, 0.4), (40.0, 64, 0.1), (30.0, 64, 0.2)])
+        (40.0, 256, 0.4), (40.0, 64, 0.1), (30.0, 64, 0.2)])
     def test_no_cap_on_the_coarse_test_grids(self, x_max, n, cfl):
         dx = 2.0 * x_max / n
         rho = evolution._spectral_radius(evolution._taps(dx), n)
         assert cfl * dx**3 <= evolution.STABLE_RADIUS / rho
 
     def test_cap_sets_dt_on_a_coarse_grid(self):
-        # n=32 on [-40, 40]: cfl 0.4 alone would put dt max(v)^3 rho at 5.1
+        # n=32 on [-40, 40]: cfl 0.4 alone would put dt max(v)^3 rho at 6.25
         f = soliton_field(n=32)
         dx, vmax = f.grid.dx, f.values.max()
         rho = evolution._spectral_radius(evolution._taps(dx), 32)
