@@ -170,13 +170,14 @@ def _flank_xi(u: np.ndarray, gap: np.ndarray, v_turn: float,
 
     Its artanh(x), x = sqrt(v0/(b v)) u, is log1p(2x/(1 - x))/2 with
     1 - x = v_turn gap/(sqrt(b v) (sqrt(b v) + sqrt(v0) u)), so nothing
-    cancels as v -> v0 if ``gap`` is exact.
-    """
-    b = v0 - v_turn
+    cancels as v -> v0 if ``gap`` is exact. xi is scale-free, so it is
+    evaluated in units of v0, where v_turn gap is subnormal only if the ratio
+    overflows."""
+    b = (v0 - v_turn) / v0
+    u, gap, v_turn = u / np.sqrt(v0), gap / v0, v_turn / v0
     root_bv = np.sqrt(b * (v_turn + u * u))
-    root_v0_u = np.sqrt(v0) * u
-    ratio = 2.0 * root_v0_u * (root_bv + root_v0_u) / (v_turn * gap)
-    return np.sqrt(v0 / b) * np.log1p(ratio) - 2.0 * np.arcsinh(u / np.sqrt(v_turn))
+    ratio = 2.0 * u * (root_bv + u) / (v_turn * gap)
+    return np.sqrt(1.0 / b) * np.log1p(ratio) - 2.0 * np.arcsinh(u / np.sqrt(v_turn))
 
 
 def solve_quadrature(params: SolitonParams) -> QuadratureSolution:

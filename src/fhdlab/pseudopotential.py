@@ -10,11 +10,13 @@ v_turn = lambda / v0^2. A localized depression orbit exists exactly when
 0 < lambda < v0^3, in which case S < 0 on the open interval (v_turn, v0).
 ``_admissible`` is the one test of that domain: ``existence_check`` reports
 it, ``require_admissible`` raises on it, and ``turning_point`` passes that
-gate before it returns v_turn.
+gate before it returns v_turn; every soliton command passes through it, so
+it also decides the float edges of the domain, from the closed form.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,7 @@ TABLE_SAMPLES = 1000
 
 
 def eval_S(v, params: SolitonParams):
-    """Evaluate the pseudopotential S(v); accepts scalars or arrays, v > 0.
+    """Evaluate the pseudopotential S(v); accepts scalars or arrays, v/v0 > 0.
 
     S is evaluated in units of v0: ``v0**2`` times S at ``w = v / v0`` and
     lambda / v0**3, whose factors do not scale with v0 (a product of the
@@ -42,10 +44,10 @@ def eval_S(v, params: SolitonParams):
     """
     if not isinstance(v, float):
         v = np.asarray(v, dtype=float)
-    if np.any(v <= 0.0) if isinstance(v, np.ndarray) else v <= 0.0:
-        raise ValueError("pseudopotential is only defined for v > 0")
     lam, v0 = params.lambda_speed, params.v0
     w = v / v0
+    if np.any(w <= 0.0) if isinstance(w, np.ndarray) else w <= 0.0:
+        raise ValueError("pseudopotential is only defined for v/v0 > 0")
     d = w - 1.0
     s = (lam / v0**3 - w) * (d * d) / (2.0 * w) * v0**2
     return s if isinstance(s, np.ndarray) else float(s)
@@ -111,27 +113,18 @@ def existence_check(params: SolitonParams) -> ExistenceReport:
     return ExistenceReport(_admissible(params), s0, s1, s2)
 
 
-def _confirm_root(params: SolitonParams, v_turn: float) -> None:
-    """Raise NumericalError unless S changes sign, or vanishes, at the ends of
-    [v_turn - delta, v_turn + delta], delta = 1e-12*max(1, v0), clipped to
-    [v_turn/2, (v_turn + v0)/2]. (S underflows to zero near v0 at the
-    smallest backgrounds.)"""
-    v0 = params.v0
-    delta = 1e-12 * max(1.0, v0)
-    lo = max(v_turn - delta, 0.5 * v_turn)
-    hi = min(v_turn + delta, 0.5 * (v_turn + v0))
-    s_lo, s_hi = eval_S(lo, params), eval_S(hi, params)
-    if min(s_lo, s_hi) > 0.0 or max(s_lo, s_hi) < 0.0:
-        raise NumericalError(f"S does not change sign across [{lo}, {hi}]: "
-                             f"{v_turn} is not its simple root")
-
-
 def turning_point(params: SolitonParams) -> float:
-    """The simple root v_turn = lambda/v0^2 of S, past ``require_admissible``
-    and confirmed by ``_confirm_root``."""
+    """The simple root v_turn = lambda/v0^2 of S, past ``require_admissible``.
+    At the float edges of the domain, a v_turn or v_turn/v0 below the normal
+    floats or a v_turn that rounds to v0, it raises NumericalError."""
     require_admissible(params)
-    v_turn = params.lambda_speed / params.v0**2
-    _confirm_root(params, v_turn)
+    lam, v0 = params.lambda_speed, params.v0
+    v_turn = lam / v0**2
+    if min(v_turn, lam / v0**3) < sys.float_info.min:
+        raise NumericalError(f"turning point v_turn = {v_turn:.6g} is too deep: it or "
+                             f"v_turn/v0 is below the normal floats, {sys.float_info.min:.3g}")
+    if not v_turn < v0:
+        raise NumericalError(f"turning point v_turn = {v_turn!r} rounds to v0: no depression")
     return v_turn
 
 

@@ -465,6 +465,29 @@ class TestUsageAndExitCodes:
          "error: soliton existence violated: lambda=-0.5, v0=1.0 needs 0 < lambda"),
         (["profile", "--lambda", "1.00000000005"], 2,
          "error: soliton existence violated: lambda=1.00000000005, v0=1.0 needs"),
+        # admissible, but past a float edge of the domain: lambda/v0^3 below
+        # the normal floats, where S at v/v0 underflows (these gave a
+        # traceback, an exit 2 or a RuntimeWarning), or a turning point that
+        # rounds to v0 (a division by the zero depth)
+        (["potential", "--v0", "1000", "--lambda", "4.94065646e-315"], 3,
+         "numerical failure: turning point v_turn = 4.94066e-321 is too deep: it or v_turn/v0"),
+        (["evolve", "--v0", "1e30", "--lambda", "1e-250", "--n", "64"], 3,
+         "numerical failure: turning point v_turn = 1e-310 is too deep: it or v_turn/v0"),
+        (["profile", "--lambda", "5e-324"], 3,
+         "numerical failure: turning point v_turn = 4.94066e-324 is too deep: it or v_turn/v0"),
+        (["potential", "--v0", "0.007037186317806552", "--lambda", "2.3110862e-316"], 3,
+         "numerical failure: turning point v_turn = 4.66679e-312 is too deep: it or v_turn/v0"),
+        (["potential", "--v0", "8.401995703581607e+35", "--lambda",
+          "8.791303573220635e-216"], 3,
+         "numerical failure: turning point v_turn = 1.24534e-287 is too deep: it or v_turn/v0"),
+        # lambda/v0^3 = 3.6e-308 is normal, but v_turn = 1.9e-313 is not, and
+        # S(v_turn) came out positive (exit 2)
+        (["potential", "--v0", "5.146068528268044e-06", "--lambda", "5e-324"], 3,
+         "numerical failure: turning point v_turn = 1.86566e-313 is too deep"),
+        (["profile", "--v0", "3254289.473402833", "--lambda", "3.4464227163302007e+19"], 3,
+         "numerical failure: turning point v_turn = 3254289.473402833 rounds to v0"),
+        (["potential", "--v0", "3254289.473402833", "--lambda", "3.4464227163302007e+19"], 3,
+         "numerical failure: turning point v_turn = 3254289.473402833 rounds to v0"),
     ])
     def test_extreme_values_exit_with_one_line(self, tmp_path, capfd, argv, code,
                                                message):
@@ -1023,6 +1046,10 @@ class TestConfigResolution:
         assert (target / "existence.csv").exists()
 
 
+_UNDER_RESOLVED = pytest.mark.xfail(strict=True, reason=(
+    'ROADMAP item 1: an under-resolved evolve run reports "ok"'))
+
+
 class TestEvolveCommand:
     def test_summary_fields_present(self, tmp_path, capsys):
         code, summary = run_cli(
@@ -1099,6 +1126,25 @@ class TestEvolveCommand:
         oracle = percent_csv(header, columns)
         assert (tmp_path / "long" / "trajectory.csv").read_bytes() == oracle
         assert write_csv(tmp_path / "w.csv", header, columns).read_bytes() == oracle
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [pytest.param(argv, marks=_UNDER_RESOLVED) for argv in [
+        # (a) speed 0.604 and shape error 1.23 on 32 nodes
+        ["--lambda", "0.5", "--n", "32", "--cfl", "0.4", "--t-final", "40"],
+        # (b) speed 0.0465 and shape error 0.130
+        ["--lambda", "0.05", "--n", "512", "--t-final", "1"],
+        # (c) speed 0.0459
+        ["--lambda", "0.005", "--n", "1024", "--t-final", "0.05", "--cfl", "0.4"],
+        # (d) speed 1.3078: the wave moves 0.5 on a grid with dx = 679
+        ["--lambda", "0.999999999", "--n", "2048", "--t-final", "0.5"],
+        # (e) speed 0.0: the tracked minimum never leaves its node (dx = 2148)
+        ["--lambda", "0.9999999999", "--n", "2048", "--t-final", "0.5"],
+    ]])
+    def test_under_resolved_run_exits_3(self, tmp_path, capfd, argv):
+        assert main(["evolve", *argv, "--output-dir", str(tmp_path)]) == 3
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
 
     @pytest.mark.filterwarnings("error")
     def test_frames_too_sparse_to_track_exit_3_before_writing(self, tmp_path, capsys):
@@ -1445,6 +1491,34 @@ class TestScalingSymmetry:
         assert scaled["convergence_order"] == pytest.approx(
             unit["convergence_order"], rel=1e-8)
         assert run_at(v0, 1.0)["pass"] is True
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(v0=_V0, upper=st.booleans(), u=st.floats(-330.0, -308.0))
+# the smallest positive lambda: at v0 = 1; where lambda/v0^3 is normal and
+# the flank's v_turn*gap was subnormal (exit 2); where v_turn is subnormal
+@example(v0=1.0, upper=False, u=-400.0)
+@example(v0=1.0652093795178867e-09, upper=False, u=-400.0)
+@example(v0=5.146068528268044e-06, upper=False, u=-400.0)
+def test_float_edges_of_the_domain_exit_0_or_3(tmp_path, capfd, v0, upper, u):
+    # lambda one float below v0^3, or v0^3 * 10^u, which the normal floats
+    # hold for no u here; an underflow to 0 would be invalid input, and the
+    # smallest positive float stands in for it
+    lam = math.nextafter(v0**3, 0.0) if upper else max(v0**3 * 10.0**u, 5e-324)
+    for command in ("potential", "profile", "evolve", "verify-lax"):
+        argv = [command, "--v0", repr(v0), "--lambda", repr(lam),
+                "--output-dir", str(tmp_path)]
+        if command != "potential":
+            argv += ["--n", "64"]
+        if command == "evolve":
+            argv += ["--t-final", repr(1e-3 / v0**3)]
+        code = main(argv)
+        out, err = capfd.readouterr()
+        assert code in (0, 3), (argv, err)
+        if code == 3:
+            assert out == "" and err.count("\n") == 1, err
 
 
 _HUGE = 10**12

@@ -436,6 +436,21 @@ class TestProfileMetrics:
         w_shoot = profile_metrics(profile_by_shooting(params, grid)).fwhm
         assert abs(w_quad - w_shoot) / w_quad < 0.01
 
+    @pytest.mark.parametrize("v0", [1e-3, 1.0, 7.0, 1e4])
+    @pytest.mark.parametrize("frac", [1e-4, 0.01, 0.2, 0.5, 0.8, 0.99, 0.999999])
+    def test_quadrature_metrics_are_the_closed_form(self, frac, v0):
+        # the table is not windowed: its minimum is v_turn and a node sits at
+        # half the depth, so its metrics are the closed form's depth
+        # b = v0 - lambda/v0^2, bit for bit, and FWHM 2 xi(v0 - b/2) up to
+        # the rounding of v = v_turn + u^2 next to v0 (3.5e-10 at 1 - 1e-6)
+        params = SolitonParams(frac * v0**3, v0)
+        metrics = profile_metrics(profile_by_quadrature(params))
+        v_turn = params.lambda_speed / v0**2
+        b = v0 - v_turn
+        assert metrics.depth == b
+        fwhm = 2.0 * float(profiles._flank_xi(np.sqrt(b / 2), b / 2, v_turn, v0))
+        assert abs(metrics.fwhm - fwhm) <= 1e-15 * v0 / b * fwhm
+
     def test_unbracketed_half_depth_is_numerical(self):
         xi = np.linspace(-1.0, 1.0, 64)
         prof = Profile(xi=xi, v=0.5 + 0.125 * xi**2, params=P05, method="shooting")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fhdlab import pseudopotential
 from fhdlab.core import V0_MAX, V0_MIN, NumericalError, SolitonParams
 from fhdlab.pseudopotential import (
-    _confirm_root,
     eval_S,
     existence_check,
     phase_branch,
@@ -44,6 +43,14 @@ class TestEvalS:
             eval_S(0.0, p)
         with pytest.raises(ValueError):
             eval_S(-1.0, p)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v", [1e-320, np.array([1e-320, 1e10])])
+    def test_rejects_v_whose_ratio_to_v0_underflows(self, v):
+        # v > 0, but v/v0 = 1e-330 is 0 in floating point: the float path
+        # divided by it, the array path returned inf
+        with pytest.raises(ValueError, match="only defined for v/v0 > 0"):
+            eval_S(v, SolitonParams(5e29, 1e10))
 
     def test_array_input(self):
         p = SolitonParams(0.5, 1.0)
@@ -169,7 +176,7 @@ class TestTurningPoints:
 
     @settings(max_examples=40, deadline=None)
     @given(params=admissible_params())
-    def test_sign_check_confirms_analytic_root(self, params):
+    def test_turning_point_is_a_root_of_S(self, params):
         v_turn = turning_point(params)
         assert v_turn < params.v0
         assert abs(eval_S(v_turn, params)) <= 1e-14 * max(1.0, params.v0)
@@ -177,23 +184,41 @@ class TestTurningPoints:
     @settings(max_examples=1000, deadline=None)
     @given(log_frac=st.floats(-12.0, math.log10(0.5)), upper=st.booleans(),
            log_v0=st.floats(math.log10(V0_MIN), math.log10(V0_MAX)))
-    @example(log_frac=-8.0, upper=True, log_v0=-60.0)  # S(hi) underflows to 0
+    # S underflows to 0 next to v0 at the smallest background
+    @example(log_frac=-8.0, upper=True, log_v0=-60.0)
+    # both float edges, each from just inside: lambda/v0^3 = 1e-307 or
+    # 1 - 2^-53, and from just outside: 1e-308, or a v_turn that rounds to v0
+    @example(log_frac=-307.0, upper=False, log_v0=60.0)
+    @example(log_frac=-308.0, upper=False, log_v0=0.0)
+    @example(log_frac=math.log10(2.0**-53), upper=True, log_v0=0.0)
+    @example(log_frac=math.log10(2.0**-53), upper=True, log_v0=60.0)
     def test_whole_existence_domain(self, log_frac, upper, log_v0):
         # lambda/v0^3 log-uniform toward either end, to within 1e-12 of it,
         # and v0 log-uniform over its whole range
         v0 = min(max(10.0**log_v0, V0_MIN), V0_MAX)
         frac = 1.0 - 10.0**log_frac if upper else 10.0**log_frac
         params = SolitonParams(frac * v0**3, v0)
-        v_turn = turning_point(params)
+        try:
+            v_turn = turning_point(params)
+        except NumericalError:
+            # only past a float edge of the domain
+            assert min(frac, frac * v0) < 2.3e-308 or frac > 1.0 - 1e-15
+            return
         assert v_turn == params.lambda_speed / v0**2
         assert 0.0 < v_turn < v0
 
-    @pytest.mark.parametrize("moved", [1.0 - 1e-9, 1.0 + 1e-9])
-    def test_sign_check_rejects_a_moved_root(self, moved):
-        params = SolitonParams(0.5, 1.0)
-        _confirm_root(params, 0.5)
-        with pytest.raises(NumericalError, match="does not change sign"):
-            _confirm_root(params, 0.5 * moved)
+    @pytest.mark.parametrize("lam, v0, message", [
+        # lambda/v0^3 below the normal floats, where S at v/v0 underflows
+        (5e-324, 1.0, "too deep"), (1e-250, 1e30, "too deep"),
+        # lambda/v0^3 = 3.6e-308 is normal, v_turn = 1.9e-313 is not
+        (5e-324, 5.146068528268044e-06, "too deep"),
+        # the largest lambda below v0^3, where lambda/v0^2 rounds to v0
+        (math.nextafter(3254289.473402833**3, 0.0), 3254289.473402833, "rounds to v0"),
+        (math.nextafter(1e60**3, 0.0), 1e60, "rounds to v0"),
+    ])
+    def test_float_edges_raise(self, lam, v0, message):
+        with pytest.raises(NumericalError, match=message):
+            turning_point(SolitonParams(lam, v0))
 
 
 class TestPhaseBranch:
