@@ -389,12 +389,6 @@ def run_evolve(config: RunConfig) -> dict:
             f"{_name('output_stride')}"
         )
 
-    out = _out_dir(config)
-    write_frames_csv(
-        out / "trajectory.csv", trajectory.times, grid.x, trajectory.values,
-        meta=config.meta(),
-    )
-
     stride_dt = float(np.median(np.diff(trajectory.times)))
     summary = {
         "lambda": config.lambda_speed,
@@ -405,6 +399,11 @@ def run_evolve(config: RunConfig) -> dict:
         "conservation_drift": conservation_drift(trajectory),
         "shape_error": shape_error(trajectory, config.v0),
     }
+    out = _out_dir(config)
+    write_frames_csv(
+        out / "trajectory.csv", trajectory.times, grid.x, trajectory.values,
+        meta=config.meta(),
+    )
     write_json(out / "summary.json", summary, meta=config.meta())
     if config.emit_plots:
         _write_text(out / "plot_trajectory.py", _TRAJECTORY_PLOT)

@@ -274,12 +274,13 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
     return Trajectory(grid, times, frames[: len(times)])
 
 
-def minimum_positions(trajectory: Trajectory) -> np.ndarray:
-    """Per-frame minimum locations, unwrapped across the periodic seam.
+def minimum_positions(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame minimum positions, unwrapped across the seam, and their round-off.
 
-    Each frame's minimum sits at the vertex of the parabola through its
-    lowest node and that node's two neighbours, to sub-grid accuracy. A
-    frame whose depth is within 1e-12 of its largest magnitude is a
+    Each frame's minimum is the vertex of the parabola through its lowest
+    node f0 and its neighbours fm, fp. Its round-off, the vertex's shift
+    under one ulp u of the largest of the three in magnitude, is dx*u/c for
+    the curvature c = fm - 2 f0 + fp; a frame with c <= 10 u is flat, a
     NumericalError. A move of L/2 or more between two frames is unwrapped
     the wrong way, silently; only ``fhdlab evolve`` checks the spacing.
     """
@@ -289,19 +290,17 @@ def minimum_positions(trajectory: Trajectory) -> np.ndarray:
     # row by row: argmin along axis 1 copies a read-only (T, n) array
     i = np.array([row.argmin() for row in values])
     f0 = values[rows, i]
-    top = values.max(axis=1)
-    if np.any(top - f0 <= 1e-12 * np.maximum(top, -f0)):
-        raise NumericalError("frame is flat: no localized structure to track")
     fm = values[rows, (i - 1) % grid.n]
     fp = values[rows, (i + 1) % grid.n]
-    denom = fm - 2.0 * f0 + fp
-    if np.any(denom <= 0.0):
-        raise ValueError("minimum neighborhood is not convex; cannot interpolate")
-    raw = grid.x[i] + 0.5 * (fm - fp) / denom * grid.dx
+    curvature = fm - 2.0 * f0 + fp
+    ulp = np.spacing(np.maximum(np.maximum(fm, fp), -f0))
+    if np.any(curvature <= 10.0 * ulp):
+        raise NumericalError("frame is flat: no localized structure to track")
+    raw = grid.x[i] + 0.5 * (fm - fp) / curvature * grid.dx
     # a jump of more than L/2 between frames is a crossing of the seam
     crossings = np.cumsum(np.round(np.diff(raw) / grid.length))
     raw[1:] -= grid.length * crossings
-    return raw
+    return raw, grid.dx * ulp / curvature
 
 
 def measure_speed(trajectory: Trajectory) -> float:
@@ -310,16 +309,17 @@ def measure_speed(trajectory: Trajectory) -> float:
     Like ``minimum_positions``, it cannot see a move of L/2 or more between
     two frames; only ``fhdlab evolve`` checks the spacing. The fit runs in
     times divided by the power of two of the largest |t| (exact), so it holds
-    at any time scale; a last frame equal to the first is a ValueError, a
-    slope that overflows a NumericalError.
+    at any time scale. A net move below 100 round-offs (identical end frames
+    too) or a slope that overflows is a NumericalError.
     """
     times = trajectory.times
     if times.size < 2:
         raise ValueError("need at least two frames to measure a speed")
-    pos = minimum_positions(trajectory)
-    if np.array_equal(trajectory.values[0], trajectory.values[-1]):
-        raise ValueError(f"frames span too short a time ({times[-1] - times[0]:g}) "
-                         "to fit a speed")
+    pos, roundoff = minimum_positions(trajectory)
+    move, limit = abs(pos[-1] - pos[0]), 100.0 * roundoff.max()
+    if not move >= limit:
+        raise NumericalError(f"the tracked minimum moves {move:.3g}, less than 100 "
+                             f"round-offs ({limit:.3g}): no speed to measure")
     scale = math.frexp(max(abs(times[0]), abs(times[-1])))[1]
     t = np.ldexp(times, -scale)
     t -= t.mean()
@@ -371,7 +371,7 @@ def shape_error(trajectory: Trajectory, background: float) -> float:
     scaled by the norm of the initial depression (initial frame minus the
     background level).
     """
-    pos = minimum_positions(trajectory)
+    pos = minimum_positions(trajectory)[0]
     displacement = pos[-1] - pos[0]
     first, last = trajectory.values[0], trajectory.values[-1]
     realigned = shift_field(Field(trajectory.grid, last), -displacement)

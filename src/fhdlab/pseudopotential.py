@@ -147,13 +147,18 @@ def phase_branch(v, params: SolitonParams):
 
 
 def potential_samples(params: SolitonParams) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate (v, S(v)) across the orbit with a margin of (v0 - v_turn)/4."""
+    """Tabulate (v, S(v)) across the orbit with a margin of (v0 - v_turn)/4.
+
+    A table with no negative S, a well that rounds away, is a NumericalError."""
     v_turn = turning_point(params)
     width = params.v0 - v_turn
     lo = max(v_turn - 0.25 * width, 0.05 * v_turn)
     hi = params.v0 + 0.25 * width
     v = np.linspace(lo, hi, TABLE_SAMPLES)
-    return v, np.asarray(eval_S(v, params))
+    s = np.asarray(eval_S(v, params))
+    if not s.min() < 0.0:
+        raise NumericalError("potential is flat: S(v) rounds to 0 over the whole orbit")
+    return v, s
 
 
 def phase_samples(params: SolitonParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -134,7 +134,7 @@ def test_criterion_3_profile_construction():
 def test_criterion_4_travelling_wave_persistence(persistence_run):
     trajectory, elapsed = persistence_run
     speed = measure_speed(trajectory)
-    positions = minimum_positions(trajectory)
+    positions, _ = minimum_positions(trajectory)
     displacement = positions[-1] - positions[0]
     distortion = shape_error(trajectory, background=1.0)
     report(4, "travelling-wave persistence", {

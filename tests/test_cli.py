@@ -438,8 +438,9 @@ class TestUsageAndExitCodes:
          "numerical failure: the reduction check overflows"),
         (["evolve", "--n", "64", "--t-final", "0.1", "--cfl", "5e-324"], 2,
          "error: dt = cfl*dx^3/max(v)^3 = 9.88e-324 is below the float"),
-        (["evolve", "--n", "64", "--t-final", "1e-300"], 2,
-         "error: frames span too short a time"),
+        # valid, but its one step moves nothing measurable
+        (["evolve", "--n", "64", "--t-final", "1e-300"], 3,
+         "numerical failure: the tracked minimum moves 0, less than 100 round-offs"),
         # frames too sparse to track, at a v0 whose run to t_final 2e165 once
         # overflowed the speed fit's squared times (now it succeeds:
         # TestScalingSymmetry::test_evolve)
@@ -488,6 +489,20 @@ class TestUsageAndExitCodes:
          "numerical failure: turning point v_turn = 3254289.473402833 rounds to v0"),
         (["potential", "--v0", "3254289.473402833", "--lambda", "3.4464227163302007e+19"], 3,
          "numerical failure: turning point v_turn = 3254289.473402833 rounds to v0"),
+        # the evolve run at lambda = 1 - 1e-12 above, scaled to v0 = s,
+        # lambda (1 - 1e-12) s^3, t_final 0.5/s^3: the curvature at the
+        # minimum is 2 ulps at every scale (a 1e-12 depth bound once let
+        # three of these through to exit 2)
+        *[(["evolve", "--v0", v0, "--lambda", lam, "--n", "2048", "--t-final", t], 3,
+           "numerical failure: frame is flat: no localized structure to track")
+          for v0, lam, t in [("1e-55", "9.99999999999e-166", "5e+164"),
+                             ("1e-12", "9.99999999999e-37", "5e+35"),
+                             ("1e4", "999999999999.0", "5e-13"),
+                             ("1e50", "9.999999999990002e+149", "4.9999999999999994e-151")]],
+        # a turning point 2 ulps below v0: S rounds to 0 over the whole orbit
+        (["potential", "--v0", "5.277965459156191e-10", "--lambda",
+          "1.4702785832860428e-28"], 3,
+         "numerical failure: potential is flat: S(v) rounds to 0 over the whole orbit"),
     ])
     def test_extreme_values_exit_with_one_line(self, tmp_path, capfd, argv, code,
                                                message):
@@ -1128,23 +1143,30 @@ class TestEvolveCommand:
         assert write_csv(tmp_path / "w.csv", header, columns).read_bytes() == oracle
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("argv", [pytest.param(argv, marks=_UNDER_RESOLVED) for argv in [
-        # (a) speed 0.604 and shape error 1.23 on 32 nodes
-        ["--lambda", "0.5", "--n", "32", "--cfl", "0.4", "--t-final", "40"],
-        # (b) speed 0.0465 and shape error 0.130
-        ["--lambda", "0.05", "--n", "512", "--t-final", "1"],
-        # (c) speed 0.0459
-        ["--lambda", "0.005", "--n", "1024", "--t-final", "0.05", "--cfl", "0.4"],
-        # (d) speed 1.3078: the wave moves 0.5 on a grid with dx = 679
+    @pytest.mark.parametrize("argv", [
+        *[pytest.param(argv, marks=_UNDER_RESOLVED) for argv in [
+            # (a) speed 0.604 and shape error 1.23 on 32 nodes
+            ["--lambda", "0.5", "--n", "32", "--cfl", "0.4", "--t-final", "40"],
+            # (b) speed 0.0465 and shape error 0.130
+            ["--lambda", "0.05", "--n", "512", "--t-final", "1"],
+            # (c) speed 0.0459
+            ["--lambda", "0.005", "--n", "1024", "--t-final", "0.05", "--cfl", "0.4"],
+        ]],
+        # tracking faults, each a move of the minimum below 100 round-offs:
+        # (d) read speed 1.3078: the wave moves 0.5 on a grid with dx = 679
         ["--lambda", "0.999999999", "--n", "2048", "--t-final", "0.5"],
-        # (e) speed 0.0: the tracked minimum never leaves its node (dx = 2148)
+        # (e) read speed 0.0: the tracked minimum never leaves its node
+        # (dx = 2148)
         ["--lambda", "0.9999999999", "--n", "2048", "--t-final", "0.5"],
-    ]])
+        # exited 2 "frames span too short a time"
+        ["--lambda", "0.99999999999", "--n", "2048", "--t-final", "0.5"],
+    ])
     def test_under_resolved_run_exits_3(self, tmp_path, capfd, argv):
         assert main(["evolve", *argv, "--output-dir", str(tmp_path)]) == 3
         out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.filterwarnings("error")
     def test_frames_too_sparse_to_track_exit_3_before_writing(self, tmp_path, capsys):

@@ -593,16 +593,30 @@ class TestMeasureSpeed:
 
     def test_flat_frames_rejected(self):
         grid = make_grid(-5.0, 5.0, 64)
-        traj = Trajectory(grid, np.array([0.0, 1.0, 2.0]), np.ones((3, 64)))
-        with pytest.raises(NumericalError, match="frame is flat"):
-            measure_speed(traj)
+        # the ulp is taken of the largest magnitude, so no sign divides by 0
+        for level in (1.0, 0.0, -1.0):
+            traj = Trajectory(grid, np.array([0.0, 1.0, 2.0]), np.full((3, 64), level))
+            with pytest.raises(NumericalError, match="frame is flat"):
+                measure_speed(traj)
 
     def test_minimum_positions_monotone_for_rightward_motion(self):
         f = soliton_field(n=512)
         frames = [np.roll(f.values, 5 * k) for k in range(4)]
         traj = Trajectory(f.grid, np.arange(4.0), frames)
-        pos = minimum_positions(traj)
+        pos, _ = minimum_positions(traj)
         assert np.all(np.diff(pos) > 0)
+
+    @pytest.mark.parametrize("roundoffs, moves", [(0, False), (10, False), (1e3, True)])
+    def test_move_within_100_round_offs_is_a_numerical_error(self, roundoffs, moves):
+        still = dip_trajectory(64, 80.0, -40.0, 3.0, [0.1, 0.1])
+        roundoff = minimum_positions(still)[1].max()
+        assert 0.0 < roundoff < 1e-14
+        traj = dip_trajectory(64, 80.0, -40.0, 3.0, [0.1, 0.1 + roundoffs * roundoff])
+        if moves:
+            assert measure_speed(traj) == pytest.approx(roundoffs * roundoff, rel=0.1)
+        else:
+            with pytest.raises(NumericalError, match="less than 100 round-offs"):
+                measure_speed(traj)
 
 
 def looped_minimum_positions(trajectory):
@@ -656,7 +670,7 @@ class TestMinimumPositions:
     @example(traj=dip_trajectory(97, 10.0, 0.0, 0.5, [0.3, 0.1, 9.9, 0.2, 9.8, 0.35]))
     def test_one_pass_unwrap_matches_the_loop(self, traj):
         raw, looped = looped_minimum_positions(traj)
-        positions = minimum_positions(traj)
+        positions, _ = minimum_positions(traj)
         assert np.max(np.abs(positions - looped)) <= 1e-12 * traj.grid.length
         if np.all(np.abs(np.diff(raw)) < 0.5 * traj.grid.length):
             # no frame wraps: the vertices themselves. The loop adds
