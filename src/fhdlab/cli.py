@@ -6,6 +6,13 @@ verification and the flow-reduction check. Runs are configured by a JSON
 document, by flags, or both (flags win). All pipelines are deterministic:
 identical configurations produce bit-identical outputs.
 
+Each ``run_*`` workflow only computes. It returns its summary record and its
+files by name, in write order: a "*.csv" name maps to its header and columns,
+any other to a JSON payload. ``run`` writes them once the workflow has
+returned, so a command whose checks fail writes nothing. The exception is a
+``verify-lax`` or ``reduce-check`` report with ``"pass": false``: that
+workflow returns, and its report is written before ``main`` exits 3.
+
 Exit codes: 0 success, 2 validation error or an output file that cannot be
 written, 3 numerical failure, 64 unknown command.
 """
@@ -33,7 +40,7 @@ from .evolution import (
     shape_error,
 )
 from .lax import FRAME_DT, FRAMES, control_offset, reduction_check, zc_residual
-from .output import _write_text, write_csv, write_frames_csv, write_json
+from .output import _write_text, write_csv, write_json
 from .profiles import (
     closed_form_field,
     default_half_width,
@@ -248,6 +255,11 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
             setattr(config, field, flag_value)
     if args.output_dir is None and values.get(("output_dir",)) is None:
         config.output_dir = os.environ.get("FHD_OUTPUT_DIR", config.output_dir)
+    # a non-finite number would reach the side-cars as NaN or Infinity
+    for field in _OPTIONS:
+        value = getattr(config, field)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{_name(field)} must be finite, got {value}")
 
     if config.half_width is None:
         try:
@@ -259,8 +271,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
 
 def _grid(config: RunConfig) -> Grid1D:
     """The window [-half_width, half_width) of n nodes."""
-    if not 0.0 < config.half_width < math.inf:
-        raise ValueError(f"{_name('half_width')} must be positive and finite, "
+    if not config.half_width > 0.0:
+        raise ValueError(f"{_name('half_width')} must be positive, "
                          f"got {config.half_width}")
     return make_grid(-config.half_width, config.half_width, config.n)
 
@@ -274,12 +286,8 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def run_scan_existence(config: RunConfig) -> dict:
-    # np.linspace warns and then yields NaN for a bound or span that is not finite
-    for field in ("lambda_min", "lambda_max"):
-        if not math.isfinite(getattr(config, field)):
-            raise ValueError(f"{_name(field)} must be finite, "
-                             f"got {getattr(config, field)}")
+def run_scan_existence(config: RunConfig) -> tuple[dict, dict]:
+    # np.linspace warns and then yields NaN for a span that is not finite
     if not math.isfinite(config.lambda_max - config.lambda_min):
         raise ValueError("--lambda-max minus --lambda-min overflows")
     if config.steps < 1:
@@ -287,52 +295,44 @@ def run_scan_existence(config: RunConfig) -> dict:
     if config.steps > MAX_VALUES:
         raise ValueError(f"{_name('steps')} may be at most {MAX_VALUES}, "
                          f"got {config.steps}")
-    lambdas = np.linspace(config.lambda_min, config.lambda_max, config.steps)
+    # a span near the float limit overflows only in the last sample, which
+    # np.linspace then sets to lambda_max
+    with np.errstate(over="ignore"):
+        lambdas = np.linspace(config.lambda_min, config.lambda_max, config.steps)
     admissible = np.zeros(lambdas.size)
     curvature = np.zeros(lambdas.size)
     for i, lam in enumerate(lambdas):
         report = existence_check(SolitonParams(float(lam), config.v0))
         admissible[i] = 1.0 if report.admissible else 0.0
         curvature[i] = report.s_second_at_v0
-    out = _out_dir(config)
-    write_csv(
-        out / "existence.csv",
-        ["lambda", "admissible", "s_second_v0"],
-        [lambdas, admissible, curvature],
-        meta=config.meta(),
-    )
     inside = lambdas[admissible == 1.0]
     return {
         "n_samples": int(lambdas.size),
         "n_admissible": int(admissible.sum()),
         "lambda_first_admissible": float(inside[0]) if inside.size else None,
         "lambda_last_admissible": float(inside[-1]) if inside.size else None,
+    }, {
+        "existence.csv": (["lambda", "admissible", "s_second_v0"],
+                          [lambdas, admissible, curvature]),
     }
 
 
-def run_potential(config: RunConfig) -> dict:
+def run_potential(config: RunConfig) -> tuple[dict, dict]:
     require_admissible(config.params)
     params = config.params
     v_pot, s_pot = potential_samples(params)
     v_orb, vp_plus, vp_minus = phase_samples(params)
-    out = _out_dir(config)
-    write_csv(out / "potential.csv", ["v", "S"], [v_pot, s_pot], meta=config.meta())
-    write_csv(
-        out / "phase.csv",
-        ["v", "vp_plus", "vp_minus"],
-        [v_orb, vp_plus, vp_minus],
-        meta=config.meta(),
-    )
-    if config.emit_plots:
-        _write_text(out / "plot_potential.py", _POTENTIAL_PLOT)
     return {
         "v_turn": float(v_orb[0]),
         "s_min": float(s_pot.min()),
         "files": ["potential.csv", "phase.csv"],
+    }, {
+        "potential.csv": (["v", "S"], [v_pot, s_pot]),
+        "phase.csv": (["v", "vp_plus", "vp_minus"], [v_orb, vp_plus, vp_minus]),
     }
 
 
-def run_profile(config: RunConfig) -> dict:
+def run_profile(config: RunConfig) -> tuple[dict, dict]:
     require_admissible(config.params)
     params = config.params
     quad = profile_by_quadrature(params)
@@ -340,14 +340,6 @@ def run_profile(config: RunConfig) -> dict:
     shoot = profile_by_shooting(params, grid)
     mq = profile_metrics(quad)
     ms = profile_metrics(shoot)
-    out = _out_dir(config)
-    write_csv(out / "profile.csv", ["xi", "v"], [quad.xi, quad.v], meta=config.meta())
-    write_csv(
-        out / "profile_shooting.csv",
-        ["xi", "v"],
-        [shoot.xi, shoot.v],
-        meta=config.meta(),
-    )
     records = [
         {
             "lambda": config.lambda_speed,
@@ -359,18 +351,19 @@ def run_profile(config: RunConfig) -> dict:
         }
         for m, prof in ((mq, quad), (ms, shoot))
     ]
-    write_json(out / "metrics.json", records, meta=config.meta())
-    if config.emit_plots:
-        _write_text(out / "plot_profile.py", _PROFILE_PLOT)
     return {
         "min_v": float(quad.v.min()),
         "depth": mq.depth,
         "fwhm_quadrature": mq.fwhm,
         "fwhm_shooting": ms.fwhm,
+    }, {
+        "profile.csv": (["xi", "v"], [quad.xi, quad.v]),
+        "profile_shooting.csv": (["xi", "v"], [shoot.xi, shoot.v]),
+        "metrics.json": records,
     }
 
 
-def run_evolve(config: RunConfig) -> dict:
+def run_evolve(config: RunConfig) -> tuple[dict, dict]:
     require_admissible(config.params)
     params = config.params
     grid = _grid(config)
@@ -401,18 +394,15 @@ def run_evolve(config: RunConfig) -> dict:
         "conservation_drift": conservation_drift(trajectory),
         "shape_error": shape_error(trajectory, config.v0),
     }
-    out = _out_dir(config)
-    write_frames_csv(
-        out / "trajectory.csv", trajectory.times, grid.x, trajectory.values,
-        meta=config.meta(),
-    )
-    write_json(out / "summary.json", summary, meta=config.meta())
-    if config.emit_plots:
-        _write_text(out / "plot_trajectory.py", _TRAJECTORY_PLOT)
-    return summary
+    # one t,x,v row per node per frame: the columns broadcast to (T, n)
+    frames = (trajectory.times[:, None], grid.x, trajectory.values)
+    return summary, {
+        "trajectory.csv": (["t", "x", "v"], frames),
+        "summary.json": summary,
+    }
 
 
-def run_verify_lax(config: RunConfig) -> dict:
+def run_verify_lax(config: RunConfig) -> tuple[dict, dict]:
     require_admissible(config.params)
     if FRAMES * config.n > MAX_VALUES:
         raise ValueError(f"{_name('n')} may be at most {MAX_VALUES // FRAMES} for "
@@ -423,18 +413,16 @@ def run_verify_lax(config: RunConfig) -> dict:
     report = zc_residual(trajectory, config.lambda_spec)
     payload = report.to_dict()
     payload.update({"lambda": config.lambda_speed, "v0": config.v0})
-    out = _out_dir(config)
-    write_json(out / "lax_report.json", payload, meta=config.meta())
     e11, e12, e21, e22 = payload["entry_norms"]  # None where not finite
     return {
         "entry_norm_21": e21,
         "max_off_entry": None if None in (e11, e12, e22) else max(e11, e12, e22),
         "convergence_order": payload["convergence_order"],
         "pass": report.passed,
-    }
+    }, {"lax_report.json": payload}
 
 
-def run_reduce_check(config: RunConfig) -> dict:
+def run_reduce_check(config: RunConfig) -> tuple[dict, dict]:
     v0 = config.params.v0
     grid = _grid(config)
     k = 2.0 * np.pi / grid.length
@@ -451,9 +439,7 @@ def run_reduce_check(config: RunConfig) -> dict:
         "control_discrepancy": control.max_discrepancy,
         "control_pass": control.passed,
     }
-    out = _out_dir(config)
-    write_json(out / "reduce_report.json", payload, meta=config.meta())
-    return payload
+    return payload, {"reduce_report.json": payload}
 
 
 _WORKFLOWS = {
@@ -467,10 +453,23 @@ _WORKFLOWS = {
 
 
 def run(config: RunConfig) -> dict:
-    """Execute the configured workflow and return its summary record."""
+    """Execute the configured workflow, then write its files, each with the
+    run's side-car, and with ``--emit-plots`` its plot script; return its
+    summary record. A workflow that raises leaves no file or directory."""
     if config.command not in _WORKFLOWS:
         raise ValueError(f"unknown command {config.command!r}")
-    return _WORKFLOWS[config.command](config)
+    summary, files = _WORKFLOWS[config.command](config)
+    out = _out_dir(config)
+    meta = config.meta()
+    for name, data in files.items():
+        if name.endswith(".csv"):
+            write_csv(out / name, *data, meta=meta)
+        else:
+            write_json(out / name, data, meta=meta)
+    if config.emit_plots and config.command in _PLOTS:
+        name, script = _PLOTS[config.command]
+        _write_text(out / name, script)
+    return summary
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -597,6 +596,13 @@ fig.tight_layout()
 fig.savefig(here / "trajectory.png", dpi=160)
 print(here / "trajectory.png")
 """
+
+# command -> the file name and text of the plot script --emit-plots writes
+_PLOTS = {
+    "potential": ("plot_potential.py", _POTENTIAL_PLOT),
+    "profile": ("plot_profile.py", _PROFILE_PLOT),
+    "evolve": ("plot_trajectory.py", _TRAJECTORY_PLOT),
+}
 
 
 if __name__ == "__main__":

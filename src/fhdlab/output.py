@@ -8,7 +8,13 @@ self-describing.
 
 Every CSV has one layout: ``write_csv``'s columns broadcast to one shape,
 and the file holds one row per entry of it, in C order; a trajectory is
-the columns ``(times[:, None], x, frames)`` of its (T, n) frames.
+the columns ``(times[:, None], x, frames)`` of its (T, n) frames, passed to
+``write_csv`` as they are (``write_frames_csv``, which did only that, is
+gone). The command-line front end calls the writers only once a command's
+checks have passed, so a refused command leaves the files of an earlier run
+as they were; a ``verify-lax`` or ``reduce-check`` report of a failed
+verification is still written.
+
 ``_blocks`` lays the rows out a block along the first axis at a time, as a
 uint8 matrix of 25-byte fields (text, NUL padding, "," or newline) whose
 NULs ``write_csv`` drops in one pass. A column of length 1 along that axis,
@@ -297,25 +303,6 @@ def write_csv(
             fh.write(rows[rows != 0])
     _write_meta(path, meta)
     return path
-
-
-def write_frames_csv(
-    path: Path,
-    times: Sequence[float],
-    x: np.ndarray,
-    frames: np.ndarray,
-    meta: dict | None = None,
-) -> Path:
-    """Write (T, n) frames of v(x, t) as ``t,x,v`` rows plus the side-car:
-    ``write_csv`` on the columns ``(times[:, None], x, frames)``. A T other
-    than the number of times is a ValueError, an n other than that of x a
-    TypeError."""
-    count, n = np.size(times), np.size(x)
-    if np.shape(frames) != (count, n):
-        error = ValueError if np.shape(frames)[1:] == (n,) else TypeError
-        raise error(f"frames have shape {np.shape(frames)}, not ({count}, {n})")
-    columns = (np.reshape(times, (count, 1)), np.ravel(x), frames)
-    return write_csv(path, ("t", "x", "v"), columns, meta)
 
 
 def write_json(path: Path, payload, meta: dict | None = None) -> Path:

@@ -32,7 +32,7 @@ from fhdlab.cli import (
 )
 from fhdlab.core import MAX_VALUES, V0_MAX, V0_MIN, SolitonParams, make_grid
 from fhdlab.evolution import EvolveConfig, evolve
-from fhdlab.output import write_csv, write_frames_csv, write_json
+from fhdlab.output import write_csv, write_json
 from fhdlab.profiles import closed_form_field, solve_shooting
 from test_profiles import EDGE_FRACTIONS
 
@@ -48,20 +48,23 @@ def percent_csv(header, columns):
     return ("\n".join(lines) + "\n").encode()
 
 
+def write_frames(path, times, x, frames, meta=None):
+    """(T, n) frames as evolve writes them: write_csv on the columns
+    ``(times[:, None], x, frames)``, which broadcast to (T, n)."""
+    return write_csv(path, ["t", "x", "v"], [np.asarray(times)[:, None], x, frames],
+                     meta=meta)
+
+
 def assert_frames_match_write_csv(tmp_path, times, x, v):
-    """write_frames_csv, and write_csv on the long columns and on the
-    columns that broadcast to them, all give the oracle's bytes, and the
-    same side-car."""
+    """write_csv on the frames' columns and on the long columns they
+    broadcast to give the oracle's bytes, and the same side-car."""
     n, frames = len(x), len(times)
     meta = {"config": {"n": n}}
     columns = [np.repeat(times, n), np.tile(x, frames), np.ravel(v)]
-    written = write_frames_csv(tmp_path / "f.csv", times, x, v, meta=meta)
+    written = write_frames(tmp_path / "f.csv", times, x, v, meta=meta)
     expected = write_csv(tmp_path / "e.csv", ["t", "x", "v"], columns, meta=meta)
-    broadcast = write_csv(tmp_path / "b.csv", ["t", "x", "v"],
-                          [np.asarray(times)[:, None], x, v])
     assert written.read_bytes() == percent_csv(["t", "x", "v"], columns)
     assert expected.read_bytes() == written.read_bytes()
-    assert broadcast.read_bytes() == written.read_bytes()
     assert (tmp_path / "f.meta.json").read_bytes() == (
         tmp_path / "e.meta.json").read_bytes()
 
@@ -142,8 +145,8 @@ class TestOutputHelpers:
     @pytest.mark.parametrize("frames", [1, 5])
     @pytest.mark.parametrize("n", [1, 4097, output._FRAME_BLOCK_VALUES + 1])
     def test_frames_csv_matches_write_csv(self, tmp_path, frames, n):
-        # the frame writer must give the bytes of write_csv on the
-        # expanded long-format columns t, x, v; above _FRAME_BLOCK_VALUES
+        # the frames' broadcast columns must give the bytes of write_csv on
+        # the expanded long-format columns t, x, v; above _FRAME_BLOCK_VALUES
         # points a block holds one frame
         rng = np.random.default_rng(frames * n)
         times = np.resize(SPECIAL, frames)
@@ -165,25 +168,25 @@ class TestOutputHelpers:
         assert_frames_match_write_csv(tmp_path, times, x, v)
 
     def test_frames_csv_validation(self, tmp_path):
-        for v in (np.ones((1, 2)), np.ones((1, 4)), np.ones(3)):
-            with pytest.raises(TypeError):
-                write_frames_csv(tmp_path / "f.csv", [0.0], np.ones(3), v)
-        with pytest.raises(ValueError):
-            write_frames_csv(tmp_path / "f.csv", [0.0, 1.0], np.ones(3), np.ones((1, 3)))
+        # frames whose width is not that of x, or whose count is neither 1
+        # nor that of the times, do not broadcast
+        for times, v in (([0.0], np.ones((1, 2))), ([0.0], np.ones((1, 4))),
+                         ([0.0, 1.0], np.ones((3, 3))), ([0.0, 1.0], np.ones(4))):
+            with pytest.raises(ValueError):
+                write_frames(tmp_path / "f.csv", times, np.ones(3), v)
+        assert not list(tmp_path.iterdir())
 
     def test_bad_frames_are_rejected_before_any_file_is_opened(self, tmp_path):
         # the shape of the whole array is checked up front, so a run with
         # frames spanning several blocks cuts no file of an earlier run
         count = 2 * BLOCK_FRAMES + 3
         times, x = np.arange(float(count)), np.linspace(0.0, 1.0, BLOCK_N)
-        write_frames_csv(tmp_path / "f.csv", times, x, np.ones((count, BLOCK_N)))
+        write_frames(tmp_path / "f.csv", times, x, np.ones((count, BLOCK_N)))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        for shape, error in (((count, BLOCK_N + 1), TypeError),
-                             ((count - 1, BLOCK_N), ValueError),
-                             ((count + 1, BLOCK_N), ValueError)):
-            with pytest.raises(error):
-                write_frames_csv(tmp_path / "f.csv", times, x, np.ones(shape),
-                                 meta={"config": {}})
+        for shape in ((count, BLOCK_N + 1), (count - 1, BLOCK_N), (count + 1, BLOCK_N)):
+            with pytest.raises(ValueError):
+                write_frames(tmp_path / "f.csv", times, x, np.ones(shape),
+                             meta={"config": {}})
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_a_rejected_rewrite_leaves_a_longer_file_of_an_earlier_run(
@@ -195,12 +198,12 @@ class TestOutputHelpers:
         times, x = np.arange(float(count)), np.linspace(0.0, 1.0, BLOCK_N)
         frames = 1.0 + np.arange(float(count))[:, None] + np.zeros(BLOCK_N)
         path = tmp_path / "f.csv"
-        write_frames_csv(path, times, x, frames, meta={"config": {"run": 1}})
+        write_frames(path, times, x, frames, meta={"config": {"run": 1}})
         wide = np.ones((count, BLOCK_N + 1))
-        with pytest.raises(TypeError, match="frames have shape"):
-            write_frames_csv(path, times, x, wide, meta={"config": {"run": 2}})
-        fresh = write_frames_csv(tmp_path / "e.csv", times, x, frames,
-                                 meta={"config": {"run": 1}})
+        with pytest.raises(ValueError, match="broadcast"):
+            write_frames(path, times, x, wide, meta={"config": {"run": 2}})
+        fresh = write_frames(tmp_path / "e.csv", times, x, frames,
+                             meta={"config": {"run": 1}})
         assert path.read_bytes() == fresh.read_bytes()
         assert (tmp_path / "f.meta.json").read_bytes() == (
             tmp_path / "e.meta.json").read_bytes()
@@ -227,7 +230,7 @@ class TestOutputHelpers:
         v = 1.0 - np.outer(np.ones(frames), np.exp(-x * x)) / 7.0
         write_csv(directory / "t.csv", ["a", "b"],
                   [np.arange(rows) / 7.0, -np.arange(rows) / 3.0], meta=meta)
-        write_frames_csv(directory / "trajectory.csv", times, x, v, meta=meta)
+        write_frames(directory / "trajectory.csv", times, x, v, meta=meta)
         write_json(directory / "r.json", {"rows": list(range(rows))}, meta=meta)
 
     def test_rewriting_a_longer_file_leaves_the_bytes_of_a_fresh_write(
@@ -500,18 +503,27 @@ class TestUsageAndExitCodes:
         (["potential", "--v0", "5.277965459156191e-10", "--lambda",
           "1.4702785832860428e-28"], 3,
          "numerical failure: potential is flat: S(v) rounds to 0 over the whole orbit"),
-        # a window that is not positive and finite, where a grid is built
+        # a window that is not positive, where a grid is built, or not
+        # finite, as any number option
         *[([command, "--half-width", half], 2,
-           "error: --half-width (grid.half_width) must be positive and finite")
-          for command, half in [("profile", "0"), ("evolve", "-1"),
-                                ("verify-lax", "nan"), ("reduce-check", "inf")]],
+           f"error: --half-width (grid.half_width) must be {what}, got {half}")
+          for command, half, what in [("profile", "0", "positive"),
+                                      ("evolve", "-1", "positive"),
+                                      ("verify-lax", "nan", "finite"),
+                                      ("reduce-check", "inf", "finite")]],
+        # 4 lambda_spec^2/v overflows in the residual
+        (["verify-lax", "--lambda-spec", "1e200", "--n", "512"], 3,
+         "numerical failure: 4 lambda_spec^2/v overflows for lambda_spec 1e+200"),
     ])
     def test_extreme_values_exit_with_one_line(self, tmp_path, capfd, argv, code,
                                                message):
-        assert main(argv + ["--output-dir", str(tmp_path)]) == code
+        # and leave no output directory: a command writes only once its
+        # workflow has returned
+        assert main(argv + ["--output-dir", str(tmp_path / "out")]) == code
         out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith(message) and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bounds, message", [
         (["--lambda-max", "inf"], "error: --lambda-max (scan.lambda_max) must be finite"),
@@ -1319,7 +1331,9 @@ class TestVerifyLaxCommand:
         code = main(["verify-lax", "--lambda", "0.5", "--lambda-spec", lambda_spec,
                      "--n", "512", "--output-dir", str(tmp_path)])
         assert code == 2
-        assert "lambda_spec must be finite and nonzero" in capsys.readouterr().err
+        message = ("lambda_spec must be finite and nonzero" if lambda_spec == "0"
+                   else f"--lambda-spec (lambda_spec) must be finite, got {lambda_spec}")
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "lax_report.json").exists()
 
     @pytest.mark.parametrize("lambda_spec", ["1e155", "1e200"])
@@ -1578,6 +1592,8 @@ def _reject_constant(name):
     (["verify-lax", "--n", "512"], 0),
     (["reduce-check", "--n", "256"], 0),
     (["verify-lax", "--n", "513"], 3),
+    # a non-finite option, which the side-car would hold, is refused
+    (["scan-existence", "--t-final", "nan", "--half-width", "inf"], 2),
 ])
 def test_outputs_are_standard_json(tmp_path, capsys, argv, code):
     # NaN and Infinity are not JSON; every file and stdout line must parse
@@ -1586,7 +1602,10 @@ def test_outputs_are_standard_json(tmp_path, capsys, argv, code):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == (1 if code == 0 else 0)
     documents = lines + [p.read_text() for p in sorted(tmp_path.glob("*.json"))]
-    assert len(documents) >= 2
+    if code == 2:  # refused: nothing is written
+        assert documents == []
+    else:
+        assert len(documents) >= 2
     for text in documents:
         json.loads(text, parse_constant=_reject_constant)
 
@@ -1642,6 +1661,11 @@ class TestExitCodeProperty:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=_fuzzed_argv(),
            output=st.sampled_from(["out", "", "file", "file/sub"]))
+    # 6 (max/6) overflows in np.linspace, which warned before it set the
+    # last sample to lambda_max
+    @example(argv=["scan-existence", "--emit-plots", "--lambda-max",
+                   "1.7976931348623157e308", "--cfl", "0", "--steps", "7"],
+             output="out")
     def test_every_command_exits_with_a_contract_code(self, tmp_path_factory,
                                                       capfd, argv, output):
         # 0 ok, 2 validation, 3 numerical, 64 unknown command, whatever each
