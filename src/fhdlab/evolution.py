@@ -274,43 +274,99 @@ def evolve(field: Field, config: EvolveConfig) -> Trajectory:
     return Trajectory(grid, times, frames[: len(times)])
 
 
-def minimum_positions(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame minimum positions, unwrapped across the seam, and their round-off.
+# the 7-point central weights D_j (Fornberg 1988) on f_-3..f_3 of
+# dx^j f^(j)(0), j = 1..6, over (j-1)!: row m gives the coefficient of s^m
+# in p'(s) = sum_j (D_j f) s^(j-1)/(j-1)!, s in cells
+_SLOPE = np.array([
+    (-1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60),
+    (1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90),
+    (1 / 8, -1.0, 13 / 8, 0.0, -13 / 8, 1.0, -1 / 8),
+    (-1 / 6, 2.0, -13 / 2, 28 / 3, -13 / 2, 2.0, -1 / 6),
+    (-1 / 2, 2.0, -5 / 2, 0.0, 5 / 2, -2.0, 1 / 2),
+    (1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0),
+]) / np.array([[1.0], [1.0], [2.0], [6.0], [24.0], [120.0]])
 
-    Each frame's minimum is the vertex of the parabola through its lowest
-    node f0 and its neighbours fm, fp. Its round-off, the vertex's shift
-    under one ulp u of the largest of the three in magnitude, is dx*u/c for
-    the curvature c = fm - 2 f0 + fp; a frame with c <= 10 u is flat, a
-    NumericalError. A move of L/2 or more between two frames is unwrapped
-    the wrong way, silently; only ``fhdlab evolve`` checks the spacing.
-    """
-    grid = trajectory.grid
-    values = trajectory.values
-    rows = np.arange(len(values))
-    # row by row: argmin along axis 1 copies a read-only (T, n) array
-    i = np.array([row.argmin() for row in values])
-    f0 = values[rows, i]
-    fm = values[rows, (i - 1) % grid.n]
-    fp = values[rows, (i + 1) % grid.n]
+
+def _slope_and_bend(coefficients: list[np.ndarray],
+                    s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p'(s) = sum_m c_m s^m and p''(s) by Horner's rule."""
+    slope, bend = coefficients[-1], 0.0
+    for c in coefficients[-2::-1]:
+        bend = bend * s + slope
+        slope = slope * s + c
+    return slope, bend
+
+
+def _vertices(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's minimum on its 7-point interpolant, before unwrapping,
+    and its round-off; see ``minimum_positions``."""
+    grid, values = trajectory.grid, trajectory.values
+    # lowest nodes a block of about 2**13 values at a time: argmin(axis=1)
+    # of the whole read-only (T, n) array would copy it
+    block = max(1, 2**13 // grid.n)
+    i = np.concatenate([values[k : k + block].argmin(axis=1)
+                        for k in range(0, len(values), block)])
+    # row k + 3 holds each frame's f_k, k = -3..3
+    window = values[np.arange(len(values)), (i + np.arange(-3, 4)[:, None]) % grid.n]
+    fm, f0, fp = window[2:5]
     curvature = fm - 2.0 * f0 + fp
     ulp = np.spacing(np.maximum(np.maximum(fm, fp), -f0))
     if np.any(curvature <= 10.0 * ulp):
         raise NumericalError("frame is flat: no localized structure to track")
-    raw = grid.x[i] + 0.5 * (fm - fp) / curvature * grid.dx
+    rise = window - f0
+    # row by row: einsum's buffers or a BLAS matmul would raise a run's
+    # peak memory by 0.16 to 0.28 MB
+    coefficients = [sum(w * r for w, r in zip(row, rise)) for row in _SLOPE]
+    s = 0.5 * (fm - fp) / curvature  # the parabola's vertex, in cells
+    for _ in range(4):
+        slope, bend = _slope_and_bend(coefficients, s)
+        step = np.divide(slope, bend, out=np.zeros_like(s), where=bend > 0.0)
+        s = np.clip(s - step, -1.0, 1.0)
+    bend = _slope_and_bend(coefficients, s)[1]
+    # dp'(s)/df_k for the 7 values, by Horner's rule on the rows of _SLOPE
+    weight = _SLOPE[-1][:, None]
+    for row in _SLOPE[-2::-1]:
+        weight = weight * s + row[:, None]
+    gain = np.sum(np.spacing(np.abs(window)) * np.abs(weight), axis=0)
+    cells = np.divide(gain, bend, out=np.full_like(s, np.inf), where=bend > 0.0)
+    return grid.x[i] + s * grid.dx, cells * grid.dx
+
+
+def minimum_positions(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame minimum positions, unwrapped across the seam, and their round-off.
+
+    Each frame's minimum is that of p, the degree-6 polynomial through its
+    lowest node f0 and the 3 nodes on either side, p(s) = sum_j (D_j f) s^j/j!
+    for s in cells and D_j the 7-point weights of the j-th derivative
+    applied to f - f0; it converges with the sixth-order stencil. It is
+    found by 4 Newton steps on p' from the vertex of the parabola through
+    f0 and its neighbours fm, fp, with s clipped to [-1, 1] and no step
+    where p'' <= 0. A frame whose curvature c = fm - 2 f0 + fp is at most
+    10 ulps of the largest of those three in magnitude is flat, a
+    NumericalError. The round-off is the vertex's first-order shift under
+    one ulp in each of its 7 values, dx sum_k ulp(f_k) |dp'/df_k| / p'',
+    and inf where p'' <= 0. A move of L/2 or more between two frames is
+    unwrapped the wrong way, silently; only ``fhdlab evolve`` checks the
+    spacing.
+    """
+    raw, roundoff = _vertices(trajectory)
     # a jump of more than L/2 between frames is a crossing of the seam
-    crossings = np.cumsum(np.round(np.diff(raw) / grid.length))
-    raw[1:] -= grid.length * crossings
-    return raw, grid.dx * ulp / curvature
+    crossings = np.cumsum(np.round(np.diff(raw) / trajectory.grid.length))
+    raw[1:] -= trajectory.grid.length * crossings
+    return raw, roundoff
 
 
 def measure_speed(trajectory: Trajectory) -> float:
     """Least-squares propagation speed of the tracked minimum.
 
-    Like ``minimum_positions``, it cannot see a move of L/2 or more between
-    two frames; only ``fhdlab evolve`` checks the spacing. The fit runs in
-    times divided by the power of two of the largest |t| (exact), so it holds
-    at any time scale. A net move below 100 round-offs (identical end frames
-    too) or a slope that overflows is a NumericalError.
+    The positions are the minima of each frame's 7-point interpolant from
+    ``minimum_positions``; like it, the fit cannot see a move of L/2 or more
+    between two frames; only ``fhdlab evolve`` checks the spacing. The fit
+    runs in times divided by the power of two of the largest |t| (exact), so
+    it holds at any time scale. A net move below 100 times the largest
+    round-off of those minima (identical end frames too, and any frame whose
+    interpolant bends down at its lowest node, whose round-off is inf) or a
+    slope that overflows is a NumericalError.
     """
     times = trajectory.times
     if times.size < 2:
@@ -367,7 +423,8 @@ def shape_error(trajectory: Trajectory, background: float) -> float:
     """Relative L2 profile distortion after undoing the measured translation.
 
     The final frame is shifted back by the displacement of its tracked
-    minimum and compared against the initial frame; the difference norm is
+    minimum, the minimum of its 7-point interpolant (``minimum_positions``),
+    and compared against the initial frame; the difference norm is
     scaled by the norm of the initial depression (initial frame minus the
     background level).
     """

@@ -139,6 +139,7 @@ def test_criterion_4_travelling_wave_persistence(persistence_run):
     distortion = shape_error(trajectory, background=1.0)
     report(4, "travelling-wave persistence", {
         "speed_within_2pc": abs(speed - 0.5) / 0.5 < 0.02,
+        "speed_within_1e-8": abs(speed - 0.5) / 0.5 < 1e-8,
         "displacement_near_2.5": abs(displacement - 2.5) / 2.5 < 0.02,
         "shape_error_below_1e-3": distortion < 1e-3,
         "runtime_under_2min": elapsed < 120.0,

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -620,15 +621,19 @@ class TestMeasureSpeed:
 
 
 def looped_minimum_positions(trajectory):
-    """Oracle: the parabola vertices of each frame, and those vertices
+    """Oracle: each frame's minimum on the degree-6 polynomial through its
+    lowest node and the 3 nodes on either side (numpy.polynomial's fit, the
+    real root of its derivative nearest the node), and those minima
     unwrapped by a loop that moves each frame to within L/2 of the last."""
-    grid, values = trajectory.grid, trajectory.values
-    rows = np.arange(len(values))
-    i = values.argmin(axis=1)
-    f0 = values[rows, i]
-    fm = values[rows, (i - 1) % grid.n]
-    fp = values[rows, (i + 1) % grid.n]
-    raw = grid.x[i] + 0.5 * (fm - fp) / (fm - 2.0 * f0 + fp) * grid.dx
+    grid = trajectory.grid
+    offsets = np.arange(-3, 4)
+    raw = []
+    for row in trajectory.values:
+        i = row.argmin()
+        roots = Polynomial.fit(offsets, row[(i + offsets) % grid.n], 6).deriv().roots()
+        real = roots[roots.imag == 0.0].real
+        raw.append(grid.x[i] + real[np.argmin(np.abs(real))] * grid.dx)
+    raw = np.array(raw)
     out = raw.copy()
     length = grid.length
     for k in range(1, out.size):
@@ -673,13 +678,69 @@ class TestMinimumPositions:
         positions, _ = minimum_positions(traj)
         assert np.max(np.abs(positions - looped)) <= 1e-12 * traj.grid.length
         if np.all(np.abs(np.diff(raw)) < 0.5 * traj.grid.length):
-            # no frame wraps: the vertices themselves. The loop adds
-            # fl(b - a) back to a, which can miss b by an ulp where the
-            # minimum moves toward 0 (0.3 + (0.1 - 0.3) = 0.10000000000000003)
-            assert positions.tobytes() == raw.tobytes()
+            # no frame wraps: the module's own vertices, bit for bit. The
+            # loop adds fl(b - a) back to a, which can miss b by an ulp where
+            # the minimum moves toward 0 (0.3 + (0.1 - 0.3) = 0.10000000000000003)
+            assert positions.tobytes() == evolution._vertices(traj)[0].tobytes()
+
+    def test_tracks_a_sub_cell_shift_of_the_exact_wave(self):
+        # the parabola through 3 nodes missed by 1.15e-3 dx; the 7-point
+        # interpolant converges with the sixth-order stencil
+        grid = make_grid(-40.0, 40.0, 512)
+        times = grid.dx / P05.lambda_speed * np.arange(17) / 16
+        positions, _ = minimum_positions(translated_trajectory(P05, grid, times))
+        assert np.max(np.abs(positions - P05.lambda_speed * times)) < 5e-5 * grid.dx
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3, 0.5, 0.8])
+    def test_one_ulp_in_each_value_moves_the_vertex_at_most_its_round_off(self, shift):
+        # all 128 sign patterns of one ulp in each of the 7 values about the
+        # lowest node, one frame each. The round-off is a first-order
+        # sensitivity; the tracker's own rounding of p' and of the position
+        # adds up to 0.42% of it here, hence the 1% margin
+        grid = make_grid(-40.0, 40.0, 512)
+        frame = translated_trajectory(P05, grid, [shift * grid.dx / P05.lambda_speed]).values[0]
+        window = (frame.argmin() + np.arange(-3, 4)) % grid.n
+        signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * 7)).reshape(7, -1).T
+        frames = np.tile(frame, (len(signs), 1))
+        frames[:, window] = np.nextafter(frame[window], signs * np.inf)
+        position, roundoff = minimum_positions(Trajectory(grid, [0.0], [frame]))
+        moved, _ = minimum_positions(Trajectory(grid, np.arange(len(signs)), frames))
+        move = np.abs(moved - position[0])
+        assert move.max() <= 1.01 * roundoff[0]
+        # the round-off is the sensitivity itself, not a loose bound
+        assert move.max() >= 0.9 * roundoff[0]
+
+    def test_a_frame_bent_down_at_its_lowest_node_has_no_round_off_bound(self):
+        # curvature fm - 2 f0 + fp > 0 passes the flatness gate, but the
+        # steep nodes 2 cells out bend the 7-point interpolant down there:
+        # Newton takes no step and the round-off is infinite, so no speed
+        frame = np.ones(32)
+        frame[13:20] = [1.0, 0.99, 0.5 + 1e-6, 0.5, 0.5 + 1e-6, 0.99, 1.0]
+        traj = Trajectory(make_grid(-5.0, 5.0, 32), [0.0, 1.0], [frame, np.roll(frame, 1)])
+        positions, roundoff = minimum_positions(traj)
+        assert np.array_equal(positions, traj.grid.x[[16, 17]])
+        assert np.all(roundoff == np.inf)
+        with pytest.raises(NumericalError, match="less than 100 round-offs"):
+            measure_speed(traj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(row=st.integers(8, 40).flatmap(
+               lambda n: st.lists(st.floats(1.0, 2.0), min_size=n, max_size=n)),
+           exponent=st.integers(-60, 60))
+    def test_every_frame_past_the_flatness_gate_tracks_without_a_warning(self, row, exponent):
+        # any positive frame from 1e-60 to 2e60: a RuntimeWarning is an error here
+        frame = np.array(row) * 10.0**exponent
+        grid = make_grid(-5.0, 5.0, frame.size)
+        try:
+            positions, roundoff = minimum_positions(Trajectory(grid, [0.0], [frame]))
+        except NumericalError as exc:
+            assert "frame is flat" in str(exc)
+            return
+        assert abs(positions[0] - grid.x[frame.argmin()]) <= grid.dx
+        assert roundoff[0] >= 0.0
 
     def test_reads_the_trajectory_row_by_row(self):
-        # argmin(axis=1) would copy the read-only (T, n) array
+        # argmin(axis=1) of the whole read-only (T, n) array would copy it
         f = soliton_field(n=512)
         traj = Trajectory(f.grid, np.arange(200.0),
                           [np.roll(f.values, k) for k in range(200)])
