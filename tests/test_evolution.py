@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,6 +79,21 @@ class TestEvolveConfig:
             EvolveConfig(t_final=1.0, cfl_constant=0.9)
         with pytest.raises(ValueError):
             EvolveConfig(t_final=1.0, output_stride=0)
+        # a float stride would fail only later, in evolve's np.empty
+        for stride in (2.0, 1.5, np.float64(2.0), True, "2", None):
+            with pytest.raises(ValueError, match="output_stride"):
+                EvolveConfig(t_final=0.05, cfl_constant=0.4, output_stride=stride)
+        for stride in (1, 7, np.int64(3), np.int32(1)):
+            assert EvolveConfig(t_final=0.05, output_stride=stride).output_stride == stride
+
+    def test_a_numpy_integer_stride_runs_as_its_int(self):
+        field = soliton_field(n=128)
+        traj = evolve(field, EvolveConfig(t_final=0.5, cfl_constant=0.4,
+                                          output_stride=np.int64(2)))
+        reference = evolve(field, EvolveConfig(t_final=0.5, cfl_constant=0.4,
+                                               output_stride=2))
+        assert len(traj.times) >= 3
+        assert traj.values.tobytes() == reference.values.tobytes()
 
 
 class TestEvolve:
@@ -246,14 +262,16 @@ class TestInPlaceStepper:
         assert np.all(traj.values == 1.3)
 
     def test_four_rhs_calls_per_step(self, monkeypatch):
+        # one correlation per right-hand side; _rk4 binds the module's
+        # _correlate when it builds the step, so it is patched before evolve
         calls = []
-        kernel = evolution._rhs
+        kernel = evolution._correlate
 
         def counting(*args):
             calls.append(1)
             return kernel(*args)
 
-        monkeypatch.setattr(evolution, "_rhs", counting)
+        monkeypatch.setattr(evolution, "_correlate", counting)
         traj = evolve(
             soliton_field(n=128), EvolveConfig(t_final=0.5, output_stride=1)
         )
@@ -273,6 +291,46 @@ class TestInPlaceStepper:
         # every earlier frame still holds its own step, not the final state
         assert np.allclose(values, frames, rtol=1e-12, atol=0.0)
         assert not np.array_equal(values[1], values[-1])
+
+
+def rhs_composed_rk4(values, dx):
+    """Oracle for ``evolution._rk4``: the same buffers, each stage one call
+    of ``evolution._rhs`` with the dt-scaled taps, then the add into the
+    next stage; the in-line step must give its bits."""
+    taps = evolution._taps(dx)
+    r = evolution._radius(taps)
+    halo = 4 * r
+    n = values.size
+    width = n + 2 * halo
+    rows, incs = np.empty((2, 4, width))
+    gap = np.empty(width - 2)
+    halved = taps * np.array([[0.5], [1.0]])
+    scaled = np.empty_like(halved)
+    vp = rows[0]
+    v = vp[halo : halo + n]
+    v[...] = values
+    ghost = np.r_[:halo, halo + n : width]
+    source = halo + (ghost - halo) % n
+    inner = [slice(r * s + r, width - r * s - r) for s in range(4)]
+    stages = [(rows[s, r * s : width - r * s - 2], rows[s, r * s + 2 : width - r * s],
+               rows[s, inner[s]], scaled[s // 2], gap[: width - 2 * r * s - 2],
+               incs[s, inner[s]]) for s in range(4)]
+    adds = [(vp[inner[s]], incs[s, inner[s]], rows[s + 1, inner[s]]) for s in range(3)]
+    weights = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
+    interior = incs[:, halo : halo + n]
+    combined = np.zeros(n)
+
+    def step(dt):
+        vp[ghost] = vp[source]
+        np.multiply(halved, dt, scaled)
+        for s in range(4):
+            evolution._rhs(*stages[s])
+            if s < 3:
+                np.add(*adds[s])
+        np.matmul(weights, interior, combined)
+        np.add(v, combined, v)
+
+    return v, step
 
 
 def poisoning_rk4(at_step, writes):
@@ -443,6 +501,22 @@ class TestKernelProperties:
         assert np.max(np.abs(traj.times - times)) <= 1e-13
         assert np.max(np.abs(traj.values - frames) / frames) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(field=smooth_fields(max_n=1100), cfl=st.sampled_from([0.4, 0.5]))
+    @example(field=mode_field(8, 0.3, 1.0, [(1, 0.15, 0.0)]), cfl=0.5)
+    @example(field=mode_field(1100, 0.01, 1.0, [(3, 0.15, 1.0)]), cfl=0.4)
+    def test_steps_give_the_bits_of_the_rhs_composition(self, field, cfl):
+        # below n = 16 the halo wraps the grid more than once; at cfl 0.5
+        # the step cap sets dt
+        dt = cfl * field.grid.dx**3 / field.values.max() ** 3
+        config = EvolveConfig(t_final=12 * dt, cfl_constant=cfl, output_stride=3)
+        traj = evolve(field, config)
+        with mock.patch.object(evolution, "_rk4", rhs_composed_rk4):
+            reference = evolve(field, config)
+        assert len(traj.times) >= 5
+        assert traj.times.tobytes() == reference.times.tobytes()
+        assert traj.values.tobytes() == reference.values.tobytes()
+
     @pytest.mark.parametrize("n", range(8, 16))
     def test_constant_level_is_a_fixed_point_on_small_grids(self, n):
         grid = make_grid(0.0, 0.2 * n, n)
@@ -455,7 +529,7 @@ class TestKernelProperties:
     @given(n=st.integers(5, 1100), dx=st.floats(1e-3, 3.0), scale=st.floats(1e-9, 1.0),
            seed=st.integers(0, 2**32 - 1))
     def test_rhs_gives_the_bits_of_np_correlate(self, n, dx, scale, seed):
-        # the kernel calls np.correlate without its dispatch; same sum, same bits
+        # the kernel calls the C function behind np.correlate; same sum, same bits
         rng = np.random.default_rng(seed)
         p = 1.0 + 0.2 * rng.standard_normal(n + 8)
         taps = scale * evolution._taps(dx)
