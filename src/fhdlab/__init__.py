@@ -29,7 +29,6 @@ from .lax import (
     zc_residual,
 )
 from .pseudopotential import (
-    ExistenceReport,
     eval_S,
     existence_check,
     phase_branch,
@@ -65,7 +64,6 @@ __all__ = [
     "ReductionReport",
     "reduction_check",
     "zc_residual",
-    "ExistenceReport",
     "eval_S",
     "existence_check",
     "phase_branch",

@@ -299,13 +299,8 @@ def run_scan_existence(config: RunConfig) -> tuple[dict, dict]:
     # np.linspace then sets to lambda_max
     with np.errstate(over="ignore"):
         lambdas = np.linspace(config.lambda_min, config.lambda_max, config.steps)
-    admissible = np.zeros(lambdas.size)
-    curvature = np.zeros(lambdas.size)
-    for i, lam in enumerate(lambdas):
-        report = existence_check(SolitonParams(float(lam), config.v0))
-        admissible[i] = 1.0 if report.admissible else 0.0
-        curvature[i] = report.s_second_at_v0
-    inside = lambdas[admissible == 1.0]
+    admissible, curvature = existence_check(lambdas, config.params.v0)
+    inside = lambdas[admissible]
     return {
         "n_samples": int(lambdas.size),
         "n_admissible": int(admissible.sum()),

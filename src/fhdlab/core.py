@@ -66,6 +66,10 @@ class Grid1D:
             raise ValueError("grid bounds must be finite")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
+        # a float n would pass the comparisons and then fail in np.empty
+        if not (isinstance(self.n, (int, np.integer)) and not isinstance(self.n, bool)):
+            raise ValueError(f"grid n must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 8:
             raise ValueError(f"need at least 8 nodes, got {self.n}")
         if self.n > MAX_VALUES:
@@ -92,8 +96,8 @@ class Grid1D:
 
 def make_grid(x_min: float, x_max: float, n: int) -> Grid1D:
     """Build a periodic grid, dx = (x_max - x_min)/n; rejects non-finite
-    bounds, x_max <= x_min and n outside [8, MAX_VALUES]."""
-    return Grid1D(float(x_min), float(x_max), int(n))
+    bounds, x_max <= x_min and an n that is no integer in [8, MAX_VALUES]."""
+    return Grid1D(float(x_min), float(x_max), n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,7 +50,7 @@ from typing import Literal
 import numpy as np
 
 from .core import Field, Grid1D, NumericalError, SolitonParams, Trajectory
-from .pseudopotential import eval_S, require_admissible, turning_point
+from .pseudopotential import _s_second, eval_S, require_admissible, turning_point
 
 #: Truncation of the quadrature table, relative to the orbit depth.
 TAIL_CUT_REL = 1e-8
@@ -75,10 +75,10 @@ MIN_DECAY_LENGTHS = 20.0
 
 
 def decay_rate(params: SolitonParams) -> float:
-    """Linearized tail decay rate sqrt((v0^3 - lambda)/v0^3) about v = v0."""
+    """Linearized tail decay rate sqrt(-S''(v0)) = sqrt((v0^3 - lambda)/v0^3)
+    about v = v0."""
     require_admissible(params)
-    lam, v0 = params.lambda_speed, params.v0
-    return float(np.sqrt((v0**3 - lam) / v0**3))
+    return float(np.sqrt(-_s_second(params.lambda_speed, params.v0)))
 
 
 @dataclass(frozen=True, eq=False)

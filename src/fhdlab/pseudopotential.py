@@ -5,26 +5,24 @@ integral (1/2) (dv/dxi)^2 + S(v) = 0 with
 
     S(v) = (lambda - v*v0^2) * (v - v0)^2 / (2 * v * v0^2).
 
-S has a double root at the background v0 and a simple root at
-v_turn = lambda / v0^2. A localized depression orbit exists exactly when
-0 < lambda < v0^3, in which case S < 0 on the open interval (v_turn, v0).
-``_admissible`` is the one test of that domain: ``existence_check`` reports
-it, ``require_admissible`` raises on it, and ``turning_point`` passes that
-gate before it returns v_turn; every soliton command passes through it, so
-it also decides the float edges of the domain, from the closed form.
+S has a double root at the background v0, of curvature
+S''(v0) = (lambda - v0^3)/v0^3, and a simple root at v_turn = lambda / v0^2.
+A localized depression orbit exists exactly when 0 < lambda < v0^3, where
+the background is a saddle and S < 0 on the open interval (v_turn, v0).
+``_admissible`` is the one test of that domain and ``_s_second`` the closed
+form of the curvature, both vectorized over lambda: ``existence_check``
+reports them, ``require_admissible`` raises on them, and ``turning_point``
+passes that gate before it returns v_turn; every soliton command passes
+through it, so it also decides the float edges of the domain.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import NumericalError, SolitonParams
-
-#: Step (relative to v0) for the finite-difference diagnostics at the background.
-_FD_STEP_REL = 1e-5
 
 #: Samples of each table of ``potential_samples`` and ``phase_samples``.
 TABLE_SAMPLES = 1000
@@ -36,81 +34,54 @@ def eval_S(v, params: SolitonParams):
     S is evaluated in units of v0: ``v0**2`` times S at ``w = v / v0`` and
     lambda / v0**3, whose factors do not scale with v0 (a product of the
     unscaled ones is subnormal below v0 = 1e-57 near lambda = v0^3); at
-    v0 = 1 each scaling is exact. A float ``v`` is not converted to a NumPy
-    array: the same expression runs in float arithmetic. ``w - 1`` is
-    squared by a product ``d * d`` on every path, never by a power, so a
-    float, a 0-d array and each entry of an array of shape (n,) give the
-    same bits. NaN passes through as NaN.
+    v0 = 1 each scaling is exact. A scalar runs through the array expression
+    and returns as a Python float. ``w - 1`` is squared by a product
+    ``d * d``, never by a power, so a float, a 0-d array and each entry of an
+    array of shape (n,) give the same bits. NaN passes through as NaN.
     """
-    if not isinstance(v, float):
-        v = np.asarray(v, dtype=float)
     lam, v0 = params.lambda_speed, params.v0
-    w = v / v0
-    if np.any(w <= 0.0) if isinstance(w, np.ndarray) else w <= 0.0:
+    w = np.asarray(v, dtype=float) / v0
+    if np.any(w <= 0.0):
         raise ValueError("pseudopotential is only defined for v/v0 > 0")
     d = w - 1.0
     s = (lam / v0**3 - w) * (d * d) / (2.0 * w) * v0**2
-    return s if isinstance(s, np.ndarray) else float(s)
+    return s if s.ndim else float(s)
 
 
-@dataclass(frozen=True)
-class ExistenceReport:
-    """Soliton admissibility plus finite-difference diagnostics at v = v0.
-
-    ``s_at_v0`` and ``s_prime_at_v0`` must vanish for any parameters; the
-    curvature ``s_second_at_v0`` must be negative for a localized orbit and
-    equals (lambda - v0^3)/v0^3 analytically.
-    """
-
-    admissible: bool
-    s_at_v0: float
-    s_prime_at_v0: float
-    s_second_at_v0: float
+def _admissible(lam, v0: float):
+    """Whether a soliton exists, i.e. 0 < lambda < v0^3, for a scalar or an
+    array of lambda: the package's one test of that domain."""
+    return (0.0 < lam) & (lam < v0**3)
 
 
-def _derivatives_at_v0(params: SolitonParams) -> tuple[float, float, float]:
-    """S, S' and S'' at v0: central differences with step 1e-5*v0 and its
-    half, combined by one Richardson extrapolation."""
-    v0 = params.v0
-    h = _FD_STEP_REL * v0
-    s0 = eval_S(v0, params)
-
-    def central(step: float) -> tuple[float, float]:
-        # first and second central differences from one pair of samples
-        plus, minus = eval_S(v0 + step, params), eval_S(v0 - step, params)
-        return (plus - minus) / (2.0 * step), (plus - 2.0 * s0 + minus) / step**2
-
-    (d1_h, d2_h), (d1_half, d2_half) = central(h), central(h / 2.0)
-    # one Richardson step for each O(h^2) central difference
-    return s0, (4.0 * d1_half - d1_h) / 3.0, (4.0 * d2_half - d2_h) / 3.0
-
-
-def _admissible(params: SolitonParams) -> bool:
-    """Whether a soliton exists, i.e. 0 < lambda < v0^3: the package's one
-    test of that domain."""
-    return 0.0 < params.lambda_speed < params.v0**3
+def _s_second(lam, v0: float):
+    """The curvature S''(v0) = (lambda - v0^3)/v0^3 for a scalar or an array
+    of lambda; +-inf where it overflows, without a warning."""
+    cube = v0**3
+    with np.errstate(over="ignore"):
+        return (lam - cube) / cube
 
 
 def require_admissible(params: SolitonParams) -> None:
     """Raise ValueError unless ``_admissible``; every other check calls it."""
-    if not _admissible(params):
-        lam, v0 = params.lambda_speed, params.v0
+    lam, v0 = params.lambda_speed, params.v0
+    if not _admissible(lam, v0):
         raise ValueError(
             f"soliton existence violated: lambda={lam}, "
             f"v0={v0} needs 0 < lambda < v0^3 = {v0**3:.6g} "
-            f"(S''(v0) = {_derivatives_at_v0(params)[2]:.6g})"
+            f"(S''(v0) = {_s_second(lam, v0):.6g})"
         )
 
 
-def existence_check(params: SolitonParams) -> ExistenceReport:
-    """Decide whether params admit a localized depression orbit.
+def existence_check(lambdas, v0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Decide, for each speed in ``lambdas``, whether a localized depression
+    orbit exists over the background ``v0``.
 
-    Admissible iff ``require_admissible`` passes, without raising. The report carries the
-    finite-difference values of S, S' and S'' at v0 (step 1e-5*v0, one
-    Richardson extrapolation) so the decision can be audited numerically.
+    Returns the boolean array ``_admissible`` and the curvature S''(v0) of
+    ``_s_second``, which is negative exactly where lambda < v0^3.
     """
-    s0, s1, s2 = _derivatives_at_v0(params)
-    return ExistenceReport(_admissible(params), s0, s1, s2)
+    lambdas = np.asarray(lambdas, dtype=float)
+    return _admissible(lambdas, v0), _s_second(lambdas, v0)
 
 
 def turning_point(params: SolitonParams) -> float:

@@ -34,6 +34,7 @@ from fhdlab.profiles import (
     translated_trajectory,
 )
 from fhdlab.pseudopotential import eval_S, existence_check
+from test_pseudopotential import fd_curvature_at_v0
 
 P05 = SolitonParams(0.5, 1.0)
 
@@ -88,13 +89,12 @@ def test_criterion_2_pseudopotential_anchors():
     checks = {}
     for lam, v0 in ((0.2, 1.0), (0.5, 1.0), (0.8, 1.0), (0.5, 0.9)):
         params = SolitonParams(lam, v0)
-        diag = existence_check(params)
+        s_second = existence_check([lam], v0)[1][0]
         tag = f"lam={lam},v0={v0}"
         checks[f"S(v0)=0 [{tag}]"] = abs(eval_S(v0, params)) < 1e-14
         checks[f"S(v_turn)=0 [{tag}]"] = abs(eval_S(lam / v0**2, params)) < 1e-14
-        checks[f"S''(v0) fd [{tag}]"] = (
-            abs(diag.s_second_at_v0 - (lam - v0**3) / v0**3) < 1e-6
-        )
+        checks[f"S''(v0) closed form [{tag}]"] = s_second == (lam - v0**3) / v0**3
+        checks[f"S''(v0) fd [{tag}]"] = abs(fd_curvature_at_v0(params) - s_second) < 1e-6
     checks["runtime_under_1s"] = (time.perf_counter() - start) < 1.0
     report(2, "pseudopotential anchors", checks)
 

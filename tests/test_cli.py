@@ -1557,6 +1557,36 @@ def test_float_edges_of_the_domain_exit_0_or_3(tmp_path, capfd, v0, upper, u):
             assert out == "" and err.count("\n") == 1, err
 
 
+_SPAN_ENDS = [-1e300, 0.0, 1e300, "cube"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(v0=_V0, ends=st.lists(st.sampled_from(_SPAN_ENDS) | st.floats(-1e300, 1e300),
+                             min_size=2, max_size=2),
+       steps=st.integers(1, 41))
+@example(v0=1e-60, ends=[-1e300, 1e300], steps=41)
+@example(v0=1.0, ends=[0.0, "cube"], steps=3)
+def test_scan_writes_the_closed_form_up_to_the_float_edges(tmp_path, capfd, v0, ends,
+                                                           steps):
+    # spans out to +-1e300, where S''(v0) overflows to +-inf, and through 0
+    # and v0^3, the two edges of the existence domain
+    lam_min, lam_max = (v0**3 if end == "cube" else end for end in ends)
+    argv = ["scan-existence", "--v0", repr(v0), "--lambda-min", repr(lam_min),
+            "--lambda-max", repr(lam_max), "--steps", str(steps),
+            "--output-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0, capfd.readouterr().err
+    table = read_csv(tmp_path / "existence.csv")
+    lam, cube = table["lambda"], v0**3
+    assert table["admissible"].tolist() == ((0.0 < lam) & (lam < cube)).tolist()
+    # float division, which gives +-inf on overflow
+    expected = np.array([(x - cube) / cube for x in lam.tolist()])
+    assert table["s_second_v0"].tobytes() == expected.tobytes()
+    assert not np.isnan(table["s_second_v0"]).any()
+
+
 _HUGE = 10**12
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fhdlab.core import (
     Field,
+    Grid1D,
     SolitonParams,
     Trajectory,
     d1_periodic,
@@ -19,6 +20,16 @@ class TestMakeGrid:
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ValueError):
             make_grid(0.0, 10.0, 5)
+
+    @pytest.mark.parametrize("build", [Grid1D, make_grid])
+    @pytest.mark.parametrize("n", [64.0, 64.5, True, "64", None])
+    def test_rejects_a_node_count_that_is_no_integer(self, build, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            build(-40.0, 40.0, n)
+
+    def test_a_numpy_integer_node_count_is_stored_as_its_int(self):
+        grid = Grid1D(-40.0, 40.0, np.int64(64))
+        assert type(grid.n) is int and grid == Grid1D(-40.0, 40.0, 64)
 
     def test_periodic_spacing(self):
         grid = make_grid(0.0, 10.0, 10)

@@ -1,17 +1,16 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fhdlab import pseudopotential
 from fhdlab.core import V0_MAX, V0_MIN, NumericalError, SolitonParams
 from fhdlab.pseudopotential import (
     eval_S,
     existence_check,
     phase_branch,
+    require_admissible,
     turning_point,
 )
 
@@ -62,7 +61,7 @@ class TestEvalS:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_float_path_matches_array_path_bitwise(self, seed):
         # 300 random (lambda, v0, v) per example, a third of them with v next
-        # to v0 where S cancels (the Richardson points of existence_check);
+        # to v0 where S cancels (the points of the central differences);
         # the 0-d array is the reference
         rng = np.random.default_rng(seed)
         lam = rng.uniform(-3.0, 3.0, 300)
@@ -107,46 +106,54 @@ class TestEvalS:
         assert np.all(np.asarray(eval_S(inner, params)) < 0.0)
 
 
+def fd_curvature_at_v0(params):
+    """Oracle for S''(v0): central second differences of ``eval_S`` with step
+    1e-5*v0 and its half, combined by one Richardson extrapolation."""
+    v0 = params.v0
+    s0 = eval_S(v0, params)
+
+    def central(step):
+        return (eval_S(v0 + step, params) - 2.0 * s0 + eval_S(v0 - step, params)) / step**2
+
+    h = 1e-5 * v0
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
 class TestExistenceCheck:
     def test_admissible_inside_unit_interval(self):
-        assert existence_check(SolitonParams(0.5, 1.0)).admissible is True
+        assert existence_check([0.5], 1.0)[0].tolist() == [True]
 
     def test_degenerate_boundary_rejected(self):
-        assert existence_check(SolitonParams(1.0, 1.0)).admissible is False
+        admissible, s_second = existence_check([1.0], 1.0)
+        assert admissible.tolist() == [False] and s_second.tolist() == [0.0]
 
     def test_small_background_rejected(self):
         # v0^3 = 0.125 < lambda
-        assert existence_check(SolitonParams(0.5, 0.5)).admissible is False
+        assert existence_check([0.5], 0.5)[0].tolist() == [False]
 
     def test_nonpositive_speed_rejected(self):
-        assert existence_check(SolitonParams(0.0, 1.0)).admissible is False
-        assert existence_check(SolitonParams(-0.3, 1.0)).admissible is False
+        assert existence_check([0.0, -0.3], 1.0)[0].tolist() == [False, False]
 
     @pytest.mark.parametrize(
         "lam,v0", [(0.2, 1.0), (0.5, 1.0), (0.8, 1.0), (0.5, 0.9)]
     )
     def test_fd_diagnostics_match_curvature_formula(self, lam, v0):
-        report = existence_check(SolitonParams(lam, v0))
-        assert abs(report.s_at_v0) < 1e-14
-        assert abs(report.s_prime_at_v0) < 1e-8
-        assert report.s_second_at_v0 == pytest.approx(
-            (lam - v0**3) / v0**3, abs=1e-6
-        )
+        s_second = existence_check([lam], v0)[1]
+        assert s_second.tolist() == [(lam - v0**3) / v0**3]
+        assert s_second[0] == pytest.approx(fd_curvature_at_v0(SolitonParams(lam, v0)),
+                                            abs=1e-6)
 
     def test_curvature_negative_iff_admissible(self):
-        for lam in (0.1, 0.9, 1.5):
-            report = existence_check(SolitonParams(lam, 1.0))
-            assert (report.s_second_at_v0 < 0) == report.admissible
+        admissible, s_second = existence_check([0.1, 0.9, 1.5], 1.0)
+        assert ((s_second < 0) == admissible).all()
 
-    @pytest.mark.parametrize("lam", [0.5, 1.5, -0.3])
-    def test_the_derivatives_are_evaluated_once(self, lam):
-        # an inadmissible lambda is decided without building the message
-        # of require_admissible, which evaluates them again
-        with mock.patch.object(pseudopotential, "_derivatives_at_v0",
-                               wraps=pseudopotential._derivatives_at_v0) as spy:
-            report = existence_check(SolitonParams(lam, 1.0))
-        assert spy.call_count == 1
-        assert report.admissible == (lam == 0.5)
+    @pytest.mark.parametrize("lam, v0, shown", [
+        (1.0, 1.0, "0"), (1e300, 1e-60, "inf"), (-1e300, 1e-60, "-inf"),
+    ])
+    def test_the_gate_reports_the_closed_form_curvature(self, lam, v0, shown):
+        # exactly 0 where the roots merge, and +-inf where it overflows
+        with pytest.raises(ValueError, match=rf"\(S''\(v0\) = {shown}\)$"):
+            require_admissible(SolitonParams(lam, v0))
 
 
 class TestTurningPoints:
