@@ -4,12 +4,14 @@ The explicit Runge-Kutta pair of order 8(5,3) of Hairer, Norsett & Wanner,
 *Solving ODEs I*, section II.10, as ``scipy.integrate.DOP853`` runs it:
 its tableau (``scipy.integrate._ivp.dop853_coefficients``, bit for
 bit), initial-step rule, step-size controller (safety 0.9, step ratio in
-[0.2, 10], exponent -1/8) and error norm, the 7th-degree dense output from
-three extra stages, and Brent's method to 4 eps for the terminal events.
-The state (y, y') has two components, so each step is a few hundred float
-operations; in NumPy, per-call overhead on 2-element arrays would cost more
-than the arithmetic. ``profiles`` imports this module when it first shoots
-a profile, so a command that never shoots does not load it.
+[0.2, 10], exponent -1/8) and error norm, and the 7th-degree dense output
+from three extra stages. The terminal event is not SciPy's Brent search:
+Newton's method on the last step's dense output of y, with the dense y' as
+its slope, finds the root in 4 steps. The state (y, y') has two
+components, so each step is a few hundred float operations; in NumPy,
+per-call overhead on 2-element arrays would cost more than the arithmetic.
+``profiles`` imports this module when it first shoots a profile, so a
+command that never shoots does not load it.
 
 Row i of ``A`` combines stages 0..i-1 into stage i. Stages 0-11 make the
 step; row 12 is the 8th-order solution, and its stage, f at the end of the
@@ -171,61 +173,19 @@ def interpolate(c, x):
     return y
 
 
-def brentq(f, xa: float, xb: float) -> float:
-    """Root of f bracketed by [xa, xb], to 4 eps absolute plus 4 eps relative.
-
-    Brent's method as SciPy's ``brentq`` implements it: inverse quadratic
-    or secant steps, a bisection whenever they would not shrink the bracket.
-    """
-    tol = 4.0 * math.ulp(1.0)
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (tol + tol * abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-    raise NumericalError("profile shooting could not locate the tail switch")
-
-
 def dop853(accel, xi_max: float, y_stop: float, y_collapse: float,
            rtol: float, atol: float):
     """DOP853 on (y, y') with y'' = accel(y), from (0, 0) at xi = 0.
 
-    The steps, the controller, the dense output and the events are those of
-    ``scipy.integrate.DOP853`` at rtol and atol, with a terminal event on
-    each of y_stop and y_collapse, in Python floats. The run stops at the
-    root of y = y_stop on the step where y rises through it. Returns the
-    accepted (xi, y, y') from xi = 0 to the end, one dense-output row per
-    step and the number of rejected steps. Raises NumericalError when y
-    falls through y_collapse, the step size underflows or the run reaches
-    xi_max first.
+    The steps, the controller and the dense output are those of
+    ``scipy.integrate.DOP853`` at rtol and atol, in Python floats, with a
+    terminal event on each of y_stop and y_collapse. The run stops at the
+    root of y = y_stop on the step where y rises through it: 4 Newton steps
+    on the step's dense output, from the root of its linear interpolant, each
+    kept in the step. Returns the accepted (xi, y, y') from xi = 0 to the
+    end, one dense-output row per step and the number of rejected steps.
+    Raises NumericalError when y falls through y_collapse, the step size
+    underflows or the run reaches xi_max first.
     """
     t, v, p = 0.0, 0.0, 0.0
     fv, fp = p, accel(v)
@@ -267,11 +227,13 @@ def dop853(accel, xi_max: float, y_stop: float, y_collapse: float,
                 "tolerances are inconsistent"
             )
         if v <= y_stop <= v_new:
-            root = brentq(lambda xi: interpolate(cv, (xi - t) / h) + v - y_stop,
-                          t, t_new)
-            x = (root - t) / h
+            # v < y_stop here, or the previous step would have stopped
             cp = _dense_coefficients(p, p_new, kp, h)
-            steps.append((root, interpolate(cv, x) + v, interpolate(cp, x) + p))
+            x = (y_stop - v) / (v_new - v)
+            for _ in range(4):
+                x -= (interpolate(cv, x) + v - y_stop) / (h * (interpolate(cp, x) + p))
+                x = min(max(x, 0.0), 1.0)
+            steps.append((t + x * h, interpolate(cv, x) + v, interpolate(cp, x) + p))
             return steps, dense, rejected
         steps.append((t_new, v_new, p_new))
         if t_new >= xi_max:

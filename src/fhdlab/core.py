@@ -146,6 +146,8 @@ class Trajectory:
                 f"values shape {values.shape} does not match {times.size} times "
                 f"on a grid with n={self.grid.n}"
             )
+        if not np.all(np.isfinite(times)):
+            raise ValueError("trajectory times must be finite")
         if times.size > 1 and not np.all(np.diff(times) > 0.0):
             raise ValueError("times must be strictly increasing")
         # min and max propagate NaN and inf without a (T, n) temporary

@@ -464,6 +464,8 @@ def shape_error(trajectory: Trajectory, background: float) -> float:
     scaled by the norm of the initial depression (initial frame minus the
     background level).
     """
+    if not math.isfinite(background):
+        raise ValueError(f"background must be finite, got {background}")
     pos = minimum_positions(trajectory)[0]
     displacement = pos[-1] - pos[0]
     first, last = trajectory.values[0], trajectory.values[-1]

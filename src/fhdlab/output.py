@@ -9,11 +9,10 @@ self-describing.
 Every CSV has one layout: ``write_csv``'s columns broadcast to one shape,
 and the file holds one row per entry of it, in C order; a trajectory is
 the columns ``(times[:, None], x, frames)`` of its (T, n) frames, passed to
-``write_csv`` as they are (``write_frames_csv``, which did only that, is
-gone). The command-line front end calls the writers only once a command's
-checks have passed, so a refused command leaves the files of an earlier run
-as they were; a ``verify-lax`` or ``reduce-check`` report of a failed
-verification is still written.
+``write_csv`` as they are. The command-line front end calls the writers
+only once a command's checks have passed, so a refused command leaves the
+files of an earlier run as they were; a ``verify-lax`` or ``reduce-check``
+report of a failed verification is still written.
 
 ``_blocks`` lays the rows out a block along the first axis at a time, as a
 uint8 matrix of 25-byte fields (text, NUL padding, "," or newline) whose

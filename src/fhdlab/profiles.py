@@ -34,11 +34,12 @@ flank evenly with the same tail; beyond that they share no machinery,
 which makes their pointwise agreement a strong cross-validation.
 
 Shooting runs the DOP853 pair of ``_dop853`` in Python floats, with
-SciPy's tableau, step-size controller, dense output and event root search.
-On this 2-D system SciPy's integrator spends most of its time in per-step
-NumPy calls on 2-element arrays, and importing ``scipy.integrate`` loads
-about 350 SciPy modules (about 50 MB and 0.3 s of CPU), so no module here
-imports SciPy. SciPy's DOP853 stays in the tests as the oracle.
+SciPy's tableau, step-size controller and dense output; Newton's method on
+the last step's dense output finds the tail switch. On this 2-D system
+SciPy's integrator spends most of its time in per-step NumPy calls on
+2-element arrays, and importing ``scipy.integrate`` loads about 350 SciPy
+modules (about 50 MB and 0.3 s of CPU), so no module here imports SciPy.
+SciPy's DOP853 stays in the tests as the oracle.
 """
 
 from __future__ import annotations

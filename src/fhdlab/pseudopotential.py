@@ -78,8 +78,10 @@ def existence_check(lambdas, v0: float) -> tuple[np.ndarray, np.ndarray]:
     orbit exists over the background ``v0``.
 
     Returns the boolean array ``_admissible`` and the curvature S''(v0) of
-    ``_s_second``, which is negative exactly where lambda < v0^3.
+    ``_s_second``, which is negative exactly where lambda < v0^3. A ``v0``
+    that ``SolitonParams`` refuses raises ValueError.
     """
+    SolitonParams(0.0, v0)
     lambdas = np.asarray(lambdas, dtype=float)
     return _admissible(lambdas, v0), _s_second(lambdas, v0)
 

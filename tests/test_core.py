@@ -104,6 +104,14 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(grid, np.array([0.0, 1.0]), values)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_times_rejected(self, bad):
+        # [0, inf] once passed: its speed read nan and the Lax residual
+        # blamed uneven spacing
+        grid = make_grid(0.0, 1.0, 16)
+        with pytest.raises(ValueError, match="trajectory times must be finite"):
+            Trajectory(grid, np.array([0.0, bad]), np.ones((2, 16)))
+
     def test_values_are_read_only(self):
         grid = make_grid(0.0, 1.0, 16)
         raw = np.ones((2, 16))

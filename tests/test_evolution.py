@@ -842,3 +842,12 @@ class TestShapeTools:
         widened = 1.0 + 1.5 * (f.values - 1.0)
         traj = Trajectory(f.grid, np.array([0.0, 1.0]), [f.values, widened])
         assert shape_error(traj, background=1.0) > 0.1
+
+    @pytest.mark.parametrize("background", [np.inf, np.nan])
+    def test_shape_error_needs_a_finite_background(self, background):
+        # an infinite background once read 0.0, a perfect shape
+        f = soliton_field(n=512)
+        widened = 1.0 + 1.5 * (f.values - 1.0)
+        traj = Trajectory(f.grid, np.array([0.0, 1.0]), [f.values, widened])
+        with pytest.raises(ValueError, match="background must be finite"):
+            shape_error(traj, background=background)

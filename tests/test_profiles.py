@@ -308,18 +308,50 @@ class TestShootingOracle:
                              (_dop853.E5, ref.E5), (_dop853.D, ref.D)):
             assert np.array(ours).tobytes() == theirs.tobytes()
 
-    @pytest.mark.parametrize("f, a, b", [
-        (lambda x: math.cos(x) - x, 0.0, 1.0),
-        (lambda x: x**3 - 2.0, 0.0, 2.0),
-        (lambda x: math.tanh(50.0 * (x - 0.7)), 0.0, 1.0),
-        (lambda x: x * x - 1e-12, 0.0, 1.0),
-        (lambda x: math.log(x) + 3.0, 1e-3, 1.0),
+    # The terminal root on y'' = accel(y) from rest, against SciPy's brentq
+    # on the same dense row, at the shooting route's tolerances. The largest
+    # gap over these five orbits was 1.5e-16 relative, and y hit y_stop
+    # exactly.
+    @pytest.mark.parametrize("accel, y_stop", [
+        (lambda y: math.cos(y), 1.0),
+        (lambda y: 1.0 + y**3, 1.2),
+        (lambda y: 2.0 + math.tanh(50.0 * (y - 0.7)), 0.9),
+        (lambda y: 1.0 - y * y, 1.5),
+        (lambda y: math.log(math.e + y), 2.0),
     ], ids=["cos", "cube", "tanh", "square", "log"])
-    def test_root_search_is_scipys_brentq(self, f, a, b):
+    def test_root_search_is_scipys_brentq(self, accel, y_stop):
         from scipy.optimize import brentq
 
+        steps, dense, _ = _dop853.dop853(accel, 20.0, y_stop, -1.0,
+                                         SHOOT_RTOL, SHOOT_ATOL)
+        start, h, v, *coefficients = dense[-1]
         tol = 4.0 * np.finfo(float).eps
-        assert _dop853.brentq(f, a, b) == brentq(f, a, b, xtol=tol, rtol=tol)
+        root = brentq(lambda xi: _dop853.interpolate(coefficients, (xi - start) / h)
+                      + v - y_stop, start, start + h, xtol=tol, rtol=tol)
+        xi, y, _ = steps[-1]
+        assert abs(xi - root) <= 2.0 * tol * root
+        assert abs(y - y_stop) <= 4.0 * math.ulp(y_stop)
+
+    # oracle: SciPy's brentq on the last step's dense output. Near the
+    # saddle the slope v' is small, so the residual's rounding fixes either
+    # root only to about 1e-13; the largest gap in a scan of 160 draws was
+    # 1.9e-13. Adding v_turn to the rise rounds to an ulp of v0.
+    @settings(max_examples=40, deadline=None)
+    @given(frac=EDGE_FRACTIONS, v0=st.floats(0.5, 2.0))
+    def test_tail_switch_is_the_root_of_the_last_step(self, frac, v0):
+        from scipy.optimize import brentq
+
+        params = SolitonParams(frac * v0**3, v0)
+        sol = solve_shooting(params, xi_max=default_half_width(params))
+        start, h, rise, *coefficients = sol._dense[-1]
+        depth = v0 - sol.v_turn
+        level = depth - TAIL_SWITCH_REL * depth
+        tol = 4.0 * np.finfo(float).eps
+        root = brentq(lambda xi: _dop853.interpolate(coefficients, (xi - start) / h)
+                      + rise - level, start, start + h, xtol=tol, rtol=tol)
+        assert abs(sol.xi_switch - root) <= 1e-12 * root
+        assert (abs(sol.steps_v[-1] - sol.v_turn - level)
+                <= 4.0 * math.ulp(depth) + math.ulp(v0))
 
     @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
     def test_matches_oracle_at_reference_speeds(self, lam):

@@ -143,6 +143,13 @@ class TestExistenceCheck:
         assert s_second[0] == pytest.approx(fd_curvature_at_v0(SolitonParams(lam, v0)),
                                             abs=1e-6)
 
+    @pytest.mark.parametrize("v0", [0.0, -1.0, 1e200, np.nan])
+    def test_background_outside_soliton_params_rejected(self, v0):
+        # 0 once divided by zero, 1e200 overflowed and -1 read (False, -1.5)
+        with pytest.raises(ValueError, match="soliton parameters must be finite|"
+                                             "background v0 must lie in"):
+            existence_check([0.5], v0)
+
     def test_curvature_negative_iff_admissible(self):
         admissible, s_second = existence_check([0.1, 0.9, 1.5], 1.0)
         assert ((s_second < 0) == admissible).all()
