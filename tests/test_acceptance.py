@@ -194,8 +194,9 @@ def test_criterion_7_reduction_check():
     for i, values in enumerate(fields):
         rep = reduction_check(Field(grid, values), 1.0)
         checks[f"field_{i}_below_1e-10"] = rep.max_discrepancy < 1e-10
-    control = reduction_check(Field(grid, fields[0]), 1.0, b_offset=1.0)
-    checks["negative_control_above_1e-2"] = control.max_discrepancy > 1e-2
+    control = reduction_check(Field(grid, fields[0]), 1.0)
+    checks["negative_control_above_1e-2"] = control.control_discrepancy > 1e-2
+    checks["negative_control_fails"] = not control.control_passed
     report(7, "flow reduction", checks)
 
 

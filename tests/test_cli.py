@@ -1396,6 +1396,11 @@ sys.exit(main(["verify-lax", "--lambda", "0.5", "--lambda-spec", "3e153",
         assert report["convergence_order"] < 2.0
 
 
+# v0 log-uniform over its whole range
+_V0 = st.floats(math.log10(V0_MIN), math.log10(V0_MAX)).map(
+    lambda e: min(max(10.0**e, V0_MIN), V0_MAX))
+
+
 class TestReduceCheckCommand:
     def test_report_passes_with_failing_control(self, tmp_path, capsys):
         code, summary = run_cli(
@@ -1420,17 +1425,44 @@ class TestReduceCheckCommand:
         assert summary["pass"] is True
         assert summary["control_pass"] is False
 
+    # the first two once failed on round-off of B's own stencils (1.1e-9
+    # and 9.7e-10 against a bound of 1e-10 * max v); on the third a control
+    # offset sized for a unit length scale once passed, and on the fourth
+    # one that ignores the length scale passes
+    @pytest.mark.parametrize("argv", [
+        ["--lambda-spec", "0.3", "--half-width", "10"],
+        ["--lambda-spec", "0.7", "--n", "8192"],
+        ["--half-width", "1e10"],
+        ["--half-width", "1e-5"],
+    ])
+    def test_verdict_holds_off_the_default_grid(self, tmp_path, capsys, argv):
+        code, summary = run_cli(["reduce-check", *argv, "--output-dir", str(tmp_path)],
+                                capsys)
+        assert code == 0
+        assert summary["pass"] is True
+        assert summary["control_pass"] is False
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(v0=_V0, log_ratio=st.floats(-12.0, 20.0), sign=st.sampled_from([1.0, -1.0]),
+           log_half=st.floats(-6.0, 12.0), n=st.integers(8, 8192))
+    def test_verdict_holds_on_every_window(self, tmp_path, capsys, v0, log_ratio,
+                                           sign, log_half, n):
+        lam = sign * v0**2 * 10.0**log_ratio
+        code, summary = run_cli(
+            ["reduce-check", "--v0", repr(v0), "--lambda-spec", repr(lam),
+             "--half-width", repr(10.0**log_half), "--n", str(n),
+             "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert summary["pass"] is True
+        assert summary["control_pass"] is False
+
     def test_zero_spectral_parameter_exits_2(self, tmp_path, capsys):
         code = main(["reduce-check", "--lambda-spec", "0", "--n", "64",
                      "--output-dir", str(tmp_path)])
         assert code == 2
         assert "lambda_spec must be finite and nonzero" in capsys.readouterr().err
         assert not (tmp_path / "reduce_report.json").exists()
-
-
-# v0 log-uniform over its whole range
-_V0 = st.floats(math.log10(V0_MIN), math.log10(V0_MAX)).map(
-    lambda e: min(max(10.0**e, V0_MIN), V0_MAX))
 
 
 class TestScalingSymmetry:

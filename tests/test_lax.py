@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ from fhdlab.core import (
     d1_periodic,
     make_grid,
 )
-from fhdlab.lax import OFF_SHELL_TOL, control_offset, reduction_check, zc_residual
+from fhdlab.lax import OFF_SHELL_TOL, reduction_check, zc_residual
 from fhdlab.profiles import translated_trajectory
 
 P05 = SolitonParams(0.5, 1.0)
@@ -307,9 +309,25 @@ class TestReductionCheck:
         assert report.max_discrepancy < 1e-10
 
     def test_perturbed_ansatz_fails(self):
-        report = reduction_check(smooth_field(), 1.0, b_offset=1.0)
-        assert not report.passed
-        assert report.max_discrepancy > 1e-2
+        report = reduction_check(smooth_field(), 1.0)
+        assert not report.control_passed
+        assert report.control_discrepancy > 1e-2
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6, 1e10])
+    def test_verdict_holds_on_wider_and_narrower_grids(self, scale):
+        # the control's offset follows the field's own length scale
+        report = reduction_check(smooth_field(length=20.0 * scale), 1.0)
+        assert report.passed
+        assert not report.control_passed
+
+    def test_a_field_with_no_slope_tells_nothing(self):
+        # v_x = 0 leaves nothing to cancel, so the ansatz cannot hold
+        grid = make_grid(-5.0, 5.0, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = reduction_check(Field(grid, np.full(64, 2.0)), 0.5)
+        assert report.passed is False
+        assert report.max_discrepancy == 0.0
 
     def test_rejects_nonpositive_field(self):
         grid = make_grid(-5.0, 5.0, 64)
@@ -332,12 +350,10 @@ class TestReductionCheck:
     @example(log_v0=-30.0, log_ratio=20.0, sign=1.0)
     def test_bound_scales_with_the_terms(self, log_v0, log_ratio, sign):
         # v -> s v, lambda_spec -> s^2 lambda_spec scales every term by s:
-        # the exact ansatz passes, and one offset by a millionth of the
-        # control's fails, at every scale
+        # the exact ansatz passes and the control fails at every scale
         v0 = 10.0**log_v0
         lam = sign * v0**2 * 10.0**log_ratio
         unit = smooth_field()
-        field = Field(unit.grid, v0 * unit.values)
-        assert reduction_check(field, lam).passed
-        offset = 1e-6 * control_offset(v0, lam)
-        assert not reduction_check(field, lam, b_offset=offset).passed
+        report = reduction_check(Field(unit.grid, v0 * unit.values), lam)
+        assert report.passed
+        assert not report.control_passed
